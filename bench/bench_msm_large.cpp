@@ -9,14 +9,19 @@
 //   pool     — the same pipeline with the bucket grid fanned out across an
 //              8-worker engine::BatchEngine pool (pool-parallel).
 //
-// The gate (tools/baselines/bench_msm_large_baseline.jsonl, enforced by
-// tools/run_benches.sh) holds the pool-parallel run >= 4x serial at equal
-// n. Both sides are measured in the same process seconds apart, so the
-// ratio is robust to shared-host load — the same in-process-ratio
-// methodology as the lane-executor gate (bench_lane_throughput). On this
-// one-core host the 4x comes from the IFMA lane kernels; add cores and the
-// pool fan-out stacks on top, so the gate only gets easier on bigger
-// machines.
+// The speed gate (tools/baselines/bench_msm_large_baseline.jsonl, enforced
+// by tools/run_benches.sh and CI) is the single-thread stream's bucket
+// insertion efficiency: each insertion is one 7M + 7A mixed addition, so
+// its ledger floor is 7 x (lane fp2 mul + lane fp2 add), priced at the
+// lane-kernel costs measured in this process right after each timed run,
+// and the efficiency is that floor over the measured insertion ns per add
+// (best of each). Both are measured in the same stretch of host load, so
+// it cancels — the same in-process methodology as the lane-executor gate
+// (bench_lane_throughput) — and the single-thread figure does not depend
+// on the core count. The pool is held to >= 0.85x
+// the single-thread run. The pool-vs-serial speedup is printed and
+// recorded but not gated: it shrinks whenever the serial reference
+// (scalar field arithmetic) gets faster, which is no pipeline regression.
 //
 // Correctness at scale, also gated: all three configurations must produce
 // bitwise-identical affine results; a 256-term subsample of the exact same
@@ -126,6 +131,20 @@ int main(int argc, char** argv) {
   eng_opt.workers = workers;
   engine::BatchEngine eng(eng_opt);
 
+  // Insertion ledger of the single-thread stream (core-count independent):
+  // one bucket insertion per live sub-term per window, each a 7M + 7A mixed
+  // addition. Every timed run is followed by a lane-kernel pricing pass;
+  // the best insertion rate and the best prices are kept.
+  double insert_ns = 1e300;
+  bench::LaneFp2Cost cost{1e300, 1e300};
+  auto price_insert = [&](const curve::MsmStats& st) {
+    const double adds = static_cast<double>(st.sub_terms) * st.windows;
+    insert_ns = std::min(insert_ns, st.insert_ms * 1e6 / adds);
+    const bench::LaneFp2Cost c = bench::lane_fp2_cost();
+    cost.mul_ns = std::min(cost.mul_ns, c.mul_ns);
+    cost.add_ns = std::min(cost.add_ns, c.add_ns);
+  };
+
   double best_ms[3] = {0, 0, 0};
   curve::Affine outs[3];
   curve::MsmStats stats[3];
@@ -148,6 +167,7 @@ int main(int argc, char** argv) {
       auto t0 = std::chrono::steady_clock::now();
       outs[c] = run_n(n);
       best = std::min(best, secs_since(t0));
+      if (c == 1) price_insert(stats[c]);
     }
     best_ms[c] = best * 1e3;
     if (c > 0 && (!(outs[c].x == outs[0].x) || !(outs[c].y == outs[0].y))) ++mismatches;
@@ -160,10 +180,16 @@ int main(int argc, char** argv) {
 
   double speedup_vs_serial = best_ms[2] > 0 ? best_ms[0] / best_ms[2] : 0.0;
   double pool_vs_single = best_ms[2] > 0 ? best_ms[1] / best_ms[2] : 0.0;
-  std::printf("pool-parallel vs serial at n = %zu: %.2fx (gate: >= 4x)\n", n,
+  std::printf("pool-parallel vs serial at n = %zu: %.2fx (ungated)\n", n,
               speedup_vs_serial);
   std::printf("pool-parallel vs single-thread:     %.2fx (gate: no regression)\n",
               pool_vs_single);
+
+  const double insert_floor_ns = 7.0 * (cost.mul_ns + cost.add_ns);
+  const double insert_eff = insert_floor_ns / insert_ns;
+  std::printf("single-thread bucket insertion: %.1f ns/add measured, %.1f ns floor "
+              "(7 x (%.2f + %.2f) ns) -> efficiency %.3f\n",
+              insert_ns, insert_floor_ns, cost.mul_ns, cost.add_ns, insert_eff);
 
   // Bounded-memory assertion: the chunked peak-alloc counter must report the
   // same peak working set at n as at n/8 — peak is O(buckets + chunk), so it
@@ -235,6 +261,11 @@ int main(int argc, char** argv) {
   rec.record("stream.pool_ms", best_ms[2], "ms");
   rec.record("stream.speedup_vs_serial", speedup_vs_serial, "x");
   rec.record("stream.pool_vs_single", pool_vs_single, "x");
+  rec.record("kernel.fp2_mul_ns_per_lane", cost.mul_ns, "ns");
+  rec.record("kernel.fp2_add_ns_per_lane", cost.add_ns, "ns");
+  rec.record("stream.insert_ns_per_add", insert_ns, "ns");
+  rec.record("stream.insert_floor_ns", insert_floor_ns, "ns");
+  rec.record("stream.insert_efficiency", insert_eff, "ratio");
   rec.record("stream.peak_mb",
              static_cast<double>(stats[2].peak_bytes) / (1024.0 * 1024.0), "MB");
   rec.record("stream.peak_ratio_n_over_n8", peak_ratio, "x");

@@ -3,6 +3,7 @@
 // trace/compile shortcuts.
 #pragma once
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -10,7 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "curve/scalarmul.hpp"
+#include "field/fp_lanes.hpp"
 #include "obs/json.hpp"
 #include "obs/span.hpp"
 #include "sched/compile.hpp"
@@ -117,6 +120,45 @@ inline void print_header(const std::string& title) {
   print_rule();
   std::printf("%s\n", title.c_str());
   print_rule();
+}
+
+// Per-lane cost (ns) of the dispatched F_{p^2} mul and add lane kernels,
+// called in 8-lane waves (the engine wave width and the MSM insertion
+// group) over 256 canonical operands. These are the prices the in-process
+// ledger gates charge: a layer's floor is its op counts times these costs,
+// and its efficiency is floor / measured. A gate runs one pricing pass
+// right after each timed run of its layer and keeps the best of each, so
+// the best run and the best prices come from the same stretch of host load.
+struct LaneFp2Cost {
+  double mul_ns = 0.0;
+  double add_ns = 0.0;
+};
+
+inline LaneFp2Cost lane_fp2_cost() {
+  constexpr size_t kN = 256, kWave = 8;
+  constexpr int kPasses = 400;
+  const field::lanes::Kernels& k = field::lanes::active();
+  Rng rng(0x1a4e);
+  std::vector<u128> are(kN), aim(kN), bre(kN), bim(kN), rre(kN), rim(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    are[i] = field::Fp::from_u256(rng.next_u256()).raw();
+    aim[i] = field::Fp::from_u256(rng.next_u256()).raw();
+    bre[i] = field::Fp::from_u256(rng.next_u256()).raw();
+    bim[i] = field::Fp::from_u256(rng.next_u256()).raw();
+  }
+  auto per_lane_ns = [&](auto kernel) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int pass = 0; pass < kPasses; ++pass)
+      for (size_t g = 0; g < kN; g += kWave)
+        kernel(&are[g], &aim[g], &bre[g], &bim[g], &rre[g], &rim[g], kWave);
+    const double ns =
+        std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - t0).count();
+    return ns / (static_cast<double>(kPasses) * kN);
+  };
+  LaneFp2Cost c;
+  c.mul_ns = per_lane_ns(k.fp2_mul);
+  c.add_ns = per_lane_ns(k.fp2_add);
+  return c;
 }
 
 // Standard input bindings for an SM trace over base point `p`.
