@@ -1,5 +1,5 @@
 // Datapath shapes: the wide micro-op expansion of each F_{p^2} operation,
-// mirroring field/fp2.cpp (paper Alg. 2) stage for stage. Defined once and
+// mirroring field/fp2.hpp (paper Alg. 2) stage for stage. Defined once and
 // used by both sides of the verifier — expand.cpp unrolls the whole traced
 // DAG through these emitters, and rom_pass.cpp re-runs the same shapes per
 // ROM issue with machine-state operand bounds — so any drift between the
@@ -17,7 +17,7 @@ struct Pair {
   int im = -1;
 };
 
-// Karatsuba multiplication with lazy reduction (fp2.cpp mul_karatsuba):
+// Karatsuba multiplication with lazy reduction (fp2.hpp mul_karatsuba):
 //   t0 = a0*b0, t1 = a1*b1            (127x127 cores, < 2^254)
 //   t2 = a0+a1, t3 = b0+b1            (lazy sums, < 2^128)
 //   t5 = t0+t1                        (wide accumulator, < 2^255)

@@ -57,18 +57,6 @@ bool operator<(const U512& a, const U512& b) {
   return false;
 }
 
-uint64_t add(const U256& a, const U256& b, U256& r) {
-  uint64_t c = 0;
-  for (int i = 0; i < 4; ++i) c = addc64(a.w[i], b.w[i], c, r.w[i]);
-  return c;
-}
-
-uint64_t sub(const U256& a, const U256& b, U256& r) {
-  uint64_t bw = 0;
-  for (int i = 0; i < 4; ++i) bw = subb64(a.w[i], b.w[i], bw, r.w[i]);
-  return bw;
-}
-
 U512 mul_wide(const U256& a, const U256& b) {
   U512 r;
   for (int i = 0; i < 4; ++i) {

@@ -20,6 +20,15 @@ struct U256 {
   constexpr explicit U256(uint64_t v) : w{v, 0, 0, 0} {}
   constexpr U256(uint64_t w0, uint64_t w1, uint64_t w2, uint64_t w3) : w{w0, w1, w2, w3} {}
 
+  // From / to (lo, hi) u128 halves, the form the inline field arithmetic
+  // carries 256-bit values in.
+  static constexpr U256 from_halves(u128 lo, u128 hi) {
+    return U256(static_cast<uint64_t>(lo), static_cast<uint64_t>(lo >> 64),
+                static_cast<uint64_t>(hi), static_cast<uint64_t>(hi >> 64));
+  }
+  u128 lo128() const { return (static_cast<u128>(w[1]) << 64) | w[0]; }
+  u128 hi128() const { return (static_cast<u128>(w[3]) << 64) | w[2]; }
+
   static U256 from_hex(const std::string& hex);
   std::string to_hex() const;
 
@@ -60,10 +69,21 @@ struct U512 {
 
 // --- U256 arithmetic -------------------------------------------------------
 
-// r = a + b (mod 2^256); returns the carry-out bit.
-uint64_t add(const U256& a, const U256& b, U256& r);
+// r = a + b (mod 2^256); returns the carry-out bit. Straight-line 64-bit
+// limb chains, deliberately not the field layer's add256/sub256: Monty
+// (common/modint.hpp) builds on these, and the tests use it as the
+// independent reference for the field arithmetic.
+inline uint64_t add(const U256& a, const U256& b, U256& r) {
+  uint64_t c = 0;
+  for (int i = 0; i < 4; ++i) c = addc64(a.w[i], b.w[i], c, r.w[i]);
+  return c;
+}
 // r = a - b (mod 2^256); returns the borrow-out bit.
-uint64_t sub(const U256& a, const U256& b, U256& r);
+inline uint64_t sub(const U256& a, const U256& b, U256& r) {
+  uint64_t bw = 0;
+  for (int i = 0; i < 4; ++i) bw = subb64(a.w[i], b.w[i], bw, r.w[i]);
+  return bw;
+}
 // Full 256x256 -> 512 product.
 U512 mul_wide(const U256& a, const U256& b);
 // Truncated product mod 2^256.

@@ -4,8 +4,9 @@
 // bit-discarding left shifts even though both are well-defined in C++ —
 // they are *usually* bugs in arithmetic code. This codebase has a small,
 // closed set of functions whose entire point is two's-complement wrapping:
-// carry/borrow extraction (subb64), multi-word shifts, Mersenne folding of
-// the top product bits, and the PRNG / hash mixers. Marking exactly those
+// carry/borrow extraction (subb64, and the u128-halves helpers mask128,
+// add256, sub256, mul128x128 and sqr128 behind the inline field
+// arithmetic), multi-word shifts, and the PRNG / hash mixers. Marking those
 // functions lets the UBSan-integer CI leg treat any *other* unsigned wrap
 // in the field and curve layers as a finding.
 #pragma once

@@ -1020,6 +1020,10 @@ PointR1 multi_scalar_mul(const std::vector<ScalarPoint>& terms,
     case MsmBackend::kPippenger: {
       FOURQ_COUNTER_INC_L("curve.msm.calls", "backend", "pippenger");
       PipConfig cfg = resolve_pip(opts, live, total_bits, max_bits);
+      // The default chunk is sized for streams; a vector never needs more
+      // staging than it has terms (a 64-term verify MSM would otherwise
+      // allocate and clear staging for 16384).
+      if (!opts.chunk) cfg.chunk = std::min(cfg.chunk, terms.size());
       size_t pos = 0;
       return msm_pippenger_stream(vector_source(terms, &pos), opts, cfg);
     }

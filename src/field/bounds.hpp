@@ -6,7 +6,7 @@
 // the single written form of those contracts, shared by three layers that
 // must agree bit-for-bit:
 //
-//  * field/fp.hpp + fp2.cpp — the C++ golden model whose operations realise
+//  * field/fp.hpp + fp2.hpp — the C++ golden model whose operations realise
 //    the transfer semantics (mul_wide < 2^254, reduce_wide accepts < 2^256,
 //    canonical results in [0, p));
 //  * rtl/fp2_mul_pipeline.hpp — the stage-accurate pipeline model, whose
@@ -22,7 +22,7 @@
 //   Fp::mul_wide (t0, t1)      < 2^127           <= a*b < 2^254     254 bits
 //   lazy sum t2, t3            c                 <= a+b < 2^128     128 bits
 //   lazy sum t5 = t0+t1        u254              < 2^255            256 bits
-//   mul_u128 t6 = t2*t3        < 2^128           < 2^256            256 bits
+//   mul128x128 t6 = t2*t3      < 2^128           < 2^256            256 bits
 //   t7 = t0-t1 (+p<<127)       t1 <= p*2^127     < 2^254            254 bits
 //   t8 = t6-t5 (Karatsuba      t6 >= t5 by the   <= t6 < 2^256      256 bits
 //        middle term)          product identity

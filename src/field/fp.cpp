@@ -1,29 +1,12 @@
 #include "field/fp.hpp"
 
-#include "common/check.hpp"
 #include "common/hexutil.hpp"
-#include "common/wrap.hpp"
 
 namespace fourq::field {
-
-namespace {
-
-constexpr u128 kMask127 = (static_cast<u128>(1) << 127) - 1;
-
-}  // namespace
-
-Fp Fp::make_canonical(u128 v) {
-  // v < 2^128. Fold bit 127 once: result <= 2^127 (= p + 1).
-  v = (v & kMask127) + (v >> 127);
-  if (v >= P()) v -= P();
-  return Fp(v);
-}
 
 Fp Fp::from_words(uint64_t lo, uint64_t hi) {
   return make_canonical((static_cast<u128>(hi) << 64) | lo);
 }
-
-Fp Fp::from_u256(const U256& v) { return reduce_wide(v); }
 
 Fp Fp::from_canonical(u128 v) {
   FOURQ_CHECK_MSG(v < P(), "from_canonical requires a reduced value");
@@ -40,84 +23,6 @@ std::string Fp::to_hex() const {
   uint64_t w[2] = {lo(), hi()};
   return words_to_hex(w, 2);
 }
-
-Fp operator+(const Fp& a, const Fp& b) {
-  // a + b <= 2p - 2 < 2^128: single fold suffices.
-  return Fp::make_canonical(a.v_ + b.v_);
-}
-
-Fp operator-(const Fp& a, const Fp& b) {
-  u128 v = (a.v_ >= b.v_) ? a.v_ - b.v_ : a.v_ + Fp::P() - b.v_;
-  if (v >= Fp::P()) v -= Fp::P();
-  return Fp(v);
-}
-
-Fp Fp::operator-() const { return Fp() - *this; }
-
-U256 Fp::mul_wide(const Fp& a, const Fp& b) {
-  // Dedicated 2x2-limb schoolbook (4 64x64 multiplies) rather than the
-  // generic 4x4 U256 product: operands are < 2^127, so the result is < 2^254
-  // and every carry chain below terminates inside word 3.
-  const uint64_t a0 = a.lo(), a1 = a.hi();
-  const uint64_t b0 = b.lo(), b1 = b.hi();
-  uint64_t h00, l00, h01, l01, h10, l10, h11, l11;
-  mul64x64(a0, b0, h00, l00);
-  mul64x64(a0, b1, h01, l01);
-  mul64x64(a1, b0, h10, l10);
-  mul64x64(a1, b1, h11, l11);
-  U256 r;
-  r.w[0] = l00;
-  uint64_t c = addc64(h00, l01, 0, r.w[1]);
-  c = addc64(h01, h10, c, r.w[2]);
-  c = addc64(h11, 0, c, r.w[3]);
-  c += addc64(r.w[1], l10, 0, r.w[1]);
-  // Re-absorb the carry out of word 1 into words 2 and 3.
-  uint64_t c2 = addc64(r.w[2], l11, c, r.w[2]);
-  c2 = addc64(r.w[3], 0, c2, r.w[3]);
-  FOURQ_CHECK(c2 == 0);  // product < 2^254 never overflows 256 bits
-  return r;
-}
-
-FOURQ_NO_SANITIZE_UNSIGNED_WRAP
-U256 Fp::sqr_wide(const Fp& a) {
-  // a = a0 + a1*2^64 with a1 < 2^63. a^2 = a0^2 + 2*a0*a1*2^64 + a1^2*2^128:
-  // the symmetric cross term is computed once and doubled by shifting —
-  // 3 64x64 multiplies instead of mul_wide's 4.
-  const uint64_t a0 = a.lo(), a1 = a.hi();
-  uint64_t ph, pl, mh, ml, qh, ql;
-  mul64x64(a0, a0, ph, pl);
-  mul64x64(a0, a1, mh, ml);
-  mul64x64(a1, a1, qh, ql);
-  // 2m < 2^128 (m < 2^64 * 2^63), so the doubled cross term fits two words.
-  const uint64_t m2l = ml << 1;
-  const uint64_t m2h = (mh << 1) | (ml >> 63);
-  U256 r;
-  r.w[0] = pl;
-  uint64_t c = addc64(ph, m2l, 0, r.w[1]);
-  c = addc64(ql, m2h, c, r.w[2]);
-  c = addc64(qh, 0, c, r.w[3]);
-  FOURQ_CHECK(c == 0);  // square < 2^254
-  return r;
-}
-
-Fp Fp::sqr() const { return reduce_wide(sqr_wide(*this)); }
-
-Fp Fp::reduce_wide(const U256& v) {
-  // v = A + B*2^127 + C*2^254 with A, B < 2^127 and C < 4.
-  // 2^127 ≡ 1 and 2^254 ≡ 1 (mod p), so v ≡ A + B + C.
-  u128 a = (static_cast<u128>(v.w[1] & 0x7fffffffffffffffull) << 64) | v.w[0];
-  // B = bits [253:127]: bit 127 is the top bit of w[1], then w[2], then the
-  // low 62 bits of w[3].
-  u128 b = (v.w[1] >> 63);
-  b |= static_cast<u128>(v.w[2]) << 1;
-  b |= static_cast<u128>(v.w[3] & 0x3fffffffffffffffull) << 65;
-  u128 c = v.w[3] >> 62;
-  // a + b <= 2^128 - 2 fits in u128; adding c (< 4) could overflow, so fold
-  // a + b first and add c as a field element.
-  return make_canonical(a + b) + Fp(c);
-}
-
-Fp operator*(const Fp& a, const Fp& b) { return Fp::reduce_wide(Fp::mul_wide(a, b)); }
 
 Fp Fp::sqr_n(int n) const {
   Fp r = *this;
@@ -137,10 +42,23 @@ Fp Fp::pow(const U256& e) const {
 
 Fp Fp::inv() const {
   FOURQ_CHECK_MSG(!is_zero(), "inverse of zero in F_p");
-  // p - 2 = 2^127 - 3 = 0b111...1101 (bit 1 clear, all other low 127 bits set).
-  U256 e((static_cast<uint64_t>(-3)), ~0ull, 0, 0);
-  e.w[1] &= 0x7fffffffffffffffull;  // 2^127 - 3
-  return pow(e);
+  // x^(p-2) = x^(2^127 - 3) by the fixed addition chain the traced
+  // hardware program runs (trace/sm_trace.cpp, fermat_inverse_chain):
+  // 126 squarings and 12 multiplications, where square-and-multiply over
+  // the exponent's 126 set bits needs 127 squarings and 126 multiplications.
+  const Fp& t1 = *this;                // x^(2^1 - 1)
+  const Fp t2 = t1.sqr_n(1) * t1;      // 2^2 - 1
+  const Fp t4 = t2.sqr_n(2) * t2;      // 2^4 - 1
+  const Fp t8 = t4.sqr_n(4) * t4;      // 2^8 - 1
+  const Fp t16 = t8.sqr_n(8) * t8;     // 2^16 - 1
+  const Fp t32 = t16.sqr_n(16) * t16;  // 2^32 - 1
+  const Fp t64 = t32.sqr_n(32) * t32;  // 2^64 - 1
+  const Fp a = t64.sqr_n(32) * t32;    // 2^96 - 1
+  const Fp b = a.sqr_n(16) * t16;      // 2^112 - 1
+  const Fp c = b.sqr_n(8) * t8;        // 2^120 - 1
+  const Fp d = c.sqr_n(4) * t4;        // 2^124 - 1
+  const Fp e = d.sqr_n(1) * t1;        // 2^125 - 1
+  return e.sqr_n(2) * t1;              // 4 * (2^125 - 1) + 1 = 2^127 - 3
 }
 
 bool Fp::sqrt(Fp& root) const {

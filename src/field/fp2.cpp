@@ -7,70 +7,10 @@
 
 namespace fourq::field {
 
-namespace {
-
-// 128x128 -> 256 unsigned product.
-U256 mul_u128(u128 a, u128 b) {
-  U256 x(static_cast<uint64_t>(a), static_cast<uint64_t>(a >> 64), 0, 0);
-  U256 y(static_cast<uint64_t>(b), static_cast<uint64_t>(b >> 64), 0, 0);
-  return fourq::mul_wide(x, y).lo256();
-}
-
-// p << 127 = 2^254 - 2^127, the multiple of p the hardware adds to keep the
-// Karatsuba middle subtraction non-negative (paper Alg. 2, step t7).
-const U256 kPShift127(0, 0x8000000000000000ull, 0xffffffffffffffffull, 0x3fffffffffffffffull);
-
-}  // namespace
-
-Fp2 Fp2::mul_karatsuba(const Fp2& x, const Fp2& y) {
-  // Names follow paper Algorithm 2.
-  const Fp& x0 = x.a_;
-  const Fp& x1 = x.b_;
-  const Fp& y0 = y.a_;
-  const Fp& y1 = y.b_;
-
-  // Step 1: two full-width F_p products and two unreduced 128-bit sums.
-  U256 t0 = Fp::mul_wide(x0, y0);               // < 2^254
-  U256 t1 = Fp::mul_wide(x1, y1);               // < 2^254
-  u128 t2 = x0.raw() + x1.raw();                // < 2^128, no reduction (lazy)
-  u128 t3 = y0.raw() + y1.raw();                // < 2^128, no reduction (lazy)
-
-  // Step 2: the third multiplication and the lazy sums.
-  U256 t4;                                      // t0 - t1, possibly negative
-  uint64_t borrow = sub(t0, t1, t4);
-  U256 t5;
-  uint64_t carry = add(t0, t1, t5);             // <= 2^255, no overflow
-  FOURQ_CHECK(carry == 0);
-  U256 t6 = mul_u128(t2, t3);                   // < 2^256
-
-  // Step 3: make the real-part accumulator non-negative by adding p<<127
-  // (≡ 0 mod p), then Mersenne-fold both accumulators and canonicalise.
-  U256 t7 = t4;
-  if (borrow != 0) {
-    // t4 was negative: t0 + p*2^127 - t1 >= 0 because t1 <= p^2 < p*2^127.
-    uint64_t c = add(t4, kPShift127, t7);
-    FOURQ_CHECK(c == 1);  // cancels the borrow exactly
-  }
-  U256 t8;
-  uint64_t borrow2 = sub(t6, t5, t8);
-  FOURQ_CHECK_MSG(borrow2 == 0, "Karatsuba middle term must be >= t0 + t1");
-
-  Fp z0 = Fp::reduce_wide(t7);                  // t9 + conditional subtract
-  Fp z1 = Fp::reduce_wide(t8);                  // t10 + conditional subtract
-  return Fp2(z0, z1);
-}
-
 Fp2 Fp2::mul_schoolbook(const Fp2& x, const Fp2& y) {
   Fp c0 = x.a_ * y.a_ - x.b_ * y.b_;
   Fp c1 = x.a_ * y.b_ + x.b_ * y.a_;
   return Fp2(c0, c1);
-}
-
-Fp2 Fp2::sqr() const {
-  // (a + bi)^2 = (a+b)(a-b) + (2ab)i — two F_p multiplications.
-  Fp c0 = (a_ + b_) * (a_ - b_);
-  Fp c1 = a_ * b_;
-  return Fp2(c0, c1 + c1);
 }
 
 Fp2 Fp2::inv() const {
@@ -89,9 +29,8 @@ bool Fp2::sqrt(Fp2& root) const {
   Fp n = norm();
   Fp s;
   if (!n.sqrt(s)) return false;
-  const Fp inv2 = Fp::from_u64(2).inv();
   for (int attempt = 0; attempt < 2; ++attempt) {
-    Fp t = (attempt == 0) ? (a_ + s) * inv2 : (a_ - s) * inv2;
+    Fp t = ((attempt == 0) ? a_ + s : a_ - s) * Fp::half();
     Fp x;
     if (!t.sqrt(x)) continue;
     Fp2 cand;

@@ -8,192 +8,80 @@ namespace fourq::field::lanes {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Generic lane kernels. The arithmetic is the scalar implementation from
-// fp.cpp / fp2.cpp, restated as branch-light inline helpers so the lane
-// loops below stay flat: W independent carry chains in flight gives the
-// out-of-order core the ILP a single dependent chain cannot.
+// Generic lane kernels: flat loops over the shared inline scalar arithmetic
+// (field/fp.hpp, field/fp2.hpp), so this table is the scalar golden model
+// by construction. W independent elements per call give the out-of-order
+// core W carry chains to overlap — the ILP a single dependent chain cannot
+// expose. Inputs are canonical by the kernel contract.
 
-constexpr u128 kMask127 = (static_cast<u128>(1) << 127) - 1;
-constexpr u128 kP = kMask127;  // p = 2^127 - 1
+inline Fp fp(u128 v) { return Fp::from_canonical_unchecked(v); }
 
-// fp.cpp make_canonical: one fold of bit 127 (+ any higher carry bits the
-// caller folded into v already), then a conditional subtract.
-inline u128 canonical(u128 v) {
-  v = (v & kMask127) + (v >> 127);
-  return v >= kP ? v - kP : v;
+inline void put(u128* re, u128* im, const Fp2& v) {
+  *re = v.re().raw();
+  *im = v.im().raw();
 }
-
-inline u128 fp_add1(u128 a, u128 b) { return canonical(a + b); }
-
-inline u128 fp_sub1(u128 a, u128 b) {
-  u128 v = (a >= b) ? a - b : a + kP - b;
-  return v >= kP ? v - kP : v;
-}
-
-// Fp::mul_wide — dedicated 2x2-limb schoolbook, carries terminate in w3.
-inline void mul_wide1(u128 a, u128 b, U256& r) {
-  const uint64_t a0 = static_cast<uint64_t>(a), a1 = static_cast<uint64_t>(a >> 64);
-  const uint64_t b0 = static_cast<uint64_t>(b), b1 = static_cast<uint64_t>(b >> 64);
-  uint64_t h00, l00, h01, l01, h10, l10, h11, l11;
-  mul64x64(a0, b0, h00, l00);
-  mul64x64(a0, b1, h01, l01);
-  mul64x64(a1, b0, h10, l10);
-  mul64x64(a1, b1, h11, l11);
-  r.w[0] = l00;
-  uint64_t c = addc64(h00, l01, 0, r.w[1]);
-  c = addc64(h01, h10, c, r.w[2]);
-  c = addc64(h11, 0, c, r.w[3]);
-  c += addc64(r.w[1], l10, 0, r.w[1]);
-  c = addc64(r.w[2], l11, c, r.w[2]);
-  addc64(r.w[3], 0, c, r.w[3]);
-}
-
-// Fp::sqr_wide — 3 multiplies, doubled cross term.
-FOURQ_NO_SANITIZE_UNSIGNED_WRAP
-inline void sqr_wide1(u128 a, U256& r) {
-  const uint64_t a0 = static_cast<uint64_t>(a), a1 = static_cast<uint64_t>(a >> 64);
-  uint64_t ph, pl, mh, ml, qh, ql;
-  mul64x64(a0, a0, ph, pl);
-  mul64x64(a0, a1, mh, ml);
-  mul64x64(a1, a1, qh, ql);
-  const uint64_t m2l = ml << 1;
-  const uint64_t m2h = (mh << 1) | (ml >> 63);
-  r.w[0] = pl;
-  uint64_t c = addc64(ph, m2l, 0, r.w[1]);
-  c = addc64(ql, m2h, c, r.w[2]);
-  addc64(qh, 0, c, r.w[3]);
-}
-
-// Fp::reduce_wide — Mersenne fold v = A + B*2^127 + C*2^254 ≡ A + B + C.
-inline u128 reduce_wide1(const U256& v) {
-  u128 a = (static_cast<u128>(v.w[1] & 0x7fffffffffffffffull) << 64) | v.w[0];
-  u128 b = (v.w[1] >> 63);
-  b |= static_cast<u128>(v.w[2]) << 1;
-  b |= static_cast<u128>(v.w[3] & 0x3fffffffffffffffull) << 65;
-  u128 c = v.w[3] >> 62;
-  return fp_add1(canonical(a + b), c);
-}
-
-inline u128 fp_mul1(u128 a, u128 b) {
-  U256 t;
-  mul_wide1(a, b, t);
-  return reduce_wide1(t);
-}
-
-// 128x128 -> 256 product of the lazy (unreduced) Karatsuba sums. Operands
-// reach 2^128 - 1, but the product is still < 2^256, so the same two-pass
-// carry chain as mul_wide1 never overflows word 3.
-inline void mul_u128_wide1(u128 a, u128 b, U256& r) { mul_wide1(a, b, r); }
-
-// Fp2::mul_karatsuba (paper Algorithm 2), one lane. Stage names follow
-// fp2.cpp; the p<<127 correction keeps the real-part accumulator
-// non-negative exactly as the hardware does.
-inline void fp2_mul1(u128 x0, u128 x1, u128 y0, u128 y1, u128& z0, u128& z1) {
-  U256 t0, t1, t6;
-  mul_wide1(x0, y0, t0);
-  mul_wide1(x1, y1, t1);
-  const u128 t2 = x0 + x1;
-  const u128 t3 = y0 + y1;
-  mul_u128_wide1(t2, t3, t6);
-
-  U256 t4;
-  uint64_t borrow = sub(t0, t1, t4);
-  U256 t5;
-  add(t0, t1, t5);
-
-  // p << 127 = 2^254 - 2^127 (fp2.cpp kPShift127).
-  static const U256 kPShift127(0, 0x8000000000000000ull, 0xffffffffffffffffull,
-                               0x3fffffffffffffffull);
-  U256 t7 = t4;
-  if (borrow != 0) add(t4, kPShift127, t7);  // carry cancels the borrow
-  U256 t8;
-  sub(t6, t5, t8);  // non-negative: t6 >= t0 + t1
-
-  z0 = reduce_wide1(t7);
-  z1 = reduce_wide1(t8);
-}
-
-// ---------------------------------------------------------------------------
-// Generic kernel table entries.
 
 void g_mul_wide(const u128* a, const u128* b, U256* r, size_t n) {
-  for (size_t i = 0; i < n; ++i) mul_wide1(a[i], b[i], r[i]);
+  for (size_t i = 0; i < n; ++i) r[i] = Fp::mul_wide(fp(a[i]), fp(b[i]));
 }
 
 void g_sqr_wide(const u128* a, U256* r, size_t n) {
-  for (size_t i = 0; i < n; ++i) sqr_wide1(a[i], r[i]);
+  for (size_t i = 0; i < n; ++i) r[i] = Fp::sqr_wide(fp(a[i]));
 }
 
 void g_reduce_wide(const U256* v, u128* r, size_t n) {
-  for (size_t i = 0; i < n; ++i) r[i] = reduce_wide1(v[i]);
+  for (size_t i = 0; i < n; ++i) r[i] = Fp::reduce_wide(v[i]).raw();
 }
 
 void g_fp_mul(const u128* a, const u128* b, u128* r, size_t n) {
-  for (size_t i = 0; i < n; ++i) r[i] = fp_mul1(a[i], b[i]);
+  for (size_t i = 0; i < n; ++i) r[i] = (fp(a[i]) * fp(b[i])).raw();
 }
 
+// The fp2 kernels compute an element's result before writing either
+// output, so r aliasing any input array — even cross-component, e.g.
+// rre == aim — stays well-defined.
 void g_fp2_mul(const u128* are, const u128* aim, const u128* bre, const u128* bim,
                u128* rre, u128* rim, size_t n) {
-  for (size_t i = 0; i < n; ++i) fp2_mul1(are[i], aim[i], bre[i], bim[i], rre[i], rim[i]);
+  for (size_t i = 0; i < n; ++i)
+    put(&rre[i], &rim[i], join_unchecked(are[i], aim[i]) * join_unchecked(bre[i], bim[i]));
 }
 
-// The fp2 kernels read every input of an element before writing either
-// output so that r aliasing any input array — even cross-component, e.g.
-// rre == aim — stays well-defined.
 void g_fp2_add(const u128* are, const u128* aim, const u128* bre, const u128* bim,
                u128* rre, u128* rim, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    const u128 re = fp_add1(are[i], bre[i]);
-    const u128 im = fp_add1(aim[i], bim[i]);
-    rre[i] = re;
-    rim[i] = im;
-  }
+  for (size_t i = 0; i < n; ++i)
+    put(&rre[i], &rim[i], join_unchecked(are[i], aim[i]) + join_unchecked(bre[i], bim[i]));
 }
 
 void g_fp2_sub(const u128* are, const u128* aim, const u128* bre, const u128* bim,
                u128* rre, u128* rim, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    const u128 re = fp_sub1(are[i], bre[i]);
-    const u128 im = fp_sub1(aim[i], bim[i]);
-    rre[i] = re;
-    rim[i] = im;
-  }
+  for (size_t i = 0; i < n; ++i)
+    put(&rre[i], &rim[i], join_unchecked(are[i], aim[i]) - join_unchecked(bre[i], bim[i]));
 }
 
 void g_fp2_conj(const u128* are, const u128* aim, u128* rre, u128* rim, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    const u128 re = are[i];
-    const u128 im = fp_sub1(0, aim[i]);
-    rre[i] = re;
-    rim[i] = im;
-  }
+  for (size_t i = 0; i < n; ++i) put(&rre[i], &rim[i], join_unchecked(are[i], aim[i]).conj());
 }
 
 // Fused mixed addition, one lane at a time — the curve's 7M + 7A formula
-// (curve/point.hpp add_mixed) restated on raw canonical values. Every
-// intermediate is a full canonical field op, so this is the reference the
-// vector implementations must match bit for bit.
+// (curve/point.hpp add_mixed) on Fp2 values. Every intermediate is a full
+// canonical field op, so this is the reference the vector implementations
+// must match bit for bit.
 void g_pt_addmix(u128* const* p, const u128* const* q, size_t n) {
   for (size_t i = 0; i < n; ++i) {
-    const u128 X0 = p[0][i], X1 = p[1][i], Y0 = p[2][i], Y1 = p[3][i];
-    const u128 Z0 = p[4][i], Z1 = p[5][i];
-    u128 t0, t1, a0, a1, b0, b1, c0, c1;
-    fp2_mul1(p[6][i], p[7][i], p[8][i], p[9][i], t0, t1);      // t = Ta*Tb
-    fp2_mul1(fp_sub1(Y0, X0), fp_sub1(Y1, X1), q[2][i], q[3][i], a0, a1);
-    fp2_mul1(fp_add1(Y0, X0), fp_add1(Y1, X1), q[0][i], q[1][i], b0, b1);
-    fp2_mul1(t0, t1, q[4][i], q[5][i], c0, c1);                // c = t*dt2
-    const u128 d0 = fp_add1(Z0, Z0), d1 = fp_add1(Z1, Z1);
-    const u128 e0 = fp_sub1(b0, a0), e1 = fp_sub1(b1, a1);
-    const u128 f0 = fp_sub1(d0, c0), f1 = fp_sub1(d1, c1);
-    const u128 g0 = fp_add1(d0, c0), g1 = fp_add1(d1, c1);
-    const u128 h0 = fp_add1(b0, a0), h1 = fp_add1(b1, a1);
-    fp2_mul1(e0, e1, f0, f1, p[0][i], p[1][i]);                // X = e*f
-    fp2_mul1(g0, g1, h0, h1, p[2][i], p[3][i]);                // Y = g*h
-    fp2_mul1(f0, f1, g0, g1, p[4][i], p[5][i]);                // Z = f*g
-    p[6][i] = e0;                                              // Ta = e
-    p[7][i] = e1;
-    p[8][i] = h0;                                              // Tb = h
-    p[9][i] = h1;
+    const Fp2 X = join_unchecked(p[0][i], p[1][i]);
+    const Fp2 Y = join_unchecked(p[2][i], p[3][i]);
+    const Fp2 Z = join_unchecked(p[4][i], p[5][i]);
+    const Fp2 t = join_unchecked(p[6][i], p[7][i]) * join_unchecked(p[8][i], p[9][i]);
+    const Fp2 a = (Y - X) * join_unchecked(q[2][i], q[3][i]);  // (y-x) * ymx
+    const Fp2 b = (Y + X) * join_unchecked(q[0][i], q[1][i]);  // (y+x) * xpy
+    const Fp2 c = t * join_unchecked(q[4][i], q[5][i]);        // t * dt2
+    const Fp2 d = Z + Z;
+    const Fp2 e = b - a, f = d - c, g = d + c, h = b + a;
+    put(&p[0][i], &p[1][i], e * f);  // X = e*f
+    put(&p[2][i], &p[3][i], g * h);  // Y = g*h
+    put(&p[4][i], &p[5][i], f * g);  // Z = f*g
+    put(&p[6][i], &p[7][i], e);      // Ta = e
+    put(&p[8][i], &p[9][i], h);      // Tb = h
   }
 }
 

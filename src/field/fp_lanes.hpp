@@ -7,15 +7,15 @@
 // Outputs are canonical field elements bitwise-equal to the scalar
 // operators in fp.hpp / fp2.hpp — the lane executor (engine/lanes.hpp),
 // field::batch_invert and the MSM bucket path all rely on that equality,
-// and tests/test_lanes.cpp pins it differentially on random and boundary
+// and tests/test_lanes.cpp pins every table against an independent
+// Montgomery reference (common/modint.hpp) on random and boundary
 // operands.
 //
-// Two implementations sit behind one dispatch table:
-//  * generic — portable __uint128_t lane loops. The arithmetic mirrors
-//    fp.cpp / fp2.cpp statement-for-statement but is laid out as flat
-//    loops over restrict pointers so the compiler can software-pipeline
-//    W independent carry chains (the ILP the scalar interpreter's
-//    one-value-at-a-time walk never exposes).
+// Three implementations sit behind one dispatch table:
+//  * generic — portable flat loops that call the inline scalar arithmetic
+//    of fp.hpp / fp2.hpp itself (one software Alg. 2), so the compiler can
+//    software-pipeline W independent carry chains (the ILP the scalar
+//    interpreter's one-value-at-a-time walk never exposes).
 //  * avx2 — 4 lanes per vector on a 32-bit-limbs-in-64-bit-lanes
 //    representation (vpmuludq schoolbook products, branchless carry /
 //    borrow chains). Compiled only when FOURQ_LANES_AVX2 is enabled and

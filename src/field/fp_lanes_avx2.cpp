@@ -13,7 +13,7 @@
 //
 // Carry and borrow chains are branchless (shift/mask selects, no per-lane
 // branches), and the Karatsuba p<<127 correction is applied under a
-// per-lane borrow mask, mirroring fp2.cpp's conditional add. Outputs are
+// per-lane borrow mask, mirroring Fp2::mul_karatsuba's masked add. Outputs are
 // canonical, hence bitwise-equal to the scalar operators.
 //
 // This translation unit is compiled with -mavx2 (see field/CMakeLists.txt);

@@ -27,7 +27,7 @@ Fp2Var sqr_n(Fp2Var x, int n) {
 
 // x^(2^127 - 3) — the F_p Fermat inverse exponent, run on F_{p^2} values
 // whose imaginary part is zero (the norm). Itoh–Tsujii-style chain:
-// 126 squarings + 11 multiplications.
+// 126 squarings + 12 multiplications (Fp::inv runs the same chain).
 Fp2Var fermat_inverse_chain(Tracer& t, Fp2Var n) {
   Fp2Var t1 = n;                           // 2^1 - 1
   Fp2Var t2 = t.mul(sqr_n(t1, 1), t1);     // 2^2 - 1

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/modint.hpp"
 #include "common/rng.hpp"
 
@@ -13,6 +15,29 @@ namespace {
 const U256 kP = U256::from_hex("7fffffffffffffffffffffffffffffff");
 
 Fp rand_fp(Rng& rng) { return Fp::from_u256(rng.next_u256()); }
+
+// Boundary operands for the inline straight-line arithmetic: limb and
+// fold edges (2^64, 2^126 - 1, p - 1) and the values next to them.
+std::vector<Fp> boundary_operands() {
+  return {Fp(),
+          Fp::from_u64(1),
+          Fp::from_u64(2),
+          Fp::from_u64(~0ull),                              // 2^64 - 1
+          Fp::from_words(0, 1),                             // 2^64
+          Fp::from_words(1, 1),                             // 2^64 + 1
+          Fp::from_words(~0ull, 0x3fffffffffffffffull),     // 2^126 - 1
+          Fp::from_words(0, 0x4000000000000000ull),         // 2^126
+          Fp::from_words(~0ull - 2, 0x7fffffffffffffffull), // p - 2
+          Fp::from_words(~0ull - 1, 0x7fffffffffffffffull)};// p - 1
+}
+
+// Independent reference: the generic Montgomery arithmetic mod p, which
+// shares no code with the Mersenne folds of field/fp.hpp.
+struct MontyP {
+  Monty mt{kP};
+  U256 in(const Fp& a) const { return mt.to_monty(a.to_u256()); }
+  U256 out(const U256& m) const { return mt.from_monty(m); }
+};
 
 TEST(Fp, CanonicalZeroRepresentation) {
   // p itself must normalise to zero: 2^127 - 1 ≡ 0.
@@ -92,6 +117,7 @@ TEST(Fp, InverseIsInverse) {
     EXPECT_EQ(a * a.inv(), Fp::from_u64(1));
   }
   EXPECT_EQ(Fp::from_u64(2) * Fp::from_u64(2).inv(), Fp::from_u64(1));
+  EXPECT_EQ(Fp::half(), Fp::from_u64(2).inv());  // the constant Fp2::sqrt uses
   EXPECT_THROW(Fp().inv(), std::logic_error);
 }
 
@@ -200,6 +226,39 @@ TEST(Fp, MulWideMatchesMontyProduct) {
     Fp a = rand_fp(rng), b = rand_fp(rng);
     U256 expect = mt.from_monty(mt.mul(mt.to_monty(a.to_u256()), mt.to_monty(b.to_u256())));
     EXPECT_EQ(Fp::reduce_wide(Fp::mul_wide(a, b)).to_u256(), expect);
+  }
+}
+
+TEST(Fp, ArithmeticMatchesMontyOnBoundaryAndRandomOperands) {
+  // Every inline operation against the Montgomery reference (the inverse
+  // chain against square-and-multiply by p - 2); the wide (unreduced)
+  // products against the generic 4x4-limb U256 product and the fold
+  // against binary long division.
+  const MontyP ref;
+  U256 p_minus_2;
+  sub(kP, U256(2), p_minus_2);
+  std::vector<Fp> ops = boundary_operands();
+  Rng rng(34);
+  for (int i = 0; i < 40; ++i) ops.push_back(rand_fp(rng));
+  for (const Fp& a : ops) {
+    const U256 ma = ref.in(a);
+    if (!a.is_zero()) {
+      EXPECT_EQ(a.inv().to_u256(), ref.out(ref.mt.pow(ma, p_minus_2))) << a.to_hex();
+    }
+    EXPECT_EQ((-a).to_u256(), ref.out(ref.mt.neg(ma))) << a.to_hex();
+    EXPECT_EQ(a.sqr().to_u256(), ref.out(ref.mt.sqr(ma))) << a.to_hex();
+    EXPECT_EQ(Fp::sqr_wide(a), mul_wide(a.to_u256(), a.to_u256()).lo256()) << a.to_hex();
+    for (const Fp& b : ops) {
+      const U256 mb = ref.in(b);
+      EXPECT_EQ((a + b).to_u256(), ref.out(ref.mt.add(ma, mb)));
+      EXPECT_EQ((a - b).to_u256(), ref.out(ref.mt.sub(ma, mb)));
+      EXPECT_EQ((a * b).to_u256(), ref.out(ref.mt.mul(ma, mb)));
+      EXPECT_EQ(Fp::mul_wide(a, b), mul_wide(a.to_u256(), b.to_u256()).lo256());
+    }
+  }
+  for (int i = 0; i < 200; ++i) {
+    const U256 v = rng.next_u256();
+    EXPECT_EQ(Fp::reduce_wide(v).to_u256(), mod(v, kP));
   }
 }
 

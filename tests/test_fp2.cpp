@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/modint.hpp"
 #include "common/rng.hpp"
 
 namespace fourq::field {
@@ -12,6 +15,20 @@ namespace {
 Fp2 rand_fp2(Rng& rng) {
   return Fp2(Fp::from_u256(rng.next_u256()), Fp::from_u256(rng.next_u256()));
 }
+
+// Independent reference: F_{p^2} products through the generic Montgomery
+// arithmetic mod p, which shares no code with the inline Alg. 2.
+struct MontyP2 {
+  Monty mt{U256(~0ull, 0x7fffffffffffffffull, 0, 0)};
+  U256 in(const Fp& a) const { return mt.to_monty(a.to_u256()); }
+  U256 out(const U256& m) const { return mt.from_monty(m); }
+  // (x0 + x1 i)(y0 + y1 i) = (x0 y0 - x1 y1) + (x0 y1 + x1 y0) i.
+  void mul(const Fp2& x, const Fp2& y, U256& re, U256& im) const {
+    const U256 x0 = in(x.re()), x1 = in(x.im()), y0 = in(y.re()), y1 = in(y.im());
+    re = out(mt.sub(mt.mul(x0, y0), mt.mul(x1, y1)));
+    im = out(mt.add(mt.mul(x0, y1), mt.mul(x1, y0)));
+  }
+};
 
 TEST(Fp2, KaratsubaMatchesSchoolbook) {
   Rng rng(41);
@@ -36,6 +53,39 @@ TEST(Fp2, KaratsubaEdgeOperands) {
     for (const Fp2& y : cases)
       EXPECT_EQ(Fp2::mul_karatsuba(x, y), Fp2::mul_schoolbook(x, y))
           << x.to_hex() << " * " << y.to_hex();
+}
+
+TEST(Fp2, MulAndSqrMatchMontyReference) {
+  // Boundary components (0, 1, 2, 2^64, 2^126 - 1, p - 1) in every pairing,
+  // including the Karatsuba sums t2 = x0 + x1 and t3 = y0 + y1 closest to
+  // 2^128 (both components p - 1: 2^128 - 4), plus random operands.
+  const Fp pm1 = Fp() - Fp::from_u64(1);
+  const Fp edge[] = {Fp(),
+                     Fp::from_u64(1),
+                     Fp::from_u64(2),
+                     Fp::from_words(0, 1),
+                     Fp::from_words(~0ull, 0x3fffffffffffffffull),
+                     pm1 - Fp::from_u64(1),
+                     pm1};
+  std::vector<Fp2> ops;
+  for (const Fp& re : edge)
+    for (const Fp& im : edge) ops.push_back(Fp2(re, im));
+  Rng rng(49);
+  for (int i = 0; i < 30; ++i) ops.push_back(rand_fp2(rng));
+  const MontyP2 ref;
+  for (const Fp2& x : ops) {
+    U256 re, im;
+    ref.mul(x, x, re, im);
+    EXPECT_EQ(x.sqr().re().to_u256(), re) << x.to_hex();
+    EXPECT_EQ(x.sqr().im().to_u256(), im) << x.to_hex();
+    for (const Fp2& y : ops) {
+      ref.mul(x, y, re, im);
+      const Fp2 k = Fp2::mul_karatsuba(x, y), s = Fp2::mul_schoolbook(x, y);
+      EXPECT_EQ(k.re().to_u256(), re) << x.to_hex() << " * " << y.to_hex();
+      EXPECT_EQ(k.im().to_u256(), im) << x.to_hex() << " * " << y.to_hex();
+      EXPECT_EQ(s, k);
+    }
+  }
 }
 
 TEST(Fp2, ImaginaryUnitSquaresToMinusOne) {

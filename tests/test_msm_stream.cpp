@@ -321,6 +321,28 @@ TEST(MsmStream, PeakMemoryTracksChunkNotTermCount) {
       << "peak is O(buckets + chunk), independent of n";
 }
 
+TEST(MsmStream, SmallVectorMsmStagesOnlyItsTerms) {
+  // With the default chunk, a vector MSM stages at most its own term
+  // count: a 64-term (batch-verify sized) call must not allocate and clear
+  // staging for a full 16384-term chunk, and capping the chunk never
+  // changes the result bits.
+  const std::vector<ScalarPoint> terms = chain_terms(64, 0x64);
+  MsmOptions def;
+  MsmStats st;
+  def.stats = &st;
+  const PointR1 got = multi_scalar_mul(terms, def);
+  EXPECT_EQ(st.backend, MsmBackend::kPippenger);
+  EXPECT_EQ(st.chunks, 1u);
+  EXPECT_LT(st.peak_bytes, size_t{1} << 20);
+
+  MsmOptions full = def;
+  MsmStats st_full;
+  full.stats = &st_full;
+  full.chunk = 16384;
+  expect_bitwise(got, multi_scalar_mul(terms, full), "capped chunk vs chunk = 16384");
+  EXPECT_GT(st_full.peak_bytes, st.peak_bytes);
+}
+
 TEST(MsmStream, LaneWavesOffMatchesBitwise) {
   const size_t n = 500;
   std::vector<ScalarPoint> terms = chain_terms(n, 0x1a9e5);
