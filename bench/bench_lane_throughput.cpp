@@ -9,10 +9,11 @@
 // program's issue counts priced at the measured lane-kernel costs
 // (W x (mul issues x fp2-mul ns + add/sub issues x fp2-add ns) per wave),
 // divided by the measured time per wave. Both sides run in this process,
-// so ambient host load cancels, and the gate depends only on the laned
-// path itself. The laned-vs-scalar throughput ratio is still printed and
-// recorded, but not gated: it falls whenever the scalar interpreter gets
-// faster, which is not a lane regression.
+// so ambient host load largely cancels (a busy sibling hyperthread slows
+// the wave more than the L1-resident pricing loop), and the gate depends
+// only on the laned path itself. The laned-vs-scalar throughput ratio is
+// still printed and recorded, but not gated: it falls whenever the scalar
+// interpreter gets faster, which is not a lane regression.
 //
 // Gated by tools/baselines/bench_lanes_baseline.jsonl via perf_regress:
 // wave efficiency at or above its floor, 8w/1w >= 1, and every lane output

@@ -16,9 +16,9 @@
 // lane-kernel costs measured in this process right after each timed run,
 // and the efficiency is that floor over the measured insertion ns per add
 // (best of each). Both are measured in the same stretch of host load, so
-// it cancels — the same in-process methodology as the lane-executor gate
-// (bench_lane_throughput) — and the single-thread figure does not depend
-// on the core count. The pool is held to >= 0.85x
+// it largely cancels — the same in-process methodology as the
+// lane-executor gate (bench_lane_throughput) — and the single-thread
+// figure does not depend on the core count. The pool is held to >= 0.85x
 // the single-thread run. The pool-vs-serial speedup is printed and
 // recorded but not gated: it shrinks whenever the serial reference
 // (scalar field arithmetic) gets faster, which is no pipeline regression.
