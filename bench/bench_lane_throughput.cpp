@@ -1,9 +1,9 @@
-// Lane executor experiment — wave-width sweep. One pre-decoded program, one
-// worker, wave width W in {1, 2, 4, 8}: W = 1 is the scalar interpreter
-// walk (the pre-lanes engine), wider waves run all W jobs through the SoA
-// lane executor and the dispatched vector field kernels. The 8-worker leg
-// guards the queue-chunking fix (8 workers must not fall below 1 worker
-// again).
+// Lane executor experiment. One pre-decoded program: the scalar
+// engine::run walk (the pre-lanes executor, called directly as a
+// reference), the engine's 8-lane waves with 1 and 8 workers, and ragged
+// batches of 1..7 jobs, whose single partial wave the engine pads to the
+// kernel table's group. The 8-worker leg guards the queue-chunking fix (8
+// workers must not fall below 1 worker again).
 //
 // The headline metric is the 8-lane wave's ledger efficiency: the decoded
 // program's issue counts priced at the measured lane-kernel costs
@@ -11,13 +11,15 @@
 // divided by the measured time per wave. Both sides run in this process,
 // so ambient host load largely cancels (a busy sibling hyperthread slows
 // the wave more than the L1-resident pricing loop), and the gate depends
-// only on the laned path itself. The laned-vs-scalar throughput ratio is
-// still printed and recorded, but not gated: it falls whenever the scalar
-// interpreter gets faster, which is not a lane regression.
+// only on the laned path itself. The laned-vs-scalar throughput ratio and
+// the ragged-batch rate are still printed and recorded, but not gated: the
+// ratio falls whenever the scalar interpreter gets faster, which is not a
+// lane regression.
 //
 // Gated by tools/baselines/bench_lanes_baseline.jsonl via perf_regress:
-// wave efficiency at or above its floor, 8w/1w >= 1, and every lane output
-// must match the software golden model bitwise.
+// wave efficiency at or above its floor, 8w/1w >= 1, and every output
+// (scalar reference, full waves, padded waves) must match the software
+// golden model bitwise.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -42,7 +44,7 @@ int main(int argc, char** argv) {
   using namespace fourq;
   bench::parse_bench_args(argc, argv);
 
-  bench::print_header("Lane executor — wave-width sweep (1 = scalar path)");
+  bench::print_header("Lane executor — scalar reference, full and padded waves");
 
   engine::CompileKey key;
   key.kind = engine::ProgramKind::kSingleSm;
@@ -55,66 +57,117 @@ int main(int argc, char** argv) {
   for (auto& j : jobs) j = engine::SmJob{rng.next_u256(), base};
 
   engine::CompileCache cache;
-  auto run_cfg = [&](int workers, int lanes) {
-    engine::EngineOptions eopt;
-    eopt.workers = workers;
-    eopt.lanes = lanes;
-    eopt.key = key;
-    eopt.cache = &cache;
-    engine::BatchEngine eng(eopt);
-    eng.program();
-    eng.run(jobs);  // warm-up: arenas sized, cache hot
-    double best = 0.0;
-    std::vector<engine::SmResult> results;
-    for (int rep = 0; rep < 3; ++rep) {
-      auto t0 = std::chrono::steady_clock::now();
-      results = eng.run(jobs);
-      best = std::max(best, kJobs / secs_since(t0));
-    }
-    return std::pair<double, std::vector<engine::SmResult>>(best, std::move(results));
-  };
+  const auto prog = cache.get_or_compile(key);
+  const engine::DecodedRom rom = engine::decode(prog->sm);
 
   std::printf("field kernels: %s  (program: functional single-SM, %d jobs)\n\n",
               field::lanes::active().name, kJobs);
   std::printf("%-34s %12s %14s\n", "Configuration", "jobs/s", "vs scalar");
   bench::print_rule(62);
 
-  // Per-lane bitwise check against the software golden model, shared by
-  // every configuration (the outputs must not depend on W or workers).
+  // Per-job bitwise check against the software golden model, shared by
+  // every configuration (the outputs must not depend on the executor,
+  // workers or padding).
   std::vector<curve::Affine> golden(jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i)
     golden[i] = curve::to_affine(curve::scalar_mul(jobs[i].k, jobs[i].base));
   int mismatches = 0;
-  auto check = [&](const std::vector<engine::SmResult>& results) {
-    for (size_t i = 0; i < jobs.size(); ++i)
-      if (!(results[i].out.x == golden[i].x) || !(results[i].out.y == golden[i].y))
-        ++mismatches;
+  auto check = [&](size_t i, const curve::Affine& out) {
+    if (!(out.x == golden[i].x) || !(out.y == golden[i].y)) ++mismatches;
   };
 
-  bench::JsonRecorder rec("lanes");
-  double scalar_jps = 0.0, full_jps = 0.0;
-  for (int w : {1, 2, 4, 8}) {
-    auto [jps, results] = run_cfg(1, w);
-    check(results);
-    if (w == 1) scalar_jps = jps;
-    if (w == 8) full_jps = jps;
-    char label[64];
-    std::snprintf(label, sizeof label, "1 worker, %d lane%s%s", w, w == 1 ? "" : "s",
-                  w == 1 ? " (scalar path)" : "");
-    std::printf("%-34s %12.1f %13.2fx\n", label, jps, jps / scalar_jps);
-    char metric[32];
-    std::snprintf(metric, sizeof metric, "lanes.%d.jobs_per_s", w);
-    rec.record(metric, jps, "jobs/s");
-  }
+  // Lane staging, as BatchEngine does it: decomposition + recoding and the
+  // input bindings of one job.
+  auto stage = [&](const engine::SmJob& job, curve::Decomposition& dec,
+                   curve::RecodedScalar& rec, trace::InputBindings& binds,
+                   trace::EvalContext& ctx) {
+    binds = {{prog->in_zero, field::Fp2()},
+             {prog->in_one, field::Fp2::from_u64(1)},
+             {prog->in_two_d, curve::curve_2d()},
+             {prog->in_px, job.base.x},
+             {prog->in_py, job.base.y}};
+    dec = curve::decompose(job.k);
+    rec = curve::recode(dec.a);
+    ctx = trace::EvalContext{};
+    ctx.recoded = &rec;
+    ctx.k_was_even = dec.k_was_even;
+  };
 
-  auto [jps_8w, results_8w] = run_cfg(8, 8);
-  check(results_8w);
-  std::printf("%-34s %12.1f %13.2fx\n", "8 workers, 8 lanes", jps_8w,
+  // Scalar reference: the one-job-at-a-time decoded walk on this thread.
+  double scalar_jps = 0.0;
+  {
+    engine::SimWorkspace ws;
+    curve::Decomposition dec;
+    curve::RecodedScalar rec;
+    trace::InputBindings binds;
+    trace::EvalContext ctx;
+    for (int rep = 0; rep < 4; ++rep) {  // rep 0 is the warm-up
+      auto t0 = std::chrono::steady_clock::now();
+      for (size_t i = 0; i < jobs.size(); ++i) {
+        stage(jobs[i], dec, rec, binds, ctx);
+        engine::run(rom, binds, ctx, ws);
+        if (rep == 0)
+          check(i, {engine::output_value(rom, ws, "x"), engine::output_value(rom, ws, "y")});
+      }
+      if (rep > 0) scalar_jps = std::max(scalar_jps, kJobs / secs_since(t0));
+    }
+  }
+  std::printf("%-34s %12.1f %13.2fx\n", "scalar engine::run (reference)", scalar_jps, 1.0);
+
+  // Engine rows: 8-lane waves through BatchEngine::run, best of 3 after a
+  // warm-up that sizes the arenas.
+  auto run_engine = [&](int workers) {
+    engine::EngineOptions eopt;
+    eopt.workers = workers;
+    eopt.key = key;
+    eopt.cache = &cache;
+    engine::BatchEngine eng(eopt);
+    eng.run(jobs);
+    double best = 0.0;
+    for (int rep = 0; rep < 3; ++rep) {
+      auto t0 = std::chrono::steady_clock::now();
+      const std::vector<engine::SmResult> results = eng.run(jobs);
+      best = std::max(best, kJobs / secs_since(t0));
+      if (rep == 0)
+        for (size_t i = 0; i < jobs.size(); ++i) check(i, results[i].out);
+    }
+    return best;
+  };
+  const double full_jps = run_engine(1);
+  std::printf("%-34s %12.1f %13.2fx\n", "engine, 1 worker, 8 lanes", full_jps,
+              full_jps / scalar_jps);
+  const double jps_8w = run_engine(8);
+  std::printf("%-34s %12.1f %13.2fx\n", "engine, 8 workers, 8 lanes", jps_8w,
               jps_8w / scalar_jps);
+
+  // Ragged batches: 1..7 jobs per run(), each one partial wave, padded on
+  // tables with a vector group. Ungated; on the reduced (avx2-only,
+  // generic-only) builds this is the unpadded partial-wave smoke.
+  double ragged_jps = 0.0;
+  {
+    engine::EngineOptions eopt;
+    eopt.key = key;
+    eopt.cache = &cache;
+    engine::BatchEngine eng(eopt);
+    constexpr size_t kRaggedJobs = 1 + 2 + 3 + 4 + 5 + 6 + 7;
+    for (int rep = 0; rep < 4; ++rep) {  // rep 0 is the warm-up
+      auto t0 = std::chrono::steady_clock::now();
+      for (size_t n = 1, first = 0; n <= 7; first += n, ++n) {
+        const std::vector<engine::SmJob> batch(jobs.begin() + first,
+                                               jobs.begin() + first + n);
+        const std::vector<engine::SmResult> results = eng.run(batch);
+        if (rep == 0)
+          for (size_t j = 0; j < n; ++j) check(first + j, results[j].out);
+      }
+      if (rep > 0) ragged_jps = std::max(ragged_jps, kRaggedJobs / secs_since(t0));
+    }
+  }
+  std::printf("%-34s %12.1f %13.2fx\n", "engine, ragged batches of 1..7", ragged_jps,
+              ragged_jps / scalar_jps);
 
   const double speedup = full_jps / scalar_jps;
   const double ratio_8w = jps_8w / full_jps;
-  std::printf("\nfull-wave speedup vs scalar path: %.2fx (ungated)   8w/1w: %.2f   "
+  std::printf("\nfull-wave speedup vs scalar reference: %.2fx (ungated)   8w/1w: %.2f   "
               "cross-check: %s\n",
               speedup, ratio_8w, mismatches == 0 ? "all match" : "MISMATCH");
 
@@ -125,29 +178,16 @@ int main(int argc, char** argv) {
   // lane-kernel pricing pass on the same thread, and the best of each is
   // kept, so both come from the same stretch of host load.
   constexpr int kW = 8, kWaves = 4;
-  const auto prog = cache.get_or_compile(key);
-  const engine::DecodedRom rom = engine::decode(prog->sm);
   std::vector<trace::InputBindings> binds(kW);
   std::vector<curve::Decomposition> decs(kW);
   std::vector<curve::RecodedScalar> recs(kW);
   std::vector<trace::EvalContext> ctxs(kW);
-  for (size_t l = 0; l < kW; ++l) {
-    binds[l] = {{prog->in_zero, field::Fp2()},
-                {prog->in_one, field::Fp2::from_u64(1)},
-                {prog->in_two_d, curve::curve_2d()},
-                {prog->in_px, jobs[l].base.x},
-                {prog->in_py, jobs[l].base.y}};
-    decs[l] = curve::decompose(jobs[l].k);
-    recs[l] = curve::recode(decs[l].a);
-    ctxs[l].recoded = &recs[l];
-    ctxs[l].k_was_even = decs[l].k_was_even;
-  }
+  for (size_t l = 0; l < kW; ++l) stage(jobs[l], decs[l], recs[l], binds[l], ctxs[l]);
   engine::LaneWorkspace lws;
   engine::run_lanes(rom, binds.data(), ctxs.data(), kW, lws);  // warm-up
   for (int l = 0; l < kW; ++l)
-    if (!(engine::lane_output(rom, lws, "x", l) == golden[static_cast<size_t>(l)].x) ||
-        !(engine::lane_output(rom, lws, "y", l) == golden[static_cast<size_t>(l)].y))
-      ++mismatches;
+    check(static_cast<size_t>(l),
+          {engine::lane_output(rom, lws, "x", l), engine::lane_output(rom, lws, "y", l)});
   double wave_us = 1e300;
   bench::LaneFp2Cost cost{1e300, 1e300};
   for (int rep = 0; rep < 25; ++rep) {
@@ -167,8 +207,11 @@ int main(int argc, char** argv) {
               wave_us, floor_us, st.mul_issues, cost.mul_ns, st.addsub_issues, cost.add_ns,
               efficiency);
 
+  bench::JsonRecorder rec("lanes");
+  rec.record("scalar.jobs_per_s", scalar_jps, "jobs/s");
   rec.record("engine.1w.jobs_per_s", full_jps, "jobs/s");
   rec.record("engine.8w.jobs_per_s", jps_8w, "jobs/s");
+  rec.record("ragged.jobs_per_s", ragged_jps, "jobs/s");
   rec.record("speedup_laned_vs_scalar", speedup, "x");
   rec.record("ratio_8w_vs_1w", ratio_8w, "x");
   rec.record("kernel.fp2_mul_ns_per_lane", cost.mul_ns, "ns");
@@ -179,9 +222,10 @@ int main(int argc, char** argv) {
   rec.record("check.mismatches", mismatches);
 
   std::printf(
-      "\nW = 1 executes jobs one at a time through the scalar interpreter;\n"
-      "wider waves drive W jobs through one pass over the cycle-sorted\n"
-      "issue streams, each field op an up-to-W-lane kernel call. The gated\n"
-      "efficiency is measured in-process so shared-host load cancels out.\n");
+      "\nThe scalar reference executes jobs one at a time through the decoded\n"
+      "interpreter; the engine drives 8 jobs through one pass over the\n"
+      "cycle-sorted issue streams, each field op an 8-lane kernel call, and\n"
+      "pads a partial wave to the kernel group. The gated efficiency is\n"
+      "measured in-process so shared-host load cancels out.\n");
   return mismatches == 0 ? 0 : 1;
 }

@@ -278,7 +278,7 @@ void apply_bucket_wave(PointR1* buckets, const PointR2Aff* base,
   // 0 (any valid lane data works) so no lane falls back to the per-lane
   // generic loop; the padded outputs are simply never joined back.
   size_t padded = n;
-  if (const size_t g = static_cast<size_t>(lk::active().pt_group); g > 1) {
+  if (const size_t g = static_cast<size_t>(lk::active().group); g > 1) {
     padded = (n + g - 1) / g * g;
     for (size_t l = n; l < padded; ++l) {
       for (int k = 0; k < 10; ++k) P[k][l] = P[k][0];

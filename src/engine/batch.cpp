@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
+#include <stdexcept>
+#include <string>
 
 #include "common/check.hpp"
 #include "obs/obs.hpp"
@@ -14,20 +17,26 @@ using field::Fp2;
 // ---------------------------------------------------------------------------
 // Pool plumbing.
 
+// Completion state of one run()/verify() batch, owned by the caller's
+// frame. done_one() works entirely under mu: the caller may return (and
+// destroy this object) as soon as it reads remaining == 0, so no worker
+// may touch it after unlocking.
 struct BatchEngine::BatchCtl {
-  std::atomic<size_t> remaining{0};
   std::mutex mu;
   std::condition_variable cv;
+  size_t remaining = 0;      // tasks not yet finished (guarded by mu)
+  std::exception_ptr error;  // first task exception (guarded by mu)
 
-  void done_one() {
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(mu);
-      cv.notify_all();
-    }
+  void done_one(std::exception_ptr e) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (e && !error) error = std::move(e);
+    if (--remaining == 0) cv.notify_all();
   }
+  // Blocks until every task has finished, then rethrows the first failure.
   void wait() {
     std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return remaining.load(std::memory_order_acquire) == 0; });
+    cv.wait(lock, [&] { return remaining == 0; });
+    if (error) std::rethrow_exception(error);
   }
 };
 
@@ -40,14 +49,22 @@ struct BatchEngine::FanCtl {
   size_t n = 0;
   std::atomic<size_t> next{0};  // work-claim cursor, shared by all threads
   std::atomic<size_t> done{0};
+  std::exception_ptr error;     // first body exception (guarded by mu)
   std::mutex mu;
   std::condition_variable cv;
 
   // Claim-and-run loop; every participant (helpers and the caller) runs it.
+  // A throwing index still counts as done, so the caller's wait for all n
+  // indices also covers helpers still running body on its captures.
   void drain() {
     for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
          i = next.fetch_add(1, std::memory_order_relaxed)) {
-      body(i);
+      try {
+        body(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!error) error = std::current_exception();
+      }
       if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
         std::lock_guard<std::mutex> lock(mu);
         cv.notify_all();
@@ -191,13 +208,11 @@ class BatchEngine::Queue {
 
 BatchEngine::BatchEngine(const EngineOptions& opt) : opt_(opt) {
   FOURQ_CHECK_MSG(opt_.workers >= 1, "engine needs at least one worker");
-  lanes_ = opt_.lanes == 0 ? kMaxLanes : std::clamp(opt_.lanes, 1, kMaxLanes);
   queue_ = std::make_unique<Queue>(opt_.queue_capacity);
   threads_.reserve(static_cast<size_t>(opt_.workers));
   for (int i = 0; i < opt_.workers; ++i)
     threads_.emplace_back([this, i] { worker_main(i); });
   FOURQ_GAUGE_SET("engine.workers", opt_.workers);
-  FOURQ_GAUGE_SET("engine.lanes.width", lanes_);
 }
 
 BatchEngine::~BatchEngine() {
@@ -256,20 +271,27 @@ void BatchEngine::worker_main(int worker_id) {
     obs::PerfSample perf_begin;
     if (obs::perf_enabled()) perf_begin = obs::perf_read_thread();
 #endif
-    switch (t.kind) {
-      case Task::Kind::kSm:
-        exec_sm(t, arena);
-        break;
-      case Task::Kind::kVerify: {
-        // Re-seeded per task so verdicts don't depend on which worker or in
-        // which order tasks are drained.
-        Rng rng(opt_.verify_seed ^ (0x9e3779b97f4a7c15ull * (t.begin + 1)));
-        exec_verify(t, rng);
-        break;
+    // A throwing task still counts as done; its exception travels to the
+    // batch's caller instead of terminating the process.
+    std::exception_ptr error;
+    try {
+      switch (t.kind) {
+        case Task::Kind::kSm:
+          exec_sm(t, arena);
+          break;
+        case Task::Kind::kVerify: {
+          // Re-seeded per task so verdicts don't depend on which worker or
+          // in which order tasks are drained.
+          Rng rng(opt_.verify_seed ^ (0x9e3779b97f4a7c15ull * (t.begin + 1)));
+          exec_verify(t, rng);
+          break;
+        }
+        case Task::Kind::kHelp:
+          t.fan->drain();  // catches per index itself
+          break;
       }
-      case Task::Kind::kHelp:
-        t.fan->drain();
-        break;
+    } catch (...) {
+      error = std::current_exception();
     }
 #if FOURQ_OBS_ENABLED
     if (perf_begin.source != obs::PerfSource::kUnavailable) {
@@ -296,24 +318,20 @@ void BatchEngine::worker_main(int worker_id) {
     obs::global().flight.record(obs::FlightKind::kTask, kTaskFlightName[kind_i], done_us,
                                 service_us, worker_id);
 #endif
-    if (t.ctl) t.ctl->done_one();
+    if (t.ctl) t.ctl->done_one(std::move(error));
     t.fan.reset();  // release fan-out state before blocking in pop()
   }
 }
 
 void BatchEngine::parallel_for(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  if (n == 1 || threads_.size() <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
   auto fan = std::make_shared<FanCtl>();
   fan->body = fn;
   fan->n = n;
   // Recruit helpers without ever blocking: a full queue (or helpers that are
   // never scheduled because every worker is busy) only shifts work onto the
-  // calling thread.
-  size_t helpers = std::min(threads_.size(), n - 1);
+  // calling thread. A single index or a one-worker pool runs on the caller.
+  const size_t helpers = threads_.size() <= 1 ? 0 : std::min(threads_.size(), n - 1);
   for (size_t h = 0; h < helpers; ++h) {
     Task t;
     t.kind = Task::Kind::kHelp;
@@ -323,6 +341,7 @@ void BatchEngine::parallel_for(size_t n, const std::function<void(size_t)>& fn) 
   fan->drain();  // the caller always participates
   std::unique_lock<std::mutex> lock(fan->mu);
   fan->cv.wait(lock, [&] { return fan->done.load(std::memory_order_acquire) == n; });
+  if (fan->error) std::rethrow_exception(fan->error);
 }
 
 curve::MsmParallelFor BatchEngine::msm_parallel() {
@@ -348,8 +367,8 @@ const CompiledProgram& BatchEngine::program() {
 
 namespace {
 
-// Per-job preflight shared by the wave and scalar paths: scalar
-// decomposition + recoding and the input bindings for one job.
+// Per-job preflight: scalar decomposition + recoding and the input
+// bindings for one lane.
 void stage_job(const CompiledProgram& p, const SmJob& job, curve::Decomposition& dec,
                curve::RecodedScalar& rec, trace::InputBindings& bindings,
                trace::EvalContext& ctx) {
@@ -373,53 +392,35 @@ void stage_job(const CompiledProgram& p, const SmJob& job, curve::Decomposition&
 void BatchEngine::exec_sm(const Task& t, SmArena& ar) {
   const CompiledProgram& p = *program_;
   const DecodedRom& rom = *decoded_;
-  const int W = lanes_;
-  size_t i = t.begin;
-
-  if (W > 1) {
-    // Lane-packed waves: W jobs staged, one SoA pass over the decoded
-    // streams for all of them. EvalContexts hold pointers into ar.recs, so
-    // the vectors are sized once and never reallocated mid-wave.
-    const size_t lw = static_cast<size_t>(W);
-    if (ar.bindings.size() < lw) {
-      ar.bindings.resize(lw);
-      ar.ctxs.resize(lw);
-      ar.recs.resize(lw);
-      ar.decs.resize(lw);
+  constexpr size_t kW = static_cast<size_t>(kMaxLanes);
+  const size_t group = static_cast<size_t>(field::lanes::active().group);
+  // Every job runs in a kW-wide SoA wave: one pass over the decoded streams
+  // for all of them. The task's last wave may hold fewer live jobs; it is
+  // padded with copies of lane 0 up to the kernel table's group, so the
+  // vector kernels never drop to their per-lane remainder loop, and the
+  // padded lanes' outputs are never read back.
+  size_t waves = 0, ragged = 0;
+  for (size_t i = t.begin; i < t.end; i += kW) {
+    const size_t live = std::min(kW, t.end - i);
+    for (size_t l = 0; l < live; ++l)
+      stage_job(p, t.jobs[i + l], ar.decs[l], ar.recs[l], ar.bindings[l], ar.ctxs[l]);
+    const size_t width = std::min(kW, (live + group - 1) / group * group);
+    for (size_t l = live; l < width; ++l) {
+      ar.bindings[l] = ar.bindings[0];  // keeps capacity: no allocation
+      ar.ctxs[l] = ar.ctxs[0];
     }
-    size_t waves = 0;
-    for (; i + lw <= t.end; i += lw) {
-      for (int l = 0; l < W; ++l) {
-        const size_t sl = static_cast<size_t>(l);
-        stage_job(p, t.jobs[i + sl], ar.decs[sl], ar.recs[sl], ar.bindings[sl],
-                  ar.ctxs[sl]);
-      }
-      run_lanes(rom, ar.bindings.data(), ar.ctxs.data(), W, ar.lane_ws);
-      for (int l = 0; l < W; ++l) {
-        const size_t sl = static_cast<size_t>(l);
-        t.results[i + sl].out = curve::Affine{lane_output(rom, ar.lane_ws, "x", l),
-                                              lane_output(rom, ar.lane_ws, "y", l)};
-        t.results[i + sl].stats = rom.stats;
-      }
-      ++waves;
+    run_lanes(rom, ar.bindings.data(), ar.ctxs.data(), static_cast<int>(width), ar.lane_ws);
+    for (size_t l = 0; l < live; ++l) {
+      const int lane = static_cast<int>(l);
+      t.results[i + l].out = curve::Affine{lane_output(rom, ar.lane_ws, "x", lane),
+                                           lane_output(rom, ar.lane_ws, "y", lane)};
+      t.results[i + l].stats = rom.stats;
     }
-    FOURQ_COUNTER_ADD("engine.lanes.waves", waves);
-    FOURQ_COUNTER_ADD("engine.lanes.ragged_jobs", t.end - i);
+    ++waves;
+    if (live < kW) ragged += live;
   }
-
-  // Ragged tail (or W == 1): the scalar executor, job by job.
-  for (; i < t.end; ++i) {
-    if (ar.bindings.empty()) {
-      ar.bindings.resize(1);
-      ar.ctxs.resize(1);
-      ar.recs.resize(1);
-      ar.decs.resize(1);
-    }
-    stage_job(p, t.jobs[i], ar.decs[0], ar.recs[0], ar.bindings[0], ar.ctxs[0]);
-    engine::run(rom, ar.bindings[0], ar.ctxs[0], ar.ws);
-    t.results[i].out = curve::Affine{output_value(rom, ar.ws, "x"), output_value(rom, ar.ws, "y")};
-    t.results[i].stats = rom.stats;
-  }
+  FOURQ_COUNTER_ADD("engine.lanes.waves", waves);
+  FOURQ_COUNTER_ADD("engine.lanes.ragged_jobs", ragged);
   FOURQ_COUNTER_ADD("engine.jobs.sm", t.end - t.begin);
 }
 
@@ -460,13 +461,19 @@ void BatchEngine::exec_verify(const Task& t, Rng& rng) {
 void BatchEngine::dispatch(std::vector<Task>& tasks) {
   FOURQ_CHECK(!tasks.empty());
   BatchCtl* ctl = tasks.front().ctl;
-  ctl->remaining.store(tasks.size(), std::memory_order_release);
+  ctl->remaining = tasks.size();  // published to workers by the queue's mutex
   for (const Task& t : tasks) queue_->push(t);
-  ctl->wait();
+  ctl->wait();  // rethrows the first task exception
 }
 
 std::vector<SmResult> BatchEngine::run(const std::vector<SmJob>& jobs) {
   FOURQ_SPAN("engine.run");
+  // Inputs are checked here, before anything is queued: the datapath would
+  // turn an off-curve base into a silent wrong point.
+  for (size_t i = 0; i < jobs.size(); ++i)
+    if (!curve::on_curve(jobs[i].base))
+      throw std::invalid_argument("BatchEngine::run: job " + std::to_string(i) +
+                                  " has a base point that is not on the curve");
   std::vector<SmResult> results(jobs.size());
   if (jobs.empty()) return results;  // no work: don't even compile
   ensure_program();
@@ -476,13 +483,13 @@ std::vector<SmResult> BatchEngine::run(const std::vector<SmJob>& jobs) {
   // a 256-job batch — on few-core hosts the mutex/condvar traffic made 8
   // workers *slower* than 1 (BENCH_engine.json: queue-wait p50 36.7 ms vs
   // 1.7 ms service). One queue op now covers a whole run of waves, and
-  // wave-alignment confines ragged (scalar-path) tails to the final task.
-  const size_t wv = static_cast<size_t>(lanes_);
+  // wave-alignment confines the partial (padded) wave to the final task.
+  const size_t wv = static_cast<size_t>(kMaxLanes);
   size_t chunk = opt_.chunk;
   if (chunk == 0) {
     chunk = std::max<size_t>(
         1, (jobs.size() + threads_.size() * 2 - 1) / (threads_.size() * 2));
-    if (wv > 1 && chunk % wv != 0) chunk += wv - chunk % wv;
+    if (chunk % wv != 0) chunk += wv - chunk % wv;
   }  // an explicit opt_.chunk is honored exactly, unaligned or not
 
   auto start = std::chrono::steady_clock::now();
@@ -504,15 +511,12 @@ std::vector<SmResult> BatchEngine::run(const std::vector<SmJob>& jobs) {
   FOURQ_COUNTER_ADD("engine.batches", 1);
   if (secs > 0) FOURQ_GAUGE_SET("engine.jobs_per_s", static_cast<double>(jobs.size()) / secs);
   FOURQ_GAUGE_SET("engine.queue.depth.max", queue_->max_depth());
-  if (wv > 1) {
-    // Packing efficiency of this batch: filled lane slots over the slots of
-    // every wave, counting each task's ragged tail as one partial wave.
-    size_t wave_slots = 0;
-    for (const Task& t : tasks) wave_slots += ((t.end - t.begin + wv - 1) / wv) * wv;
-    if (wave_slots)
-      FOURQ_GAUGE_SET("engine.lanes.occupancy",
-                      static_cast<double>(jobs.size()) / static_cast<double>(wave_slots));
-  }
+  // Packing efficiency of this batch: live jobs over the kMaxLanes slots of
+  // every wave, counting each task's partial wave as a whole one.
+  size_t wave_slots = 0;
+  for (const Task& t : tasks) wave_slots += ((t.end - t.begin + wv - 1) / wv) * wv;
+  FOURQ_GAUGE_SET("engine.lanes.occupancy",
+                  static_cast<double>(jobs.size()) / static_cast<double>(wave_slots));
 #if FOURQ_OBS_ENABLED
   update_perf_gauges("sm", "engine.jobs.sm");
 #endif

@@ -6,7 +6,8 @@
 //
 // Two workloads share the pool:
 //  * run()    — hardware-model scalar multiplications: each SmJob is one
-//               [k]P executed on the pre-decoded ROM (engine/decoded.hpp)
+//               [k]P executed on the pre-decoded ROM by the lane-parallel
+//               SoA executor (engine/lanes.hpp), kMaxLanes jobs per wave,
 //               with per-worker reusable workspaces; the steady-state path
 //               allocates nothing per job.
 //  * verify() — SchnorrQ batch verification: chunks verified with the
@@ -15,12 +16,15 @@
 //
 // Threading model: N persistent workers created in the constructor, joined
 // in the destructor. run()/verify() enqueue index-range tasks over caller
-// arrays (no per-task ownership transfer), block until an atomic
-// remaining-counter hits zero, and may be called repeatedly; concurrent
-// calls from several threads are safe (the queue is MPMC) but batches then
-// interleave on the pool.
+// arrays (no per-task ownership transfer), block until a remaining-counter
+// hits zero, and may be called repeatedly; concurrent calls from several
+// threads are safe (the queue is MPMC) but batches then interleave on the
+// pool. An exception thrown by any task (a FOURQ_CHECK
+// firing on a worker, say) is caught there; the first one is rethrown to
+// the caller once every task of the batch has finished.
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -58,11 +62,6 @@ struct EngineOptions {
                               // max(1, n / (workers * 2)) for verify()
                               // (bigger chunks give the bucket MSM more
                               // terms to amortise over)
-  int lanes = 0;              // wave width W for run(): jobs are packed into
-                              // W-wide waves executed by the lane-parallel
-                              // SoA executor (engine/lanes.hpp); ragged
-                              // tails use the scalar path. 0 = kMaxLanes,
-                              // 1 = scalar execution throughout.
   CompileKey key;             // program compiled/decoded for run()
   CompileCache* cache = nullptr;  // nullptr = CompileCache::process_cache()
   uint64_t verify_seed = 0x5eedf00d;  // BGR small-exponent weight seed
@@ -78,7 +77,11 @@ class BatchEngine {
   BatchEngine& operator=(const BatchEngine&) = delete;
 
   // Simulates every job on the pool; results[i] corresponds to jobs[i].
-  // First call compiles (or cache-hits) and decodes the program.
+  // First call compiles (or cache-hits) and decodes the program. Every job
+  // runs in a run_lanes() wave: a task's last, partial wave is padded with
+  // copies of its lane 0 up to the kernel table's group, and the padded
+  // outputs are discarded. Throws std::invalid_argument, before any job
+  // runs, if a base point is not on the curve.
   std::vector<SmResult> run(const std::vector<SmJob>& jobs);
 
   // Per-item verdicts (1 = valid). Exactly the corrupted indices are 0.
@@ -88,8 +91,10 @@ class BatchEngine {
   // all calls are done. Safe to call from worker threads (nested fan-out):
   // the calling thread claims work from the same atomic cursor as the
   // helpers, so progress never depends on an idle worker being available —
-  // in the worst case the caller executes everything itself. This is the
-  // engine's curve::MsmParallelFor implementation (see msm_parallel()).
+  // in the worst case the caller executes everything itself. If fn throws,
+  // every other index still runs once, and the first exception is
+  // rethrown after all of them finished. This is the engine's
+  // curve::MsmParallelFor implementation (see msm_parallel()).
   void parallel_for(size_t n, const std::function<void(size_t)>& fn);
 
   // The pool as an MSM parallel hook, e.g. for one large verify_batch:
@@ -99,7 +104,6 @@ class BatchEngine {
   // The compiled program run() executes (compiling it on first use).
   const CompiledProgram& program();
   int workers() const { return static_cast<int>(threads_.size()); }
-  int lanes() const { return lanes_; }
 
  private:
   struct Task;
@@ -107,16 +111,15 @@ class BatchEngine {
   struct FanCtl;
   class Queue;
 
-  // Worker-local arenas for the scalar-mul path: the scalar workspace plus
-  // the SoA lane workspace and per-lane binding/context staging. Everything
-  // is sized on the first wave and reused — zero steady-state allocation.
+  // Worker-local arenas for the scalar-mul path: the SoA lane workspace
+  // (sized on the first wave) and per-lane binding/context staging, both
+  // reused — zero steady-state allocation.
   struct SmArena {
-    SimWorkspace ws;
     LaneWorkspace lane_ws;
-    std::vector<trace::InputBindings> bindings;  // [lane]
-    std::vector<trace::EvalContext> ctxs;        // [lane]
-    std::vector<curve::RecodedScalar> recs;      // [lane] (ctxs point here)
-    std::vector<curve::Decomposition> decs;      // [lane]
+    std::array<trace::InputBindings, kMaxLanes> bindings;
+    std::array<trace::EvalContext, kMaxLanes> ctxs;
+    std::array<curve::RecodedScalar, kMaxLanes> recs;  // ctxs point here
+    std::array<curve::Decomposition, kMaxLanes> decs;
   };
 
   void worker_main(int worker_id);
@@ -126,7 +129,6 @@ class BatchEngine {
   void dispatch(std::vector<Task>& tasks);
 
   EngineOptions opt_;
-  int lanes_ = 1;  // effective wave width W
   std::unique_ptr<Queue> queue_;
   std::vector<std::thread> threads_;
 

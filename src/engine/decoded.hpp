@@ -1,4 +1,5 @@
-// Pre-decoded ROM executor — the batch engine's hot inner loop.
+// Pre-decoded ROM — the control stream the batch engine's lane waves
+// (engine/lanes.hpp) execute — and run(), its one-job reference walk.
 //
 // asic::simulate() is the reference interpreter: it walks vector<CtrlWord>
 // (three nested vectors per cycle), re-validates port limits and pipeline
@@ -11,8 +12,8 @@
 // sorted by cycle (three cursors replace all per-cycle map lookups), drops
 // per-cycle checks (decode() re-derives SimStats from the static stream;
 // legality is the flat simulator's and the static verifier's job — tests
-// pin run() outputs bitwise to asic::simulate()), and reuses a per-worker
-// SimWorkspace so the steady-state path performs zero heap allocations.
+// pin run() outputs bitwise to asic::simulate()), and run() reuses a
+// SimWorkspace so repeated jobs perform zero heap allocations.
 #pragma once
 
 #include <vector>
@@ -63,8 +64,8 @@ struct DecodedRom {
 
 DecodedRom decode(const sched::CompiledSm& sm);
 
-// Reusable per-worker execution state. reset() is cheap (no deallocation);
-// rf keeps its capacity across jobs.
+// Reusable execution state. reset() is cheap (no deallocation); rf keeps
+// its capacity across jobs.
 struct SimWorkspace {
   std::vector<field::Fp2> rf;
   std::vector<asic::PipeRing> mul_pipes, add_pipes;

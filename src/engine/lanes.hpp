@@ -37,7 +37,7 @@
 
 namespace fourq::engine {
 
-// Maximum lane width accepted by run_lanes / EngineOptions::lanes.
+// Maximum lane width accepted by run_lanes; BatchEngine::run's wave width.
 inline constexpr int kMaxLanes = 8;
 
 // Reusable SoA execution state for one wave of W lanes. prepare() sizes

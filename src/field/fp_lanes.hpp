@@ -98,12 +98,13 @@ struct Kernels {
   // lazily (reduction bounds in fp_lanes_avx512.cpp); uniqueness of the
   // canonical form is what lets the lazy schedule keep bit-equality.
   void (*pt_addmix)(u128* const* p, const u128* const* q, size_t n);
-  // Preferred pt_addmix group size: lanes whose n is a multiple of this
-  // stay entirely on the vector path (a remainder falls back to the
-  // per-lane generic loop). Callers with control over the batch shape —
-  // the MSM wave scheduler — pad to a multiple with duplicate lanes and
-  // discard the padded outputs; 1 means padding buys nothing.
-  int pt_group;
+  // Padding group: calls whose n is a multiple of this stay entirely on the
+  // vector path (a remainder falls back to the per-lane generic loop).
+  // The MSM bucket waves (pt_addmix) and each BatchEngine::run task's last
+  // wave (run_lanes' fp2 kernels) pad a partial wave to a multiple with
+  // copies of lane 0 and discard the padded outputs. 8 for avx512; 1 means
+  // padding buys nothing (generic; avx2, whose pt_addmix is generic).
+  int group;
 };
 
 // The portable implementation (always available).

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -348,6 +352,155 @@ TEST(BatchEngineTest, RejectsUnrunnableProgramKinds) {
   engine::BatchEngine eng(opt);
   std::vector<engine::SmJob> jobs(1, engine::SmJob{U256(5), curve::deterministic_point(1)});
   EXPECT_THROW(eng.run(jobs), std::logic_error);
+}
+
+// Random jobs over five bases with their software golden outputs.
+struct GoldenJobs {
+  std::vector<engine::SmJob> jobs;
+  std::vector<curve::Affine> expect;  // to_affine(scalar_mul(k, P))
+
+  GoldenJobs(size_t n, uint64_t seed) {
+    Rng rng(seed);
+    for (size_t i = 0; i < n; ++i) {
+      jobs.push_back(engine::SmJob{rng.next_u256(), curve::deterministic_point(1 + i % 5)});
+      expect.push_back(curve::to_affine(curve::scalar_mul(jobs.back().k, jobs.back().base)));
+    }
+  }
+  bool matches(size_t i, const engine::SmResult& r) const {
+    return r.out.x == expect[i].x && r.out.y == expect[i].y;
+  }
+};
+
+engine::EngineOptions functional_options(engine::CompileCache& cache, int workers) {
+  engine::EngineOptions opt;
+  opt.workers = workers;
+  opt.key = functional_key();
+  opt.cache = &cache;
+  return opt;
+}
+
+TEST(BatchEngineTest, PaddedWavesMatchGoldenForEveryBatchSize) {
+  // Every job runs in a run_lanes wave. A task's last, partial wave is
+  // padded with lane-0 copies up to the kernel table's group (8 under
+  // AVX-512 IFMA; avx2 and generic run it unpadded). Each ragged batch is
+  // followed by a full one on the same engine, so a pad lane leaking into
+  // a later wave would show up there as a wrong output.
+  const GoldenJobs pool(32, 20261017);
+  engine::CompileCache cache;
+  obs::Registry& reg = obs::global().metrics;
+  for (const auto& [workers, chunk] : {std::pair<int, size_t>{1, 0}, {2, 0}, {2, 3}}) {
+    engine::EngineOptions opt = functional_options(cache, workers);
+    opt.chunk = chunk;
+    engine::BatchEngine eng(opt);
+    for (size_t n = 1; n <= 17; ++n) {
+      for (const bool full : {false, true}) {
+        const size_t len = full ? 8 : n;
+        const size_t first = full ? 16 + 3 * n : 7 * n;
+        std::vector<size_t> idx(len);
+        std::vector<engine::SmJob> jobs(len);
+        for (size_t j = 0; j < len; ++j) {
+          idx[j] = (first + j) % pool.jobs.size();
+          jobs[j] = pool.jobs[idx[j]];
+        }
+        const uint64_t waves0 = reg.counter("engine.lanes.waves").value();
+        const uint64_t ragged0 = reg.counter("engine.lanes.ragged_jobs").value();
+        const std::vector<engine::SmResult> res = eng.run(jobs);
+        ASSERT_EQ(res.size(), len);
+        for (size_t j = 0; j < len; ++j)
+          EXPECT_TRUE(pool.matches(idx[j], res[j]))
+              << "workers " << workers << " chunk " << chunk << " batch " << len << " job " << j;
+        if (!obs::compiled_in()) continue;
+        // Default chunks are wave-aligned, so only a batch's last len % 8
+        // jobs share a partial wave; chunk = 3 makes every task one.
+        const uint64_t waves = chunk ? (len + chunk - 1) / chunk : (len + 7) / 8;
+        const uint64_t ragged = chunk ? len : len % 8;
+        EXPECT_EQ(reg.counter("engine.lanes.waves").value() - waves0, waves)
+            << "workers " << workers << " chunk " << chunk << " batch " << len;
+        EXPECT_EQ(reg.counter("engine.lanes.ragged_jobs").value() - ragged0, ragged)
+            << "workers " << workers << " chunk " << chunk << " batch " << len;
+      }
+    }
+  }
+}
+
+TEST(BatchEngineTest, RejectsOffCurveBasesBeforeAnyJobRuns) {
+  const GoldenJobs good(12, 77);
+  engine::CompileCache cache;
+  engine::BatchEngine eng(functional_options(cache, 2));
+
+  std::vector<engine::SmJob> jobs = good.jobs;
+  jobs[5].base = curve::Affine{field::Fp2::from_u64(1), field::Fp2::from_u64(2)};
+  ASSERT_FALSE(curve::on_curve(jobs[5].base));
+  obs::Registry& reg = obs::global().metrics;
+  const uint64_t sm0 = reg.counter("engine.jobs.sm").value();
+  try {
+    eng.run(jobs);
+    ADD_FAILURE() << "run() accepted an off-curve base";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("job 5 "), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(reg.counter("engine.jobs.sm").value(), sm0);  // no job ran
+
+  const std::vector<engine::SmResult> res = eng.run(good.jobs);
+  ASSERT_EQ(res.size(), good.jobs.size());
+  for (size_t i = 0; i < res.size(); ++i) EXPECT_TRUE(good.matches(i, res[i])) << "job " << i;
+}
+
+TEST(BatchEngineTest, ParallelForForwardsBodyExceptionsAfterEveryIndexRan) {
+  engine::CompileCache cache;
+  engine::BatchEngine eng(functional_options(cache, 4));
+
+  // Every body sleeps a little, so helpers are still busy when index 0
+  // (the caller's first claim) throws: parallel_for may only rethrow once
+  // all of them finished, since they use this frame's captures.
+  constexpr size_t kN = 64, kThrowAt = 0;
+  std::vector<std::atomic<int>> started(kN);
+  std::atomic<size_t> finished{0};
+  try {
+    eng.parallel_for(kN, [&](size_t i) {
+      started[i].fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      if (i == kThrowAt) throw std::runtime_error("body failed");
+      finished.fetch_add(1);
+    });
+    ADD_FAILURE() << "parallel_for swallowed the body's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "body failed");
+  }
+  EXPECT_EQ(finished.load(), kN - 1);
+  for (size_t i = 0; i < kN; ++i) EXPECT_EQ(started[i].load(), 1) << "index " << i;
+
+  const GoldenJobs good(9, 31);
+  const std::vector<engine::SmResult> res = eng.run(good.jobs);
+  ASSERT_EQ(res.size(), good.jobs.size());
+  for (size_t i = 0; i < res.size(); ++i) EXPECT_TRUE(good.matches(i, res[i])) << "job " << i;
+}
+
+TEST(BatchEngineTest, WorkerTaskExceptionsReachTheCaller) {
+  // The verify tasks' MSM fan-out hook throws on a worker thread: verify()
+  // must rethrow it to the caller instead of terminating the process.
+  dsa::SchnorrQ scheme;
+  Rng rng(99);
+  std::vector<dsa::SchnorrQ::BatchItem> items;
+  for (int i = 0; i < 8; ++i) {
+    dsa::SchnorrQ::KeyPair kp = scheme.keygen(rng);
+    std::string msg = "worker exception " + std::to_string(i);
+    items.push_back({kp.pub, msg, scheme.sign(kp, msg)});
+  }
+  engine::CompileCache cache;
+  engine::EngineOptions opt = functional_options(cache, 2);
+  opt.chunk = 4;
+  opt.msm.backend = curve::MsmBackend::kPippenger;
+  opt.msm.parallel = [](size_t, const std::function<void(size_t)>&) {
+    throw std::runtime_error("msm hook failed");
+  };
+  engine::BatchEngine eng(opt);
+  EXPECT_THROW(eng.verify(items), std::runtime_error);
+
+  const GoldenJobs good(3, 41);
+  const std::vector<engine::SmResult> res = eng.run(good.jobs);
+  ASSERT_EQ(res.size(), good.jobs.size());
+  for (size_t i = 0; i < res.size(); ++i) EXPECT_TRUE(good.matches(i, res[i])) << "job " << i;
 }
 
 // ---------------------------------------------------------------------------

@@ -134,9 +134,6 @@ void usage() {
       "  --jobs N                          scalar multiplications (default 64)\n"
       "  --workers N                       worker threads (default 1)\n"
       "  --chunk N                         jobs per pool task (default: auto)\n"
-      "  --lanes N                         wave width for the lane-parallel\n"
-      "                                    executor, 1..8 (default: 8; 1 =\n"
-      "                                    scalar execution)\n"
       "  --rom-cache DIR                   on-disk ROM cache directory\n"
       "  --seed N                          scalar-generation seed (default 42)\n"
       "  --no-check                        skip the software [k]P cross-check\n"
@@ -1129,7 +1126,6 @@ struct BatchOptions {
   int jobs = 64;
   int workers = 1;
   size_t chunk = 0;         // 0 = BatchEngine auto
-  int lanes = 0;            // wave width W; 0 = engine default, 1 = scalar
   std::string rom_cache;    // "" = in-memory process cache only
   uint64_t seed = 42;
   bool check = true;        // cross-check vs software [k]P (functional variant)
@@ -1165,7 +1161,6 @@ int run_batch(const trace::SmTraceOptions& topt, const sched::CompileOptions& co
   engine::EngineOptions eopt;
   eopt.workers = bopt.workers;
   eopt.chunk = bopt.chunk;
-  eopt.lanes = bopt.lanes;
   eopt.key = key;
   eopt.cache = cache;
   eopt.msm.backend = bopt.msm;
@@ -1195,9 +1190,8 @@ int run_batch(const trace::SmTraceOptions& topt, const sched::CompileOptions& co
     }
   }
 
-  std::printf("fourqc batch: %d jobs on %d worker%s x %d lane%s (%s variant, key %s)\n",
-              bopt.jobs, eng.workers(), eng.workers() == 1 ? "" : "s", eng.lanes(),
-              eng.lanes() == 1 ? "" : "s",
+  std::printf("fourqc batch: %d jobs on %d worker%s x %d lanes (%s variant, key %s)\n",
+              bopt.jobs, eng.workers(), eng.workers() == 1 ? "" : "s", engine::kMaxLanes,
               topt.endo == trace::EndoVariant::kFunctional ? "functional" : "paper-cost",
               key.hash_hex().c_str());
 
@@ -1310,12 +1304,11 @@ int run_batch(const trace::SmTraceOptions& topt, const sched::CompileOptions& co
   }
 
   obs::Registry& reg = obs::global().metrics;
-  if (eng.lanes() > 1 && obs::compiled_in()) {
-    // Wave-packing picture of the run: full waves, jobs that fell to the
-    // scalar ragged-tail path, and how full the wave slots were on average.
-    std::printf("  lanes: width=%d waves=%llu ragged-tail jobs=%llu occupancy=%.3f "
-                "(fp kernels: %s)\n",
-                eng.lanes(),
+  if (obs::compiled_in()) {
+    // Wave-packing picture of the run: every wave (padded ones included),
+    // the jobs that ran in a partial, padded wave, and how full the wave
+    // slots were on average.
+    std::printf("  lanes: waves=%llu padded-wave jobs=%llu occupancy=%.3f (fp kernels: %s)\n",
                 static_cast<unsigned long long>(reg.counter("engine.lanes.waves").value()),
                 static_cast<unsigned long long>(
                     reg.counter("engine.lanes.ragged_jobs").value()),
@@ -1780,13 +1773,6 @@ int main(int argc, char** argv) {
     } else if (batch_mode && a == "--chunk") {
       need(1);
       bopt.chunk = static_cast<size_t>(std::atoi(argv[++i]));
-    } else if (batch_mode && a == "--lanes") {
-      need(1);
-      bopt.lanes = std::atoi(argv[++i]);
-      if (bopt.lanes < 1 || bopt.lanes > engine::kMaxLanes) {
-        std::fprintf(stderr, "--lanes must be in [1, %d]\n", engine::kMaxLanes);
-        return 2;
-      }
     } else if (batch_mode && a == "--rom-cache") {
       need(1);
       bopt.rom_cache = argv[++i];
