@@ -1,10 +1,8 @@
 // MSM experiment — multi-scalar multiplication backend sweep, the zk-scale
 // streaming Pippenger pipeline, and the batch signature-verification speedup
 // it buys. Three questions:
-//   1. Where is the Straus/Pippenger crossover, and how far behind is the
-//      software-emulated EndoSplit backend (whose [2^64j]P auxiliary points
-//      cost 64 doublings each here but are nearly free in the paper's
-//      hardware)? This calibrates kPippengerMinTerms in curve/multiscalar.cpp.
+//   1. Where is the Straus/Pippenger crossover? This calibrates
+//      kPippengerMinTerms in curve/multiscalar.cpp.
 //   2. How does the streaming Pippenger pipeline scale to zk-style term
 //      counts (2^14 -> 2^20), and does peak working memory stay at
 //      O(buckets + chunk) while it does?
@@ -105,18 +103,16 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < max_n; ++i)
     pool.push_back({rng.next_u256(), curve::deterministic_point(1000 + i)});
 
-  const MsmBackend backends[] = {MsmBackend::kStraus, MsmBackend::kPippenger,
-                                 MsmBackend::kEndoSplit};
-  std::printf("%8s %12s %12s %12s %14s\n", "n", "straus", "pippenger", "endosplit",
-              "auto picks");
-  bench::print_rule(64);
+  const MsmBackend backends[] = {MsmBackend::kStraus, MsmBackend::kPippenger};
+  std::printf("%8s %12s %12s %14s\n", "n", "straus", "pippenger", "auto picks");
+  bench::print_rule(51);
   for (size_t n : sizes) {
     std::vector<curve::ScalarPoint> terms(pool.begin(),
                                           pool.begin() + static_cast<long>(n));
     const int reps = n <= 64 ? 8 : 1;
-    double ms[3] = {0, 0, 0};
+    double ms[2] = {0, 0};
     curve::Affine ref{};
-    for (int b = 0; b < 3; ++b) {
+    for (int b = 0; b < 2; ++b) {
       curve::MsmOptions opts;
       opts.backend = backends[b];
       curve::Affine out{};
@@ -135,7 +131,7 @@ int main(int argc, char** argv) {
       rec.record(metric, ms[b], "ms");
     }
     const char* pick = curve::msm_backend_name(curve::msm_choose_backend(n));
-    std::printf("%8zu %12.3f %12.3f %12.3f %14s\n", n, ms[0], ms[1], ms[2], pick);
+    std::printf("%8zu %12.3f %12.3f %14s\n", n, ms[0], ms[1], pick);
   }
   std::printf("\nCross-backend agreement: %s\n",
               mismatches == 0 ? "all backends bitwise identical" : "MISMATCH");
@@ -145,9 +141,9 @@ int main(int argc, char** argv) {
 
   const size_t big_pool_n = 16384;
   std::vector<curve::Affine> big_pool = chain_pool(big_pool_n, 77);
-  std::printf("%10s %12s %12s %8s %8s %10s %10s\n", "n", "best ms", "Mterms/s",
-              "window", "chunks", "peak MB", "glv");
-  bench::print_rule(76);
+  std::printf("%10s %12s %12s %8s %8s %10s\n", "n", "best ms", "Mterms/s",
+              "window", "chunks", "peak MB");
+  bench::print_rule(65);
   for (int lg : {14, 17, 20}) {
     const size_t n = size_t{1} << lg;
     curve::MsmStats st{};
@@ -162,8 +158,8 @@ int main(int argc, char** argv) {
     if (!curve::on_curve(out)) ++mismatches;
     double peak_mb = static_cast<double>(st.peak_bytes) / (1024.0 * 1024.0);
     double mterms = static_cast<double>(n) / (ms * 1e3);
-    std::printf("%10zu %12.1f %12.2f %8d %8zu %10.1f %10s\n", n, ms, mterms, st.window,
-                st.chunks, peak_mb, st.glv ? "on" : "off");
+    std::printf("%10zu %12.1f %12.2f %8d %8zu %10.1f\n", n, ms, mterms, st.window,
+                st.chunks, peak_mb);
     std::string base = "stream.n2p" + std::to_string(lg);
     rec.record(base + ".ms", ms, "ms");
     rec.record(base + ".mterms_s", mterms, "Mterms/s");
@@ -232,9 +228,6 @@ int main(int argc, char** argv) {
       "multiplication per signature. The streaming sweep drives the same\n"
       "bucket pipeline from a pull source: buckets persist across chunks, so\n"
       "the peak-MB column stays flat from 2^14 to 2^20 while throughput\n"
-      "holds. EndoSplit emulates the paper's 4-way endomorphism split in\n"
-      "software, where the auxiliary points cost 192 doublings per term —\n"
-      "the column shows why only hardware makes that decomposition\n"
-      "profitable.\n");
+      "holds.\n");
   return mismatches == 0 ? 0 : 1;
 }

@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
 
   struct Config {
     const char* name;
-    curve::MsmTri lanes;
+    bool lanes;
     bool pool_hook;
     int timed;
   };
@@ -122,9 +122,9 @@ int main(int argc, char** argv) {
   const std::string pool_name =
       "pool-parallel (" + std::to_string(workers) + " workers)";
   const Config configs[] = {
-      {"serial (lanes off, no pool)", curve::MsmTri::kOff, false, 2},
-      {"single-thread stream", curve::MsmTri::kAuto, false, 3},
-      {pool_name.c_str(), curve::MsmTri::kAuto, true, 3},
+      {"serial (lanes off, no pool)", false, false, 2},
+      {"single-thread stream", true, false, 3},
+      {pool_name.c_str(), true, true, 3},
   };
 
   engine::EngineOptions eng_opt;

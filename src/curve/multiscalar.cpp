@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "common/check.hpp"
-#include "curve/scalar.hpp"
 #include "curve/scalarmul.hpp"
 #include "field/fp_lanes.hpp"
 #include "obs/obs.hpp"
@@ -110,15 +109,14 @@ PointR1 msm_straus(const std::vector<ScalarPoint>& terms, int width) {
 // ---------------------------------------------------------------------------
 // Pippenger: streaming signed-window bucket accumulation.
 //
-// Terms are consumed in chunks. Per chunk: (optional GLV pre-split, then)
-// normalise the points, decompose the scalars into signed base-2^c digits
-// and route each non-zero digit to the pending list of its
-// (window, bucket-segment) grid cell; then every cell drains its own list
-// into its disjoint bucket range. Buckets persist across chunks, so peak
-// memory is O(buckets + chunk) while per-bucket insertion order — and
-// therefore the result, bit for bit — depends only on the global term
-// order, not on the chunk size or on which thread ran which cell (staging
-// is single-threaded and lists are drained in list order).
+// Terms are consumed in chunks. Per chunk: normalise the points, decompose
+// the scalars into signed base-2^c digits and route each non-zero digit to
+// the pending list of its (window, bucket-segment) grid cell; then every
+// cell drains its own list into its disjoint bucket range. Buckets persist
+// across chunks, so peak memory is O(buckets + chunk) while per-bucket
+// insertion order — and therefore the result, bit for bit — depends only on
+// the global term order, not on the chunk size or on which thread ran which
+// cell (staging is single-threaded and lists are drained in list order).
 
 // Bits [pos, pos + c) of k (zero beyond bit 255).
 uint64_t window_bits(const U256& k, int pos, int c) {
@@ -159,9 +157,7 @@ struct PipConfig {
   size_t half = 0;     // buckets per window, 2^(c-1)
   size_t seg_len = 0;  // buckets per segment, half / nseg
   size_t chunk = 0;    // input terms staged per chunk
-  bool glv = false;    // 4-way radix-2^64 pre-split
-  bool affine = false;  // batched-affine bucket accumulation
-  bool lanes = true;    // 8-wide lane-kernel insertion waves
+  bool lanes = true;   // 8-wide lane-kernel insertion waves
 };
 
 // Segment count: wide enough to feed a worker pool (the parallel grain is
@@ -189,9 +185,20 @@ double pip_cost_model(size_t live, size_t total_bits, int max_bits, int c) {
   return insert + fold + dbls;
 }
 
-// Sub-terms the GLV pre-split would produce (the radix-2^64 limb count).
-size_t glv_sub_terms(size_t live, int max_bits) {
-  return live * static_cast<size_t>((std::min(max_bits, 256) + 63) / 64);
+// Window width minimising the predicted cost for n_terms live terms
+// carrying total_bits scalar bits, none longer than max_bits.
+int choose_window(size_t n_terms, size_t total_bits, int max_bits) {
+  if (n_terms == 0) return 2;
+  int best_c = 2;
+  double best = 1e300;
+  for (int c = 2; c <= 13; ++c) {
+    double cost = pip_cost_model(n_terms, total_bits, max_bits, c);
+    if (cost < best) {
+      best = cost;
+      best_c = c;
+    }
+  }
+  return best_c;
 }
 
 // Micro-laned bucket insertion: up to 16 add_mixed operations into
@@ -206,7 +213,7 @@ size_t glv_sub_terms(size_t live, int max_bits) {
 constexpr size_t kBucketLanes = 16;
 
 struct BucketIns {
-  uint32_t term;    // staged sub-term index
+  uint32_t term;    // staged term index
   uint16_t bucket;  // window-local bucket index (c <= 15 keeps it < 2^14)
   bool negate;
 };
@@ -216,9 +223,8 @@ struct StreamCtx {
   PipConfig cfg;
   MsmParallelFor par;
 
-  // Persistent across chunks: the bucket grid, one representation active.
+  // Persistent across chunks: the bucket grid.
   std::vector<PointR1> bkt_r1;
-  std::vector<PointR2Aff> bkt_aff;
   std::vector<uint8_t> used;
 
   // Chunk staging, reused every chunk. Bucket insertions are routed to
@@ -232,12 +238,11 @@ struct StreamCtx {
   // SoA scratch for the lane-batched base-table build (see build_base):
   // sx/sy carry the split x/y coordinates, c2 the broadcast 2d constant.
   std::vector<u128> sx_re, sx_im, sy_re, sy_im, c2_re, c2_im;
-  size_t sub_cap = 0;
   size_t pend_bytes = 0;  // cell_pending capacity currently metered
 
   MsmStats st;
   size_t mem_cur = 0, mem_peak = 0;
-  std::atomic<uint64_t> waves{0}, rounds{0}, invs{0};
+  std::atomic<uint64_t> waves{0};
 
   void mem_add(size_t b) {
     mem_cur += b;
@@ -373,76 +378,6 @@ void drain_r1(StreamCtx& S, PointR1* buckets, std::vector<BucketIns>& pending) {
   S.waves.fetch_add(waves, std::memory_order_relaxed);
 }
 
-// Drain one cell's pending insertions into affine R2 buckets:
-// collision-scheduled rounds. Each round claims at most one insertion per
-// bucket (in term order, preserving per-bucket FIFO), computes the unified
-// addition with both inputs at Z = 1, and renormalises every sum in the
-// round with ONE simultaneous inversion of the f*g denominators
-// (field::batch_invert — lane-vectorised for rounds of >= 32).
-//
-// Per-add cost is ~12M plus the amortised 3M of the shared inversion,
-// against 7M for the extended-coordinate mixed add — which is why the auto
-// path declines this layout in software. Hardware large-MSM pipelines keep
-// points affine because their adders are fixed-width and inversion
-// batching is nearly free; this path reproduces that datapath faithfully
-// enough to measure.
-void drain_affine(StreamCtx& S, PointR2Aff* buckets,
-                  const std::vector<BucketIns>& pending) {
-  static const Fp2 two = Fp2::from_u64(2);
-  const Fp2& two_d = curve_2d();
-  const Fp2& inv_2d = curve_2d_inv();
-  const PointR2Aff* base = S.base.data();
-  std::vector<uint8_t> done(pending.size(), 0);
-  std::vector<uint8_t> claimed(S.cfg.half, 0);
-  std::vector<uint32_t> sel;
-  std::vector<Fp2> X3, Y3, Z3, T3;
-  size_t remaining = pending.size();
-  uint64_t rounds = 0;
-  while (remaining > 0) {
-    sel.clear();
-    for (size_t i = 0; i < pending.size(); ++i) {
-      if (done[i] || claimed[pending[i].bucket]) continue;
-      claimed[pending[i].bucket] = 1;
-      done[i] = 1;
-      sel.push_back(static_cast<uint32_t>(i));
-    }
-    const size_t rn = sel.size();
-    X3.resize(rn);
-    Y3.resize(rn);
-    Z3.resize(rn);
-    T3.resize(rn);
-    for (size_t l = 0; l < rn; ++l) {
-      const BucketIns& ins = pending[sel[l]];
-      const PointR2Aff& bp = buckets[ins.bucket];
-      const PointR2Aff q = ins.negate ? neg_r2aff(base[ins.term]) : base[ins.term];
-      // Unified addition with Z1 = Z2 = 1: d = 2, and T1 is recovered from
-      // the stored 2dT coordinate via the precomputed (2d)^-1.
-      Fp2 a = bp.ymx * q.ymx;
-      Fp2 b = bp.xpy * q.xpy;
-      Fp2 cc = (bp.dt2 * q.dt2) * inv_2d;
-      Fp2 e = b - a, f = two - cc, g = two + cc, h = b + a;
-      X3[l] = e * f;
-      Y3[l] = g * h;
-      Z3[l] = f * g;
-      T3[l] = e * h;
-    }
-    field::batch_invert(Z3.data(), rn);  // Z3 never 0: the formulas are complete
-    for (size_t l = 0; l < rn; ++l) {
-      const BucketIns& ins = pending[sel[l]];
-      const Fp2& inv = Z3[l];
-      PointR2Aff& bp = buckets[ins.bucket];
-      bp.xpy = (X3[l] + Y3[l]) * inv;
-      bp.ymx = (Y3[l] - X3[l]) * inv;
-      bp.dt2 = (T3[l] * inv) * two_d;
-      claimed[ins.bucket] = 0;
-    }
-    remaining -= rn;
-    ++rounds;
-  }
-  S.rounds.fetch_add(rounds, std::memory_order_relaxed);
-  S.invs.fetch_add(rounds, std::memory_order_relaxed);
-}
-
 // One grid cell of the insertion phase: window j, bucket segment s. Drains
 // the pending list staging addressed to this cell — every entry already
 // targets a bucket in [s*seg_len, (s+1)*seg_len) of window j, in global
@@ -456,34 +391,19 @@ void insert_cell(StreamCtx& S, size_t j, size_t s) {
       S.cell_pending[j * static_cast<size_t>(cfg.nseg) + s];
   if (list.empty()) return;
   uint8_t* wu = &S.used[j * cfg.half];
+  PointR1* wr1 = &S.bkt_r1[j * cfg.half];
   size_t w = 0;
-  if (cfg.affine) {
-    PointR2Aff* waff = &S.bkt_aff[j * cfg.half];
-    for (const BucketIns& ins : list) {
-      if (!wu[ins.bucket]) {
-        const Affine& p = S.pts[ins.term];
-        waff[ins.bucket] = to_r2aff(ins.negate ? neg(p) : p);
-        wu[ins.bucket] = 1;
-      } else {
-        list[w++] = ins;
-      }
+  for (const BucketIns& ins : list) {
+    if (!wu[ins.bucket]) {
+      const Affine& p = S.pts[ins.term];
+      wr1[ins.bucket] = to_r1(ins.negate ? neg(p) : p);
+      wu[ins.bucket] = 1;
+    } else {
+      list[w++] = ins;
     }
-    list.resize(w);
-    if (w) drain_affine(S, waff, list);
-  } else {
-    PointR1* wr1 = &S.bkt_r1[j * cfg.half];
-    for (const BucketIns& ins : list) {
-      if (!wu[ins.bucket]) {
-        const Affine& p = S.pts[ins.term];
-        wr1[ins.bucket] = to_r1(ins.negate ? neg(p) : p);
-        wu[ins.bucket] = 1;
-      } else {
-        list[w++] = ins;
-      }
-    }
-    list.resize(w);
-    if (w) drain_r1(S, wr1, list);
   }
+  list.resize(w);
+  if (w) drain_r1(S, wr1, list);
   list.clear();  // keeps capacity for the next chunk
 }
 
@@ -514,22 +434,25 @@ void build_base(StreamCtx& S, size_t m) {
   }
 }
 
-// Stage one chunk: filter zero scalars, optionally GLV-pre-split, normalise
-// the points, and route every non-zero digit to its (window, segment)
-// cell's pending list. Returns the staged sub-term count. Sub-term order
-// is raw-term-major (limb-minor under GLV) and staging is single-threaded,
-// so each cell's list is in global term order and concatenating chunks
-// reproduces it exactly — the invariant every bitwise-equality guarantee
-// rests on. Short scalars stage only the windows they populate.
+// Stage one chunk: filter zero scalars, normalise the points, and route
+// every non-zero digit to its (window, segment) cell's pending list.
+// Returns the staged term count. Staging is single-threaded and runs in
+// term order, so each cell's list is in global term order and
+// concatenating chunks reproduces it exactly — the invariant every
+// bitwise-equality guarantee rests on. Short scalars stage only the
+// windows they populate.
 size_t stage_chunk(StreamCtx& S, size_t r_n) {
   const PipConfig& cfg = S.cfg;
   int16_t tmp[kMaxWindows];
   size_t m = 0;
-  auto emit = [&](const Affine& p, const U256& k, int kbits) {
-    S.pts[m] = p;  // base[m] is built for the whole chunk by build_base
-    int nw = (kbits + cfg.c - 1) / cfg.c + 1;
+  for (size_t i = 0; i < r_n; ++i) {
+    const ScalarPoint& t = S.raw[i];
+    if (t.k.is_zero()) continue;
+    const int nw = (effective_bits(t) + cfg.c - 1) / cfg.c + 1;
     FOURQ_CHECK(nw <= cfg.nwin && nw <= kMaxWindows);
-    signed_window_digits(k, cfg.c, nw, tmp);
+    ++S.st.terms;
+    S.pts[m] = t.p;  // base[m] is built for the whole chunk by build_base
+    signed_window_digits(t.k, cfg.c, nw, tmp);
     for (int j = 0; j < nw; ++j) {
       const int d = tmp[j];
       if (d == 0) continue;
@@ -540,72 +463,7 @@ size_t stage_chunk(StreamCtx& S, size_t r_n) {
           BucketIns{static_cast<uint32_t>(m), static_cast<uint16_t>(b), d < 0});
     }
     ++m;
-  };
-
-  if (!cfg.glv) {
-    for (size_t i = 0; i < r_n; ++i) {
-      const ScalarPoint& t = S.raw[i];
-      if (t.k.is_zero()) continue;
-      int b = effective_bits(t);
-      ++S.st.terms;
-      emit(t.p, t.k, b);
-    }
-    build_base(S, m);
-    return m;
   }
-
-  // GLV pre-split: k = sum_j a_j 2^(64j). The auxiliary points [2^64 j]P
-  // are computed only up to each term's top non-zero limb (a 128-bit
-  // batch-verification weight needs one, not three), normalised back to
-  // affine with one simultaneous inversion for the whole chunk.
-  struct LiveRef {
-    uint32_t raw_idx;
-    uint32_t aux_off;
-    Radix64 rs;
-  };
-  std::vector<LiveRef> lv;
-  lv.reserve(r_n);
-  size_t aux_n = 0;
-  for (size_t i = 0; i < r_n; ++i) {
-    const ScalarPoint& t = S.raw[i];
-    if (t.k.is_zero()) continue;
-    (void)effective_bits(t);
-    ++S.st.terms;
-    LiveRef ref{static_cast<uint32_t>(i), static_cast<uint32_t>(aux_n),
-                radix64_split(t.k)};
-    aux_n += static_cast<size_t>(std::max(ref.rs.top, 0));
-    lv.push_back(ref);
-  }
-  if (lv.empty()) return 0;
-
-  std::vector<PointR1> aux(aux_n);
-  const size_t aux_bytes = aux_n * (sizeof(PointR1) + sizeof(Affine));
-  S.mem_add(aux_bytes);
-  run_tasks(S.par, lv.size(), [&](size_t u) {
-    const LiveRef& ref = lv[u];
-    if (ref.rs.top < 1) return;
-    PointR1 q = to_r1(S.raw[ref.raw_idx].p);
-    for (int j = 1; j <= ref.rs.top; ++j) {
-      for (int d = 0; d < 64; ++d) q = dbl(q);
-      aux[ref.aux_off + static_cast<size_t>(j - 1)] = q;
-    }
-  });
-  std::vector<Affine> aux_aff;
-  if (!aux.empty()) {
-    aux_aff = batch_to_affine(aux);
-    S.invs.fetch_add(1, std::memory_order_relaxed);
-  }
-  for (const LiveRef& ref : lv) {
-    const ScalarPoint& t = S.raw[ref.raw_idx];
-    for (int j = 0; j <= ref.rs.top; ++j) {
-      const uint64_t limb = ref.rs.a[static_cast<size_t>(j)];
-      if (!limb) continue;
-      const U256 kk(limb);
-      emit(j == 0 ? t.p : aux_aff[ref.aux_off + static_cast<size_t>(j) - 1],
-           kk, kk.top_bit() + 1);
-    }
-  }
-  S.mem_sub(aux_bytes);
   build_base(S, m);
   return m;
 }
@@ -624,35 +482,30 @@ PointR1 run_stream(StreamCtx& S, const MsmTermSource& src) {
   const PipConfig& cfg = S.cfg;
   const size_t nbkt = static_cast<size_t>(cfg.nwin) * cfg.half;
 
-  if (cfg.affine)
-    S.bkt_aff.resize(nbkt);
-  else
-    S.bkt_r1.resize(nbkt);
+  S.bkt_r1.resize(nbkt);
   S.used.assign(nbkt, 0);
-  S.mem_add(nbkt * ((cfg.affine ? sizeof(PointR2Aff) : sizeof(PointR1)) + 1));
+  S.mem_add(nbkt * (sizeof(PointR1) + 1));
 
-  S.sub_cap = cfg.chunk * (cfg.glv ? 4 : 1);
   S.raw.resize(cfg.chunk);
-  S.pts.resize(S.sub_cap);
-  S.base.resize(S.sub_cap);
+  S.pts.resize(cfg.chunk);
+  S.base.resize(cfg.chunk);
   size_t stage_soa = 0;
   if (cfg.lanes) {
-    S.sx_re.resize(S.sub_cap);
-    S.sx_im.resize(S.sub_cap);
-    S.sy_re.resize(S.sub_cap);
-    S.sy_im.resize(S.sub_cap);
-    S.c2_re.assign(S.sub_cap, curve_2d().re().raw());
-    S.c2_im.assign(S.sub_cap, curve_2d().im().raw());
-    stage_soa = 6 * S.sub_cap * sizeof(u128);
+    S.sx_re.resize(cfg.chunk);
+    S.sx_im.resize(cfg.chunk);
+    S.sy_re.resize(cfg.chunk);
+    S.sy_im.resize(cfg.chunk);
+    S.c2_re.assign(cfg.chunk, curve_2d().re().raw());
+    S.c2_im.assign(cfg.chunk, curve_2d().im().raw());
+    stage_soa = 6 * cfg.chunk * sizeof(u128);
   }
   const size_t ncell = static_cast<size_t>(cfg.nwin) * static_cast<size_t>(cfg.nseg);
   S.cell_pending.resize(ncell);
   // Staged arrays plus one in-flight cell's scheduling scratch (defer
   // buffers + claim bitmaps); the pending lists themselves are metered as
   // their capacity grows below.
-  S.mem_add(cfg.chunk * sizeof(ScalarPoint) +
-            S.sub_cap * (sizeof(Affine) + sizeof(PointR2Aff) +
-                         sizeof(BucketIns)) +
+  S.mem_add(cfg.chunk * (sizeof(ScalarPoint) + sizeof(Affine) +
+                         sizeof(PointR2Aff) + sizeof(BucketIns)) +
             stage_soa + 2 * cfg.half);
 
   using clk = std::chrono::steady_clock;
@@ -665,15 +518,15 @@ PointR1 run_stream(StreamCtx& S, const MsmTermSource& src) {
     FOURQ_CHECK_MSG(r_n <= cfg.chunk, "term source overfilled the chunk");
     ++S.st.chunks;
     auto t0 = clk::now();
-    const size_t sub_n = stage_chunk(S, r_n);
+    const size_t staged = stage_chunk(S, r_n);
     S.st.stage_ms += ms_since(t0);
-    S.st.sub_terms += sub_n;
+    S.st.sub_terms += staged;
     // Capacities only grow (clear() keeps them), so the delta is >= 0.
     size_t pend = 0;
     for (const auto& v : S.cell_pending) pend += v.capacity() * sizeof(BucketIns);
     S.mem_add(pend - S.pend_bytes);
     S.pend_bytes = pend;
-    if (sub_n == 0) continue;
+    if (staged == 0) continue;
     t0 = clk::now();
     run_tasks(S.par, ncell, [&](size_t cell) {
       insert_cell(S, cell / static_cast<size_t>(cfg.nseg),
@@ -696,10 +549,7 @@ PointR1 run_stream(StreamCtx& S, const MsmTermSource& src) {
     for (size_t b = cfg.seg_len; b-- > 0;) {
       const size_t g = lo + b;
       if (S.used[g]) {
-        if (cfg.affine)
-          sp = sa ? add_mixed(sp, S.bkt_aff[g]) : r2aff_to_r1(S.bkt_aff[g]);
-        else
-          sp = sa ? add(sp, to_r2(S.bkt_r1[g])) : S.bkt_r1[g];
+        sp = sa ? add(sp, to_r2(S.bkt_r1[g])) : S.bkt_r1[g];
         sa = true;
       }
       if (!sa) continue;  // no buckets at or above this level yet
@@ -753,11 +603,7 @@ PointR1 run_stream(StreamCtx& S, const MsmTermSource& src) {
   S.st.window = cfg.c;
   S.st.windows = cfg.nwin;
   S.st.segments = cfg.nseg;
-  S.st.glv = cfg.glv;
-  S.st.affine = cfg.affine;
   S.st.bucket_waves = S.waves.load(std::memory_order_relaxed);
-  S.st.bucket_rounds = S.rounds.load(std::memory_order_relaxed);
-  S.st.inversion_batches = S.invs.load(std::memory_order_relaxed);
   S.st.peak_bytes = S.mem_peak;
   return any ? q : identity();
 }
@@ -766,22 +612,12 @@ PointR1 run_stream(StreamCtx& S, const MsmTermSource& src) {
 PipConfig resolve_pip(const MsmOptions& opts, size_t live, size_t total_bits,
                       int max_bits) {
   PipConfig cfg;
-  cfg.glv = opts.glv == MsmTri::kOn ||
-            (opts.glv == MsmTri::kAuto &&
-             msm_glv_wins(live, total_bits, max_bits, opts.glv_aux_dbl));
-  // Batched-affine never beats the extended-coordinate adds in software
-  // (~15M vs 7M per insertion), so kAuto is an honest off.
-  cfg.affine = opts.affine == MsmTri::kOn;
-  cfg.lanes = opts.lanes != MsmTri::kOff;
-  const int digit_bits = cfg.glv ? std::min(max_bits, 64) : max_bits;
-  cfg.c = opts.window
-              ? opts.window
-              : msm_choose_window(cfg.glv ? glv_sub_terms(live, max_bits) : live,
-                                  total_bits, digit_bits);
+  cfg.lanes = opts.lanes;
+  cfg.c = opts.window ? opts.window : choose_window(live, total_bits, max_bits);
   FOURQ_CHECK(cfg.c >= 2 && cfg.c <= 15);  // int16 digits hold |d| <= 2^14
-  cfg.nwin = (digit_bits + cfg.c - 1) / cfg.c + 1;  // +1 absorbs the top carry
+  cfg.nwin = (max_bits + cfg.c - 1) / cfg.c + 1;  // +1 absorbs the top carry
   cfg.half = size_t{1} << (cfg.c - 1);
-  cfg.nseg = opts.segments ? opts.segments : segments_for(cfg.half);
+  cfg.nseg = segments_for(cfg.half);
   FOURQ_CHECK_MSG(cfg.nseg >= 1 && static_cast<size_t>(cfg.nseg) <= cfg.half &&
                       (cfg.nseg & (cfg.nseg - 1)) == 0,
                   "segments must be a power of two, at most the bucket count");
@@ -795,9 +631,6 @@ PipConfig resolve_pip(const MsmOptions& opts, size_t live, size_t total_bits,
 void publish_stats(const MsmStats& st, MsmStats* out) {
   FOURQ_COUNTER_ADD("curve.msm.chunks", st.chunks);
   FOURQ_COUNTER_ADD("curve.msm.bucket_waves", st.bucket_waves);
-  FOURQ_COUNTER_ADD("curve.msm.bucket_rounds", st.bucket_rounds);
-  FOURQ_COUNTER_ADD("curve.msm.inversion_batches", st.inversion_batches);
-  FOURQ_COUNTER_INC_L("curve.msm.calls", "glv", st.glv ? "on" : "off");
   FOURQ_GAUGE_SET("curve.msm.peak_kb", static_cast<double>(st.peak_bytes) / 1024.0);
   if (out) *out = st;
 }
@@ -822,59 +655,6 @@ MsmTermSource vector_source(const std::vector<ScalarPoint>& terms, size_t* pos) 
     *pos += n;
     return n;
   };
-}
-
-// ---------------------------------------------------------------------------
-// EndoSplit: the paper's 4-way decomposition per term. k = sum_j a_j 2^(64j)
-// with the raw 64-bit limbs as multi-scalars (curve::radix64_split), so
-// [k]P = sum_j [a_j]([2^64j]P) — an exact integer identity needing no
-// subgroup assumption and no even-k correction. The auxiliary points stand
-// in for phi/psi (DESIGN.md §2) and cost 64 doublings each in software;
-// only the points up to each term's top non-zero limb are computed, and all
-// of them are normalised back to affine with one batched inversion.
-
-PointR1 msm_endosplit(const std::vector<ScalarPoint>& terms, int straus_width) {
-  struct LiveRef {
-    const ScalarPoint* t;
-    size_t aux_off;
-    Radix64 rs;
-  };
-  std::vector<LiveRef> live;
-  size_t aux_n = 0;
-  for (const ScalarPoint& t : terms) {
-    if (t.k.is_zero()) continue;
-    LiveRef ref{&t, aux_n, radix64_split(t.k)};
-    aux_n += static_cast<size_t>(std::max(ref.rs.top, 0));
-    live.push_back(ref);
-  }
-  if (live.empty()) return identity();
-
-  std::vector<PointR1> aux;  // [2^64 j]P, j = 1..top, per term
-  aux.reserve(aux_n);
-  for (const LiveRef& ref : live) {
-    PointR1 q = to_r1(ref.t->p);
-    for (int j = 1; j <= ref.rs.top; ++j) {
-      for (int d = 0; d < 64; ++d) q = dbl(q);
-      aux.push_back(q);
-    }
-  }
-  std::vector<Affine> aux_aff = batch_to_affine(aux);
-
-  std::vector<ScalarPoint> split;
-  split.reserve(4 * live.size());
-  for (const LiveRef& ref : live) {
-    for (int j = 0; j <= ref.rs.top; ++j) {
-      const uint64_t limb = ref.rs.a[static_cast<size_t>(j)];
-      if (!limb) continue;
-      split.push_back({U256(limb),
-                       j == 0 ? ref.t->p
-                              : aux_aff[ref.aux_off + static_cast<size_t>(j) - 1],
-                       64});
-    }
-  }
-  if (split.empty()) return identity();
-  int width = straus_width ? straus_width : straus_width_for(split.size());
-  return msm_straus(split, width);
 }
 
 }  // namespace
@@ -923,66 +703,14 @@ const char* msm_backend_name(MsmBackend b) {
     case MsmBackend::kAuto: return "auto";
     case MsmBackend::kStraus: return "straus";
     case MsmBackend::kPippenger: return "pippenger";
-    case MsmBackend::kEndoSplit: return "endosplit";
   }
   return "?";
 }
 
 MsmBackend msm_choose_backend(size_t n_terms, const MsmOptions& opts) {
   if (opts.backend != MsmBackend::kAuto) return opts.backend;
-  // EndoSplit is never auto-selected: its auxiliary points cost 3x64
-  // doublings per term in software, which the 4x shorter doubling chain
-  // only repays at n = 1 — where it still ties Straus (bench_msm measures
-  // this; the hardware endomorphism the paper relies on is nearly free).
-  // The same decomposition IS auto-reachable as the Pippenger GLV
-  // pre-split, whose crossover model (msm_glv_wins) prices the auxiliary
-  // points explicitly.
   return n_terms < kPippengerMinTerms ? MsmBackend::kStraus
                                       : MsmBackend::kPippenger;
-}
-
-int msm_choose_window(size_t n_terms, size_t total_bits, int max_bits) {
-  if (n_terms == 0) return 2;
-  int best_c = 2;
-  double best = 1e300;
-  for (int c = 2; c <= 13; ++c) {
-    double cost = pip_cost_model(n_terms, total_bits, max_bits, c);
-    if (cost < best) {
-      best = cost;
-      best_c = c;
-    }
-  }
-  return best_c;
-}
-
-int msm_choose_window(const std::vector<ScalarPoint>& terms) {
-  size_t live = 0, total_bits = 0;
-  int max_bits = 1;
-  for (const ScalarPoint& t : terms) {
-    if (t.k.is_zero()) continue;
-    ++live;
-    int b = effective_bits(t);
-    total_bits += static_cast<size_t>(b);
-    max_bits = std::max(max_bits, b);
-  }
-  return msm_choose_window(live, total_bits, max_bits);
-}
-
-bool msm_glv_wins(size_t n_terms, size_t total_bits, int max_bits,
-                  int aux_dbl_per_term) {
-  if (n_terms == 0 || max_bits <= 64) return false;  // nothing to split
-  const double plain =
-      pip_cost_model(n_terms, total_bits, max_bits,
-                     msm_choose_window(n_terms, total_bits, max_bits));
-  const size_t sub = glv_sub_terms(n_terms, max_bits);
-  // Split cost: same total scalar bits spread over 4x the terms at 1/4 the
-  // window count, plus the auxiliary points — aux_dbl_per_term doublings
-  // (7M each) and their share of the batched normalisation.
-  const double split =
-      pip_cost_model(sub, total_bits, 64, msm_choose_window(sub, total_bits, 64)) +
-      static_cast<double>(n_terms) *
-          (static_cast<double>(aux_dbl_per_term) * 7.0 + 20.0);
-  return split < plain;
 }
 
 PointR1 multi_scalar_mul(const std::vector<ScalarPoint>& terms,
@@ -1012,10 +740,8 @@ PointR1 multi_scalar_mul(const std::vector<ScalarPoint>& terms,
       if (opts.stats) {
         opts.stats->backend = backend;
         opts.stats->terms = live;
-        opts.stats->inversion_batches = 1;  // one batch_to_r2aff
       }
-      int w = opts.straus_width ? opts.straus_width : straus_width_for(live);
-      return msm_straus(terms, w);
+      return msm_straus(terms, straus_width_for(live));
     }
     case MsmBackend::kPippenger: {
       FOURQ_COUNTER_INC_L("curve.msm.calls", "backend", "pippenger");
@@ -1027,16 +753,6 @@ PointR1 multi_scalar_mul(const std::vector<ScalarPoint>& terms,
       size_t pos = 0;
       return msm_pippenger_stream(vector_source(terms, &pos), opts, cfg);
     }
-    case MsmBackend::kEndoSplit:
-      FOURQ_COUNTER_INC_L("curve.msm.calls", "backend", "endosplit");
-      FOURQ_COUNTER_ADD_L("curve.msm.terms", "backend", "endosplit", live);
-      if (opts.stats) {
-        opts.stats->backend = backend;
-        opts.stats->terms = live;
-        opts.stats->glv = true;  // the decomposition itself
-        opts.stats->inversion_batches = 2;  // aux normalise + Straus tables
-      }
-      return msm_endosplit(terms, opts.straus_width);
     case MsmBackend::kAuto:
       break;  // unreachable: msm_choose_backend resolved it
   }
@@ -1057,8 +773,8 @@ PointR1 multi_scalar_mul_stream(const MsmTermSource& src, size_t n_hint,
   FOURQ_CHECK_MSG(opts.backend == MsmBackend::kAuto ||
                       opts.backend == MsmBackend::kPippenger,
                   "streaming MSM is Pippenger-only");
-  // The shape must be fixed before the first term is seen, so the cost
-  // models run on the hint: n_hint terms of full-width scalars (a generous
+  // The shape must be fixed before the first term is seen, so the window
+  // model runs on the hint: n_hint terms of full-width scalars (a generous
   // over-estimate only ever wastes empty windows, which cost nothing in
   // the MSB-first combine).
   const size_t live = n_hint ? n_hint : size_t{1} << 17;

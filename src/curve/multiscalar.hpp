@@ -3,7 +3,7 @@
 // multiplications) and the workload zk-style proof systems run at n in the
 // millions.
 //
-// Three backends live behind one multi_scalar_mul(terms, MsmOptions) API:
+// Two backends live behind one multi_scalar_mul(terms, MsmOptions) API:
 //
 //  * Straus      — interleaved width-w NAF: one shared doubling chain,
 //                  per-point odd-multiple tables (normalised to affine via
@@ -17,27 +17,10 @@
 //                  is split into segments — the (window, segment) grid is
 //                  the parallel axis (MsmOptions::parallel) — and a
 //                  deterministic MSB-first combine keeps the result bitwise
-//                  independent of chunking and thread count. Optional
-//                  per-term GLV pre-split (MsmOptions::glv) and
-//                  batched-affine bucket accumulation (MsmOptions::affine)
-//                  reshape the datapath the way the large-MSM hardware
-//                  literature does; both default to the software-honest
-//                  choice (see the option comments).
-//  * EndoSplit   — the paper's 4-way decomposition applied per term: each
-//                  256-bit (k, P) becomes four 64-bit terms over P, [2^64]P,
-//                  [2^128]P, [2^192]P (DESIGN.md §2 substitution for
-//                  phi/psi), shrinking the shared doubling chain 4x. In
-//                  software the auxiliary points cost 64 doublings each, so
-//                  this backend only breaks even where the doubling chain
-//                  dominates (n = 1); it exists because the hardware
-//                  endomorphism is nearly free and the backend doubles as a
-//                  cross-check of the decomposition identity. The same
-//                  decomposition drives the Pippenger GLV pre-split, where
-//                  the auto model decides from a configurable auxiliary-
-//                  point cost whether it pays.
+//                  independent of chunking and thread count.
 //
 // kAuto picks by a calibrated crossover (bench/bench_msm.cpp measures it).
-// All backends return the same group element; after to_affine() the
+// Both backends return the same group element; after to_affine() the
 // coordinates are bit-identical across backends, chunk sizes and thread
 // counts.
 #pragma once
@@ -63,10 +46,7 @@ struct ScalarPoint {
   int bits = 256;
 };
 
-enum class MsmBackend : uint8_t { kAuto, kStraus, kPippenger, kEndoSplit };
-
-// Tri-state feature toggle: kAuto defers to the cost model, kOn/kOff force.
-enum class MsmTri : uint8_t { kAuto, kOn, kOff };
+enum class MsmBackend : uint8_t { kAuto, kStraus, kPippenger };
 
 // Parallel-for hook: run(n, fn) must invoke fn(i) exactly once for every
 // i in [0, n), on any mix of threads, and return only when all calls have
@@ -84,14 +64,10 @@ struct MsmStats {
   int window = 0;           // Pippenger window width c
   int windows = 0;          // digit windows (nwin)
   int segments = 0;         // bucket segments per window (parallel grain)
-  bool glv = false;         // GLV 4-way pre-split applied
-  bool affine = false;      // batched-affine bucket accumulation used
   size_t terms = 0;         // live (non-zero-scalar) input terms
-  size_t sub_terms = 0;     // bucket-insertion terms after the pre-split
+  size_t sub_terms = 0;     // Pippenger bucket-insertion terms (== terms)
   size_t chunks = 0;        // streamed chunks consumed
   size_t bucket_waves = 0;  // 8-wide lane-kernel mixed-add waves
-  size_t bucket_rounds = 0;         // collision-scheduled affine add rounds
-  size_t inversion_batches = 0;     // simultaneous-inversion calls
   size_t peak_bytes = 0;    // peak bytes of MSM-owned working memory
   // Wall-time phase split of the streaming pipeline (milliseconds): chunk
   // staging (normalise + digit routing), bucket insertion, final fold.
@@ -105,8 +81,6 @@ struct MsmOptions {
   // Pippenger bucket window width c in bits (buckets per window: 2^(c-1)).
   // 0 = choose by minimising the predicted add count for the term set.
   int window = 0;
-  // Straus wNAF width (2..7). 0 = choose from the term count.
-  int straus_width = 0;
   // Optional parallel executor for the Pippenger (window, bucket-segment)
   // grid. Results are bitwise independent of whether/how this runs (each
   // cell owns a disjoint bucket range, scans terms in a fixed order, and
@@ -117,53 +91,16 @@ struct MsmOptions {
   // memory is O(buckets + chunk) while the result stays bitwise invariant
   // to the chunk size. 0 = default (16384).
   size_t chunk = 0;
-  // GLV pre-split: rewrite each 256-bit term into <= 4 64-bit terms over
-  // P, [2^64]P, [2^128]P, [2^192]P before bucketing, shrinking the window
-  // count 4x. kAuto asks msm_glv_wins(), which charges glv_aux_dbl
-  // doublings per term for the auxiliary points — 192 (the software cost)
-  // makes auto decline it; 0 (the paper's nearly-free hardware
-  // endomorphism) makes auto take it wherever window/fold costs still
-  // matter. Note the split conserves total scalar bits, so bucket
-  // insertions don't shrink — at extreme n the model declines even free
-  // aux points, honestly.
-  MsmTri glv = MsmTri::kAuto;
-  // Auxiliary-point cost (in point doublings per term) the glv auto model
-  // charges. See above; exposed so the hardware operating point is testable.
-  int glv_aux_dbl = 192;
-  // Batched-affine bucket accumulation: buckets live in affine R2 form and
-  // collision-scheduled rounds of additions renormalise each round with one
-  // simultaneous inversion (field::batch_invert). This is the layout the
-  // large-MSM hardware literature uses (inversion is cheap there); in
-  // software one affine add costs ~14M against 7M for the extended-
-  // coordinate mixed add, so kAuto declines it. kOn exists for measurement
-  // and differential testing.
-  MsmTri affine = MsmTri::kAuto;
-  // Bucket segments per window (power of two; the parallel grain is
-  // nwin * segments cells). 0 = derived from the window width alone, so
-  // the fold shape — and the bitwise result — never depends on thread
-  // count.
-  int segments = 0;
-  // Lane-kernel bucket insertion (8-wide SoA mixed-add waves). kOff forces
-  // the scalar one-add-at-a-time path; the truly-serial reference the
-  // bench_msm_large speedup gate divides by.
-  MsmTri lanes = MsmTri::kAuto;
+  // Lane-kernel bucket insertion (8-wide SoA mixed-add waves). false forces
+  // the scalar one-add-at-a-time path: the bitwise reference the lane waves
+  // are tested against and bench_msm_large's truly-serial configuration.
+  bool lanes = true;
   // Optional per-call stats sink (see MsmStats).
   MsmStats* stats = nullptr;
 };
 
 // Resolves kAuto against the calibrated crossover for n terms.
 MsmBackend msm_choose_backend(size_t n_terms, const MsmOptions& opts = {});
-// Pippenger window width minimising the predicted cost for the given term
-// set (uses the per-term bit-length hints).
-int msm_choose_window(const std::vector<ScalarPoint>& terms);
-// Model form: n_terms live terms carrying total_bits scalar bits, none
-// longer than max_bits. The vector overload derives these and delegates.
-int msm_choose_window(size_t n_terms, size_t total_bits, int max_bits);
-// GLV pre-split crossover: does splitting n_terms 256-bit-class terms into
-// 4n 64-bit terms beat direct bucketing, when the three auxiliary points
-// cost aux_dbl_per_term doublings? (192 = software honest, 0 = hardware.)
-bool msm_glv_wins(size_t n_terms, size_t total_bits, int max_bits,
-                  int aux_dbl_per_term);
 const char* msm_backend_name(MsmBackend b);
 
 PointR1 multi_scalar_mul(const std::vector<ScalarPoint>& terms,
@@ -178,8 +115,8 @@ using MsmTermSource = std::function<size_t(ScalarPoint* out, size_t max)>;
 
 // Streaming entry point: runs the chunked Pippenger pipeline directly off a
 // term source, never materialising the full term vector — the only O(n)
-// state the caller keeps is its own. n_hint sizes the window/glv cost
-// models (0 = assume large); opts.backend must be kAuto or kPippenger.
+// state the caller keeps is its own. n_hint sizes the window cost model
+// (0 = assume large); opts.backend must be kAuto or kPippenger.
 // Equal to multi_scalar_mul on the same terms, bitwise after to_affine().
 PointR1 multi_scalar_mul_stream(const MsmTermSource& src, size_t n_hint,
                                 const MsmOptions& opts);

@@ -20,11 +20,6 @@ const Fp2& curve_2d() {
   return two_d;
 }
 
-const Fp2& curve_2d_inv() {
-  static const Fp2 two_d_inv = curve_2d().inv();
-  return two_d_inv;
-}
-
 const U256& candidate_subgroup_order() {
   // Candidate 246-bit prime N with #E(F_{p^2}) = 2^3 * 7^2 * N
   // (Costello–Longa; not printed in the DATE paper — runtime-validated).

@@ -26,10 +26,6 @@ const Fp2& curve_d();
 // 2*d, precomputed for the R2 representation (X+Y, Y-X, 2Z, 2dT).
 const Fp2& curve_2d();
 
-// (2d)^-1, precomputed for recovering T = xy from a stored 2dT coordinate
-// (the batched-affine Pippenger bucket path, curve/multiscalar.cpp).
-const Fp2& curve_2d_inv();
-
 // Candidate prime order of the large subgroup (#E = 2^3 * 7^2 * N).
 const U256& candidate_subgroup_order();
 

@@ -57,14 +57,6 @@ PointR2Aff to_r2aff(const Affine& p) {
   return PointR2Aff{p.x + p.y, p.y - p.x, t * curve_2d()};
 }
 
-PointR1 r2aff_to_r1(const PointR2Aff& p) {
-  // x = ((x+y) - (y-x)) / 2, y = ((x+y) + (y-x)) / 2; Z = 1 implicit.
-  static const Fp2 half = Fp2::from_u64(2).inv();
-  Fp2 x = (p.xpy - p.ymx) * half;
-  Fp2 y = (p.xpy + p.ymx) * half;
-  return PointR1{x, y, Fp2::from_u64(1), x, y};
-}
-
 namespace {
 
 // SoA staging for the post-inversion per-point multiplications: the same

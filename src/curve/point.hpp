@@ -176,10 +176,6 @@ PointR2Aff neg_r2aff(const PointR2Aff& p);
 // Affine -> normalised R2 (2 multiplications, no inversion).
 PointR2Aff to_r2aff(const Affine& p);
 
-// Normalised R2 -> R1 (recovers (x, y) from the sum/difference pair; Z = 1).
-// Used to seed an R1 accumulator from a batched-affine Pippenger bucket.
-PointR1 r2aff_to_r1(const PointR2Aff& p);
-
 // Batched normalisation via Montgomery's simultaneous-inversion trick:
 // one field inversion for the whole array (plus ~7M per point), instead of
 // one inversion per point. Points must have Z != 0 (always true for results

@@ -48,15 +48,4 @@ RecodedScalar recode(const std::array<uint64_t, 4>& a) {
   return r;
 }
 
-Radix64 radix64_split(const U256& k) {
-  Radix64 r;
-  r.a = {k.w[0], k.w[1], k.w[2], k.w[3]};
-  for (int j = 3; j >= 0; --j)
-    if (k.w[static_cast<size_t>(j)]) {
-      r.top = j;
-      break;
-    }
-  return r;
-}
-
 }  // namespace fourq::curve

@@ -44,17 +44,4 @@ struct RecodedScalar {
 //   a[j]      == sum_i bit_j(digit[i]) * sign[i] * 2^i   (j = 1, 2, 3)
 RecodedScalar recode(const std::array<uint64_t, 4>& a);
 
-// Raw radix-2^64 view of a scalar: k = sum_j a[j] 2^(64j) with `top` the
-// highest index whose limb is non-zero (-1 for k == 0). This is the exact
-// integer identity behind both the EndoSplit MSM backend and the Pippenger
-// GLV pre-split (curve/multiscalar.cpp): unlike `decompose` it never
-// perturbs k (no odd-forcing), because the MSM consumers need the literal
-// limbs, not a recodable tuple.
-struct Radix64 {
-  std::array<uint64_t, 4> a{};
-  int top = -1;
-};
-
-Radix64 radix64_split(const U256& k);
-
 }  // namespace fourq::curve

@@ -180,8 +180,4 @@ void FlightRecorder::reset() {
   seen_.store(0, std::memory_order_relaxed);
 }
 
-void FlightCycleSink::on_event(const CycleEvent& e) {
-  f_->record(FlightKind::kCycle, sim_event_kind_name(e.kind), 0, 0, e.cycle);
-}
-
 }  // namespace fourq::obs

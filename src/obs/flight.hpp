@@ -21,8 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/events.hpp"
-
 namespace fourq::obs {
 
 enum class FlightKind : uint8_t { kSpan = 0, kTask = 1, kCycle = 2, kMark = 3 };
@@ -99,18 +97,6 @@ class FlightRecorder {
   std::map<std::string, uint16_t> name_ids_;
   size_t names_bytes_ = 0;
   std::atomic<uint64_t> seen_{0};
-};
-
-// CycleEventSink adapter: forwards simulator cycle events into a flight
-// recorder (kind kCycle, arg = cycle index, name = the SimEventKind name).
-// The recorder's sampling keeps per-cycle volume bounded.
-class FlightCycleSink final : public CycleEventSink {
- public:
-  explicit FlightCycleSink(FlightRecorder& f) : f_(&f) {}
-  void on_event(const CycleEvent& e) override;
-
- private:
-  FlightRecorder* f_;
 };
 
 }  // namespace fourq::obs

@@ -123,8 +123,7 @@ TEST_F(SchnorrTest, BatchVerifyBackendsAgreeOnAcceptAndReject) {
     items.push_back({kp.pub, msg, scheme.sign(kp, msg)});
   }
   using curve::MsmBackend;
-  for (MsmBackend b : {MsmBackend::kStraus, MsmBackend::kPippenger, MsmBackend::kEndoSplit,
-                       MsmBackend::kAuto}) {
+  for (MsmBackend b : {MsmBackend::kStraus, MsmBackend::kPippenger, MsmBackend::kAuto}) {
     curve::MsmOptions opts;
     opts.backend = b;
     Rng r1(777), r2(777);  // same weights for the accept and reject runs

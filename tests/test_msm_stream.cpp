@@ -1,13 +1,14 @@
 // Streaming-Pippenger property tests: chunk-size bitwise invariance,
-// bucket-grid thread-count invariance, GLV pre-split differentials, the
-// batched-affine bucket path, and the bounded-memory contract. Complements
-// test_multiscalar.cpp (which pins the backend-agreement and recoding
-// behaviour shared with the non-streaming entry points).
+// bucket-grid thread-count invariance, the scalar-insertion reference, and
+// the bounded-memory contract. Complements test_multiscalar.cpp (which pins
+// the backend-agreement and recoding behaviour shared with the
+// non-streaming entry points).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -141,7 +142,10 @@ TEST(MsmStream, StreamEntryMatchesVectorEntry) {
   PointR1 got = multi_scalar_mul_stream(src, n, opts);
   expect_bitwise(got, want, "stream source vs vector");
   EXPECT_GT(st.chunks, 1u);
-  EXPECT_EQ(st.terms + 0, st.terms);  // staged live count is filled in
+  size_t live = 0;
+  for (const ScalarPoint& t : terms) live += t.k.is_zero() ? 0 : 1;
+  EXPECT_EQ(st.terms, live);
+  EXPECT_EQ(st.sub_terms, st.terms);
 }
 
 TEST(MsmStream, BucketGridIsThreadCountInvariantAt2p16) {
@@ -167,103 +171,6 @@ TEST(MsmStream, BucketGridIsThreadCountInvariantAt2p16) {
     EXPECT_GT(calls.load(), 0u);
     expect_bitwise(got, want, "pool vs serial");
   }
-}
-
-TEST(MsmStream, GlvPreSplitMatchesPlainPippenger) {
-  const size_t n = 300;
-  std::vector<ScalarPoint> terms = mixed_terms(n, 0x91f);
-  // Edge scalars: single-limb, top-limb-only, and maximal.
-  terms[0].k = U256(1);
-  terms[1].k = U256(~0ull, 0, 0, 0);
-  terms[2].k = U256(0, 0, 0, ~0ull);
-  terms[4].k = U256(~0ull, ~0ull, ~0ull, ~0ull);
-
-  MsmOptions plain;
-  plain.backend = MsmBackend::kPippenger;
-  plain.glv = MsmTri::kOff;
-  PointR1 want = multi_scalar_mul(terms, plain);
-
-  MsmOptions glv = plain;
-  glv.glv = MsmTri::kOn;
-  MsmStats st;
-  glv.stats = &st;
-  PointR1 got = multi_scalar_mul(terms, glv);
-  expect_same_point(got, want, "glv vs plain");
-  EXPECT_TRUE(st.glv);
-  EXPECT_GT(st.sub_terms, st.terms) << "split must expand the term list";
-  EXPECT_LE(st.sub_terms, 4 * st.terms);
-  EXPECT_GE(st.inversion_batches, 1u) << "aux normalisation is batched";
-
-  // The split is chunk-invariant too (aux points are recomputed per chunk,
-  // bucket state persists).
-  MsmOptions glv_chunked = glv;
-  glv_chunked.stats = nullptr;
-  glv_chunked.chunk = 37;
-  expect_bitwise(multi_scalar_mul(terms, glv_chunked), got, "glv chunked");
-}
-
-TEST(MsmStream, GlvAutoFollowsAuxCostModel) {
-  // Software-honest default: three 64-doubling auxiliary chains per term
-  // never pay for a 4x window reduction.
-  EXPECT_FALSE(msm_glv_wins(4096, 4096 * 250, 256, 192));
-  // The paper's operating point (free endomorphism): the split wins where
-  // the window/fold costs still matter relative to bucket insertion.
-  EXPECT_TRUE(msm_glv_wins(256, 256 * 250, 256, 0));
-  // The split conserves total scalar bits, so at extreme n the 3n extra
-  // bucket insertions outweigh the window shrink even with free aux points
-  // — the model must know that, not just the aux price.
-  EXPECT_FALSE(msm_glv_wins(size_t{1} << 20, (size_t{1} << 20) * 250, 256, 0));
-  // Nothing to split below one limb.
-  EXPECT_FALSE(msm_glv_wins(4096, 4096 * 60, 64, 0));
-
-  const size_t n = 200;
-  std::vector<ScalarPoint> terms = chain_terms(n, 0xa111);
-  MsmOptions opts;
-  opts.backend = MsmBackend::kPippenger;
-  MsmStats st;
-  opts.stats = &st;
-  (void)multi_scalar_mul(terms, opts);
-  EXPECT_FALSE(st.glv) << "auto must decline glv at software aux cost";
-
-  opts.glv_aux_dbl = 0;
-  PointR1 got = multi_scalar_mul(terms, opts);
-  EXPECT_TRUE(st.glv) << "auto must take glv when aux points are free";
-  expect_same_point(got, naive_msm(terms), "auto-glv result");
-}
-
-TEST(MsmStream, BatchedAffineBucketsMatchExtendedCoords) {
-  const size_t n = 300;
-  std::vector<ScalarPoint> terms = mixed_terms(n, 0xaff1);
-  MsmOptions r1;
-  r1.backend = MsmBackend::kPippenger;
-  r1.affine = MsmTri::kOff;
-  PointR1 want = multi_scalar_mul(terms, r1);
-
-  MsmOptions aff = r1;
-  aff.affine = MsmTri::kOn;
-  MsmStats st;
-  aff.stats = &st;
-  PointR1 got = multi_scalar_mul(terms, aff);
-  expect_same_point(got, want, "affine buckets vs R1 buckets");
-  EXPECT_TRUE(st.affine);
-  EXPECT_GT(st.bucket_rounds, 0u);
-  EXPECT_GE(st.inversion_batches, st.bucket_rounds)
-      << "every round renormalises with one simultaneous inversion";
-
-  // Affine accumulation composes with the GLV pre-split and with chunking.
-  MsmOptions both = aff;
-  both.stats = nullptr;
-  both.glv = MsmTri::kOn;
-  both.chunk = 53;
-  expect_same_point(multi_scalar_mul(terms, both), want, "affine+glv+chunked");
-
-  // kAuto is an honest off in software.
-  MsmOptions auto_opts;
-  auto_opts.backend = MsmBackend::kPippenger;
-  MsmStats auto_st;
-  auto_opts.stats = &auto_st;
-  (void)multi_scalar_mul(terms, auto_opts);
-  EXPECT_FALSE(auto_st.affine);
 }
 
 TEST(MsmStream, PlantedZeroAndIdentityTermsAtScale) {
@@ -356,30 +263,31 @@ TEST(MsmStream, LaneWavesOffMatchesBitwise) {
   MsmOptions off = on;
   MsmStats st_off;
   off.stats = &st_off;
-  off.lanes = MsmTri::kOff;
+  off.lanes = false;
   PointR1 got = multi_scalar_mul(terms, off);
   EXPECT_EQ(st_off.bucket_waves, 0u);
   expect_bitwise(got, want, "scalar adds vs lane waves");
 }
 
 TEST(MsmStream, SegmentOverrideKeepsTheSum) {
-  // Different segment counts change the fold tree (so projective
-  // coordinates differ) but never the point. nseg = 1 is the classic
-  // single S/T chain.
+  // The segment count follows the window width. Different segment counts
+  // change the fold tree (so projective coordinates differ) but never the
+  // point. nseg = 1 is the classic single S/T chain.
   const size_t n = 400;
   std::vector<ScalarPoint> terms = chain_terms(n, 0x5e9);
   MsmOptions base;
   base.backend = MsmBackend::kPippenger;
-  base.window = 9;  // half = 256 buckets: room for every override below
+  base.window = 9;
   MsmStats st;
   base.stats = &st;
   PointR1 want = multi_scalar_mul(terms, base);
-  EXPECT_GT(st.segments, 1);
-  for (int nseg : {1, 2, 16}) {
+  EXPECT_EQ(st.segments, 4);
+  const std::pair<int, int> window_segments[] = {{7, 1}, {8, 2}, {11, 16}};
+  for (const auto& [window, nseg] : window_segments) {
     MsmOptions opts = base;
-    opts.stats = nullptr;
-    opts.segments = nseg;
-    expect_same_point(multi_scalar_mul(terms, opts), want, "segment override");
+    opts.window = window;
+    expect_same_point(multi_scalar_mul(terms, opts), want, "segment count");
+    EXPECT_EQ(st.segments, nseg) << "window=" << window;
   }
 }
 

@@ -190,7 +190,7 @@ TEST(MultiScalar, CancellationToIdentity) {
 // normalisation, agree with every other backend bit for bit.
 
 constexpr MsmBackend kAllBackends[] = {MsmBackend::kStraus, MsmBackend::kPippenger,
-                                       MsmBackend::kEndoSplit, MsmBackend::kAuto};
+                                       MsmBackend::kAuto};
 
 PointR1 naive_msm(const std::vector<ScalarPoint>& terms) {
   PointR1 acc = identity();
@@ -209,9 +209,14 @@ std::vector<ScalarPoint> random_terms(size_t n, uint64_t seed) {
 
 TEST(MsmBackends, AgreeWithNaiveSumAcrossSizes) {
   // n straddles both crossovers: 0/1/2 (degenerate + Straus), 33 (Straus
-  // with width 5), 257 (Pippenger territory).
+  // with width 5), 257 (Pippenger territory). The two larger sets open with
+  // limb-boundary scalars: 1, 2^64-1, 2^192*(2^64-1) and 2^256-1.
+  const U256 edges[] = {U256(1), U256(~0ull, 0, 0, 0), U256(0, 0, 0, ~0ull),
+                        U256(~0ull, ~0ull, ~0ull, ~0ull)};
   for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{33}, size_t{257}}) {
     std::vector<ScalarPoint> terms = random_terms(n, 0x700 + n);
+    if (n > 4)
+      for (size_t i = 0; i < 4; ++i) terms[i].k = edges[i];
     Affine expect = to_affine(naive_msm(terms));
     for (MsmBackend b : kAllBackends) {
       MsmOptions opts;
@@ -291,13 +296,6 @@ TEST(MsmBackends, ExplicitWindowOverrides) {
     Affine got = to_affine(multi_scalar_mul(terms, opts));
     EXPECT_TRUE(got.x == expect.x && got.y == expect.y) << "window=" << c;
   }
-  for (int w : {2, 7}) {
-    MsmOptions opts;
-    opts.backend = MsmBackend::kStraus;
-    opts.straus_width = w;
-    Affine got = to_affine(multi_scalar_mul(terms, opts));
-    EXPECT_TRUE(got.x == expect.x && got.y == expect.y) << "width=" << w;
-  }
 }
 
 TEST(MsmBackends, ParallelExecutionIsBitwiseStable) {
@@ -335,11 +333,12 @@ TEST(MsmBackends, AutoCrossoverAndNames) {
   EXPECT_EQ(msm_choose_backend(2), MsmBackend::kStraus);
   EXPECT_EQ(msm_choose_backend(4096), MsmBackend::kPippenger);
   MsmOptions forced;
-  forced.backend = MsmBackend::kEndoSplit;
-  EXPECT_EQ(msm_choose_backend(4096, forced), MsmBackend::kEndoSplit);
+  forced.backend = MsmBackend::kStraus;
+  EXPECT_EQ(msm_choose_backend(4096, forced), MsmBackend::kStraus);
+  forced.backend = MsmBackend::kPippenger;
+  EXPECT_EQ(msm_choose_backend(2, forced), MsmBackend::kPippenger);
   EXPECT_STREQ(msm_backend_name(MsmBackend::kStraus), "straus");
   EXPECT_STREQ(msm_backend_name(MsmBackend::kPippenger), "pippenger");
-  EXPECT_STREQ(msm_backend_name(MsmBackend::kEndoSplit), "endosplit");
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -139,10 +140,6 @@ void usage() {
       "  --no-check                        skip the software [k]P cross-check\n"
       "  --verify-sigs N                   also batch-verify N SchnorrQ signatures\n"
       "  --corrupt i,j,...                 corrupt these signature indices first\n"
-      "  --msm-backend NAME                verify-sigs multi-scalar backend:\n"
-      "                                    auto|straus|pippenger|endosplit\n"
-      "  --msm-glv on|off|auto             Pippenger GLV 4-way pre-split\n"
-      "                                    (auto = cost-model crossover)\n"
       "  --export-dir DIR                  live telemetry snapshot directory\n"
       "                                    (default $FOURQ_OBS_EXPORT_DIR; off if unset)\n"
       "  --export-interval-ms N            snapshot refresh period (default\n"
@@ -1131,8 +1128,6 @@ struct BatchOptions {
   bool check = true;        // cross-check vs software [k]P (functional variant)
   int verify_sigs = 0;      // also batch-verify N SchnorrQ signatures
   std::vector<int> corrupt; // signature indices to corrupt before verifying
-  curve::MsmBackend msm = curve::MsmBackend::kAuto;  // verify-sigs MSM backend
-  curve::MsmTri msm_glv = curve::MsmTri::kAuto;      // GLV pre-split tri-state
   std::string export_dir;   // "" = $FOURQ_OBS_EXPORT_DIR (exporter off if unset too)
   int export_interval_ms = 0;  // 0 = $FOURQ_OBS_EXPORT_INTERVAL_MS / default
   bool hw = false;          // per-worker perf_event counters + perf artifact
@@ -1163,8 +1158,6 @@ int run_batch(const trace::SmTraceOptions& topt, const sched::CompileOptions& co
   eopt.chunk = bopt.chunk;
   eopt.key = key;
   eopt.cache = cache;
-  eopt.msm.backend = bopt.msm;
-  eopt.msm.glv = bopt.msm_glv;
   engine::BatchEngine eng(eopt);
 
   // Live telemetry: when an export directory is configured (flag or env),
@@ -1266,10 +1259,8 @@ int run_batch(const trace::SmTraceOptions& topt, const sched::CompileOptions& co
                              ? std::min(items.size(), bopt.chunk)
                              : std::max<size_t>(1, items.size() /
                                                        (static_cast<size_t>(eng.workers()) * 2));
-    curve::MsmOptions mopt;
-    mopt.backend = bopt.msm;
-    const char* backend = curve::msm_backend_name(
-        curve::msm_choose_backend(2 * chunk_items, mopt));
+    const char* backend =
+        curve::msm_backend_name(curve::msm_choose_backend(2 * chunk_items));
     std::printf("  batch-verified %zu signatures in %.1f ms (msm backend: %s): %s\n",
                 verdicts.size(), ver_ms, backend,
                 rejected.empty() ? "all valid" : ("rejected [" + rejected + "]").c_str());
@@ -1284,21 +1275,14 @@ int run_batch(const trace::SmTraceOptions& topt, const sched::CompileOptions& co
       // One-line curve.msm.* summary of every MSM the verification ran
       // (telemetry was reset at the top of this invocation).
       obs::Registry& mreg = obs::global().metrics;
-      std::printf("  msm: calls=%llu (glv on/off %llu/%llu) terms=%llu chunks=%llu "
-                  "waves=%llu inversion-batches=%llu peak=%.0f KB\n",
+      std::printf("  msm: calls=%llu terms=%llu chunks=%llu waves=%llu peak=%.0f KB\n",
                   static_cast<unsigned long long>(mreg.counter("curve.msm.calls").value()),
-                  static_cast<unsigned long long>(
-                      mreg.counter("curve.msm.calls", obs::Labels{{"glv", "on"}}).value()),
-                  static_cast<unsigned long long>(
-                      mreg.counter("curve.msm.calls", obs::Labels{{"glv", "off"}}).value()),
                   static_cast<unsigned long long>(
                       mreg.counter("curve.msm.terms", obs::Labels{{"backend", "pippenger"}})
                           .value()),
                   static_cast<unsigned long long>(mreg.counter("curve.msm.chunks").value()),
                   static_cast<unsigned long long>(
                       mreg.counter("curve.msm.bucket_waves").value()),
-                  static_cast<unsigned long long>(
-                      mreg.counter("curve.msm.inversion_batches").value()),
                   mreg.gauge("curve.msm.peak_kb").value());
     }
   }
@@ -1581,7 +1565,8 @@ int main(int argc, char** argv) {
 
   bool report = false;
   bool looped = false;
-  std::string save_path, verify_hex, vcd_path, dot_path, verilog_path;
+  std::string save_path, vcd_path, dot_path, verilog_path;
+  std::optional<U256> verify_k;
   int disasm_from = -1, disasm_count = 0;
 
   bool profile_mode = false;
@@ -1683,7 +1668,12 @@ int main(int argc, char** argv) {
       looped = true;
     } else if (a == "--verify") {
       need(1);
-      verify_hex = argv[++i];
+      try {
+        verify_k = U256::from_hex(argv[++i]);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "fourqc: bad --verify value: %s\n", e.what());
+        return 2;
+      }
     } else if (a == "--save-rom") {
       need(1);
       save_path = argv[++i];
@@ -1788,28 +1778,6 @@ int main(int argc, char** argv) {
       need(1);
       for (const std::string& s : split_csv(argv[++i]))
         bopt.corrupt.push_back(std::atoi(s.c_str()));
-    } else if (batch_mode && a == "--msm-backend") {
-      need(1);
-      std::string b = argv[++i];
-      if (b == "auto") bopt.msm = curve::MsmBackend::kAuto;
-      else if (b == "straus") bopt.msm = curve::MsmBackend::kStraus;
-      else if (b == "pippenger") bopt.msm = curve::MsmBackend::kPippenger;
-      else if (b == "endosplit") bopt.msm = curve::MsmBackend::kEndoSplit;
-      else {
-        std::fprintf(stderr, "unknown MSM backend: %s\n", b.c_str());
-        return 2;
-      }
-    } else if (batch_mode && a == "--msm-glv") {
-      need(1);
-      std::string g = argv[++i];
-      if (g == "auto") bopt.msm_glv = curve::MsmTri::kAuto;
-      else if (g == "on") bopt.msm_glv = curve::MsmTri::kOn;
-      else if (g == "off") bopt.msm_glv = curve::MsmTri::kOff;
-      else {
-        std::fprintf(stderr, "unknown --msm-glv value: %s (want on|off|auto)\n",
-                     g.c_str());
-        return 2;
-      }
     } else if (batch_mode && a == "--export-dir") {
       need(1);
       bopt.export_dir = argv[++i];
@@ -1868,8 +1836,8 @@ int main(int argc, char** argv) {
                 lsm.epilogue.cycles(), lsm.total_cycles());
     std::printf("  ROM: %d words (vs %d for the flat controller's unrolled program)\n",
                 lsm.rom_words(), lsm.total_cycles());
-    if (!verify_hex.empty()) {
-      U256 k = U256::from_hex(verify_hex);
+    if (verify_k) {
+      const U256& k = *verify_k;
       curve::Affine p = curve::deterministic_point(1);
       trace::InputBindings b;
       b.emplace_back(lsm.in_zero, curve::Fp2());
@@ -1920,8 +1888,8 @@ int main(int argc, char** argv) {
   std::printf("  makespan %d cycles, register pressure %d/%d\n", r.schedule.makespan,
               r.register_pressure, copt.cfg.rf_size);
 
-  if (!verify_hex.empty()) {
-    U256 k = U256::from_hex(verify_hex);
+  if (verify_k) {
+    const U256& k = *verify_k;
     curve::Affine p = curve::deterministic_point(1);
     trace::InputBindings b;
     b.emplace_back(sm.in_zero, curve::Fp2());
