@@ -1,8 +1,10 @@
 // MSM experiment — multi-scalar multiplication backend sweep, the zk-scale
 // streaming Pippenger pipeline, and the batch signature-verification speedup
 // it buys. Three questions:
-//   1. Where is the Straus/Pippenger crossover? This calibrates
-//      kPippengerMinTerms in curve/multiscalar.cpp.
+//   1. Where is the Straus/Pippenger crossover? The sweep from 8 to 64
+//      terms in the batch-verify shape calibrates the crossovers in
+//      curve/multiscalar.cpp (run it once per lane-kernel table, via
+//      $FOURQ_FP_LANES).
 //   2. How does the streaming Pippenger pipeline scale to zk-style term
 //      counts (2^14 -> 2^20), and does peak working memory stay at
 //      O(buckets + chunk) while it does?
@@ -24,6 +26,7 @@
 #include "curve/multiscalar.hpp"
 #include "curve/scalarmul.hpp"
 #include "dsa/schnorrq.hpp"
+#include "field/fp_lanes.hpp"
 
 namespace {
 
@@ -135,6 +138,53 @@ int main(int argc, char** argv) {
   }
   std::printf("\nCross-backend agreement: %s\n",
               mismatches == 0 ? "all backends bitwise identical" : "MISMATCH");
+
+  bench::print_header(
+      "MSM — Straus/Pippenger crossover (us per MSM, batch-verify shape: every\n"
+      "other scalar 128-bit; interleaved best of 25)");
+
+  // The shape verify_batch hands the MSM: a 128-bit weight term per
+  // signature next to a full-length challenge term. The backends alternate
+  // within each round, so host load drifts hit both columns alike.
+  std::printf("%8s %12s %12s %10s %14s\n", "n", "straus", "pippenger", "faster", "auto picks");
+  bench::print_rule(60);
+  size_t first_win = 0;
+  for (size_t n : {8, 12, 16, 20, 24, 28, 32, 40, 48, 56, 64}) {
+    std::vector<curve::ScalarPoint> terms(pool.begin(),
+                                          pool.begin() + static_cast<long>(n));
+    for (size_t i = 0; i < n; i += 2) {
+      terms[i].k.w[2] = terms[i].k.w[3] = 0;
+      terms[i].bits = 128;
+    }
+    double us[2] = {std::numeric_limits<double>::infinity(),
+                    std::numeric_limits<double>::infinity()};
+    curve::Affine out[2]{};
+    for (int round = 0; round < 25; ++round) {
+      for (int b = 0; b < 2; ++b) {
+        curve::MsmOptions opts;
+        opts.backend = backends[b];
+        auto t0 = std::chrono::steady_clock::now();
+        out[b] = curve::to_affine(curve::multi_scalar_mul(terms, opts));
+        us[b] = std::min(us[b], secs_since(t0) * 1e6);
+      }
+    }
+    if (!(out[0].x == out[1].x) || !(out[0].y == out[1].y)) ++mismatches;
+    const bool pip = us[1] < us[0];
+    if (pip && first_win == 0) first_win = n;
+    std::printf("%8zu %12.1f %12.1f %10s %14s\n", n, us[0], us[1],
+                curve::msm_backend_name(backends[pip ? 1 : 0]),
+                curve::msm_backend_name(curve::msm_choose_backend(n)));
+    const std::string tag = ".verify_n" + std::to_string(n) + ".us";
+    rec.record("straus" + tag, us[0], "us");
+    rec.record("pippenger" + tag, us[1], "us");
+  }
+  if (first_win)
+    std::printf("\nPippenger first wins at n = %zu (fp lane kernels: %s)\n", first_win,
+                field::lanes::active().name);
+  else
+    std::printf("\nPippenger never wins up to n = 64 (fp lane kernels: %s)\n",
+                field::lanes::active().name);
+  rec.record("crossover.first_pippenger_win", static_cast<double>(first_win), "terms");
 
   bench::print_header(
       "Streaming Pippenger — zk-scale sweep (terms pulled from a bounded source)");

@@ -15,11 +15,14 @@ namespace fourq::curve {
 
 namespace {
 
-// Auto-selection crossovers, calibrated with bench/bench_msm.cpp (see
-// docs/ARCHITECTURE.md §9 for the measured curve): Straus's per-term cost
-// is flat while Pippenger's falls like 1/log n once the windows are dense
-// enough to amortise bucket aggregation.
+// Auto-selection crossovers, calibrated with bench/bench_msm.cpp's
+// batch-verify-shape sweep (see docs/ARCHITECTURE.md §9 for the measured
+// curve): Straus's per-term cost is flat while Pippenger's falls like
+// 1/log n once the windows are dense enough to amortise bucket aggregation.
+// On a vector kernel table (Kernels::group > 1) the lane fold cuts
+// Pippenger's fixed fold cost, and the crossover drops from 40 to 12 terms.
 constexpr size_t kPippengerMinTerms = 40;
+constexpr size_t kPippengerMinTermsLaneFold = 12;
 
 // Streaming chunk default: large enough that staging (normalise + digit
 // decompose) amortises, small enough that the staged arrays stay a few MB —
@@ -111,12 +114,13 @@ PointR1 msm_straus(const std::vector<ScalarPoint>& terms, int width) {
 //
 // Terms are consumed in chunks. Per chunk: normalise the points, decompose
 // the scalars into signed base-2^c digits and route each non-zero digit to
-// the pending list of its (window, bucket-segment) grid cell; then every
-// cell drains its own list into its disjoint bucket range. Buckets persist
-// across chunks, so peak memory is O(buckets + chunk) while per-bucket
-// insertion order — and therefore the result, bit for bit — depends only on
-// the global term order, not on the chunk size or on which thread ran which
-// cell (staging is single-threaded and lists are drained in list order).
+// the pending list of its insertion cell (a bucket segment of one window,
+// or several whole narrow windows); then every cell drains its own list
+// into its disjoint bucket range. Buckets persist across chunks, so peak
+// memory is O(buckets + chunk) while per-bucket insertion order — and
+// therefore the result, bit for bit — depends only on the global term
+// order, not on the chunk size or on which thread ran which cell (staging
+// is single-threaded and lists are drained in list order).
 
 // Bits [pos, pos + c) of k (zero beyond bit 255).
 uint64_t window_bits(const U256& k, int pos, int c) {
@@ -150,20 +154,27 @@ void signed_window_digits(const U256& k, int c, int nwin, int16_t* out) {
 // the chunking or the thread count (that is what makes the result bitwise
 // invariant to both).
 struct PipConfig {
-  int c = 0;           // window width (bits)
-  int nwin = 0;        // digit windows
-  int nseg = 1;        // bucket segments per window (power of two)
-  int seg_log = 0;     // log2(seg_len), for the staging-time cell map
-  size_t half = 0;     // buckets per window, 2^(c-1)
-  size_t seg_len = 0;  // buckets per segment, half / nseg
-  size_t chunk = 0;    // input terms staged per chunk
-  bool lanes = true;   // 8-wide lane-kernel insertion waves
+  int c = 0;            // window width (bits)
+  int nwin = 0;         // digit windows
+  int nseg = 1;         // bucket segments per window (power of two)
+  int seg_log = 0;      // log2(seg_len)
+  int cell_log = 0;     // log2(cell_len), for the staging-time cell map
+  size_t half = 0;      // buckets per window, 2^(c-1)
+  size_t seg_len = 0;   // buckets per segment (fold chain), half / nseg
+  size_t cell_len = 0;  // buckets per insertion cell, max(seg_len, 64)
+  size_t chunk = 0;     // input terms staged per chunk
+  bool lanes = true;    // lane-kernel insertion waves and fold
 };
 
-// Segment count: wide enough to feed a worker pool (the parallel grain is
-// nwin * nseg cells), derived from the window width alone so the fold shape
-// is thread-count-invariant. Power of two, so the segment-offset multiples
-// in the fold reduce to doublings.
+// Smallest insertion cell, in buckets. Windows narrower than this (c <= 6)
+// share one cell between 64 / 2^(c-1) consecutive windows, so a cell's
+// pending list spans enough distinct buckets to fill 16-lane waves.
+constexpr size_t kMinCellBuckets = 64;
+
+// Segment count: wide enough to feed a worker pool (the fold runs nwin *
+// nseg chains), derived from the window width alone so the fold shape is
+// thread-count-invariant. Power of two, so the segment-offset multiples in
+// the fold reduce to doublings.
 int segments_for(size_t half) {
   if (half <= 64) return 1;
   return static_cast<int>(std::min<size_t>(16, half / 64));
@@ -214,7 +225,7 @@ constexpr size_t kBucketLanes = 16;
 
 struct BucketIns {
   uint32_t term;    // staged term index
-  uint16_t bucket;  // window-local bucket index (c <= 15 keeps it < 2^14)
+  uint16_t bucket;  // cell-local bucket index (cell_len <= 2^10 at c <= 15)
   bool negate;
 };
 
@@ -228,9 +239,9 @@ struct StreamCtx {
   std::vector<uint8_t> used;
 
   // Chunk staging, reused every chunk. Bucket insertions are routed to
-  // their (window, segment) cell while the digits are decomposed, so the
-  // insertion phase touches exactly the work addressed to it — no cell
-  // ever rescans another cell's digits.
+  // their insertion cell while the digits are decomposed, so the insertion
+  // phase touches exactly the work addressed to it — no cell ever rescans
+  // another cell's digits.
   std::vector<ScalarPoint> raw;
   std::vector<Affine> pts;
   std::vector<PointR2Aff> base;
@@ -325,7 +336,7 @@ void drain_r1(StreamCtx& S, PointR1* buckets, std::vector<BucketIns>& pending) {
           ins.negate ? neg_r2aff(base[ins.term]) : base[ins.term]);
     return;
   }
-  std::vector<uint8_t> wave_claim(S.cfg.half, 0), pass_defer(S.cfg.half, 0);
+  std::vector<uint8_t> wave_claim(S.cfg.cell_len, 0), pass_defer(S.cfg.cell_len, 0);
   std::vector<BucketIns> defer_a, defer_b;
   uint64_t waves = 0;
   BucketIns wave[kBucketLanes];
@@ -378,20 +389,18 @@ void drain_r1(StreamCtx& S, PointR1* buckets, std::vector<BucketIns>& pending) {
   S.waves.fetch_add(waves, std::memory_order_relaxed);
 }
 
-// One grid cell of the insertion phase: window j, bucket segment s. Drains
-// the pending list staging addressed to this cell — every entry already
-// targets a bucket in [s*seg_len, (s+1)*seg_len) of window j, in global
-// term order. Cells own disjoint state, so any parallel schedule over
-// cells computes identical bucket contents. First hits seed the bucket
-// with the (possibly negated) affine input itself; the rest compact in
-// place into the true addition list.
-void insert_cell(StreamCtx& S, size_t j, size_t s) {
-  const PipConfig& cfg = S.cfg;
-  std::vector<BucketIns>& list =
-      S.cell_pending[j * static_cast<size_t>(cfg.nseg) + s];
+// One insertion cell: the cell_len consecutive buckets of the grid from
+// cell * cell_len on — one bucket segment of one window when c >= 7,
+// 64 / 2^(c-1) whole windows below. Drains the pending list staging
+// addressed to this cell, in global term order. Cells own disjoint bucket
+// ranges, so any parallel schedule over cells computes identical bucket
+// contents. First hits seed the bucket with the (possibly negated) affine
+// input itself; the rest compact in place into the true addition list.
+void insert_cell(StreamCtx& S, size_t cell) {
+  std::vector<BucketIns>& list = S.cell_pending[cell];
   if (list.empty()) return;
-  uint8_t* wu = &S.used[j * cfg.half];
-  PointR1* wr1 = &S.bkt_r1[j * cfg.half];
+  uint8_t* wu = &S.used[cell * S.cfg.cell_len];
+  PointR1* wr1 = &S.bkt_r1[cell * S.cfg.cell_len];
   size_t w = 0;
   for (const BucketIns& ins : list) {
     if (!wu[ins.bucket]) {
@@ -435,7 +444,7 @@ void build_base(StreamCtx& S, size_t m) {
 }
 
 // Stage one chunk: filter zero scalars, normalise the points, and route
-// every non-zero digit to its (window, segment) cell's pending list.
+// every non-zero digit to its insertion cell's pending list.
 // Returns the staged term count. Staging is single-threaded and runs in
 // term order, so each cell's list is in global term order and
 // concatenating chunks reproduces it exactly — the invariant every
@@ -456,16 +465,201 @@ size_t stage_chunk(StreamCtx& S, size_t r_n) {
     for (int j = 0; j < nw; ++j) {
       const int d = tmp[j];
       if (d == 0) continue;
-      const uint32_t b = static_cast<uint32_t>(d < 0 ? -d : d) - 1;
-      const size_t cell = static_cast<size_t>(j) * static_cast<size_t>(cfg.nseg) +
-                          (b >> cfg.seg_log);
-      S.cell_pending[cell].push_back(
-          BucketIns{static_cast<uint32_t>(m), static_cast<uint16_t>(b), d < 0});
+      const size_t g = static_cast<size_t>(j) * cfg.half +
+                       static_cast<size_t>(d < 0 ? -d : d) - 1;
+      S.cell_pending[g >> cfg.cell_log].push_back(
+          BucketIns{static_cast<uint32_t>(m),
+                    static_cast<uint16_t>(g & (cfg.cell_len - 1)), d < 0});
     }
     ++m;
   }
   build_base(S, m);
   return m;
+}
+
+// Per-chain fold results. Chain j * nseg + s folds segment s of window j:
+// buckets [chain * seg_len, (chain + 1) * seg_len) of the grid.
+struct FoldOut {
+  std::vector<PointR1> seg_t, seg_s;
+  std::vector<uint8_t> t_any, s_any;
+};
+
+// Scalar fold of one chain: the classic descending S/T chains over its
+// bucket range. The reference the lane fold must match bit for bit.
+void fold_chain(const StreamCtx& S, size_t chain, FoldOut& out) {
+  const size_t len = S.cfg.seg_len, lo = chain * len;
+  PointR1 sp{}, tp{};
+  bool sa = false, ta = false;
+  for (size_t b = len; b-- > 0;) {
+    const size_t g = lo + b;
+    if (S.used[g]) {
+      sp = sa ? add(sp, to_r2(S.bkt_r1[g])) : S.bkt_r1[g];
+      sa = true;
+    }
+    if (!sa) continue;  // no buckets at or above this level yet
+    tp = ta ? add(tp, to_r2(sp)) : sp;
+    ta = true;
+  }
+  if (ta) out.seg_t[chain] = tp;
+  if (sa) out.seg_s[chain] = sp;
+  out.t_any[chain] = ta;
+  out.s_any[chain] = sa;
+}
+
+// ---------------------------------------------------------------------------
+// Lane-parallel fold. The chains of a fold group all advance one bucket
+// level per step, and each step's S and T additions run as one SoA pass
+// over the group through the active lane kernels. LaneCol is the field type
+// that makes that pass point.hpp's own formulas: one F_{p^2} value per
+// chain, held as split re/im columns of a FoldArena, whose +, - and * run
+// fp2_add, fp2_sub and fp2_mul over the whole column (the way trace::Fp2Var
+// runs the same templates to record a trace).
+
+// Whether the lane fold runs: only on a vector kernel table, since on avx2
+// and generic (group 1) the composed lane formulas do not beat the scalar
+// adds. The Straus/Pippenger crossover follows the same test.
+bool lane_fold(bool lanes) { return lanes && field::lanes::active().group > 1; }
+
+// Chains per fold group: the parallel grain of the lane fold.
+constexpr size_t kFoldGroup = 64;
+
+// Arena columns: the 2d constant, the S, T and gathered-bucket points (5
+// each), and the temporaries of one add(p, to_r2(q)) — 5 in to_r2, 14 in
+// add.
+constexpr size_t kFoldColumns = 1 + 3 * 5 + 5 + 14;
+
+struct FoldArena;
+
+struct LaneCol {
+  FoldArena* arena;
+  u128* re;
+  u128* im;
+};
+
+// Bump allocator of n-lane columns, n a multiple of the kernel group so no
+// call leaves the vector path. Formula temporaries come off the top and are
+// released together by rewinding to a mark. Columns start zeroed and are
+// only ever written by kernels or copies of canonical values, so every lane
+// — padding and skipped chains included — holds a canonical element.
+struct FoldArena {
+  const field::lanes::Kernels& k;
+  size_t n, cap, top = 0;
+  std::vector<u128> buf;
+
+  FoldArena(const field::lanes::Kernels& kern, size_t lanes, size_t columns)
+      : k(kern), n(lanes), cap(columns), buf(2 * lanes * columns) {}
+  LaneCol col() {
+    FOURQ_CHECK_MSG(top < cap, "fold arena exhausted");
+    u128* p = buf.data() + 2 * n * top++;
+    return LaneCol{this, p, p + n};
+  }
+};
+
+LaneCol lane_op(decltype(field::lanes::Kernels::fp2_mul) kernel, const LaneCol& a,
+                const LaneCol& b) {
+  const LaneCol r = a.arena->col();
+  kernel(a.re, a.im, b.re, b.im, r.re, r.im, a.arena->n);
+  return r;
+}
+LaneCol operator+(const LaneCol& a, const LaneCol& b) { return lane_op(a.arena->k.fp2_add, a, b); }
+LaneCol operator-(const LaneCol& a, const LaneCol& b) { return lane_op(a.arena->k.fp2_sub, a, b); }
+LaneCol operator*(const LaneCol& a, const LaneCol& b) { return lane_op(a.arena->k.fp2_mul, a, b); }
+
+using LanePoint = R1T<LaneCol>;
+constexpr LaneCol LanePoint::*kLaneCoords[] = {&LanePoint::X, &LanePoint::Y, &LanePoint::Z,
+                                               &LanePoint::Ta, &LanePoint::Tb};
+constexpr Fp2 PointR1::*kCoords[] = {&PointR1::X, &PointR1::Y, &PointR1::Z, &PointR1::Ta,
+                                     &PointR1::Tb};
+
+LanePoint lane_point(FoldArena& A) { return {A.col(), A.col(), A.col(), A.col(), A.col()}; }
+
+void put_lane(const LanePoint& d, size_t i, const PointR1& v) {
+  for (int c = 0; c < 5; ++c)
+    field::lanes::split(v.*kCoords[c], (d.*kLaneCoords[c]).re[i], (d.*kLaneCoords[c]).im[i]);
+}
+
+PointR1 get_lane(const LanePoint& s, size_t i) {
+  PointR1 v;
+  for (int c = 0; c < 5; ++c)
+    v.*kCoords[c] =
+        field::lanes::join_unchecked((s.*kLaneCoords[c]).re[i], (s.*kLaneCoords[c]).im[i]);
+  return v;
+}
+
+void copy_lane(const LanePoint& d, const LanePoint& s, size_t i) {
+  for (int c = 0; c < 5; ++c) {
+    (d.*kLaneCoords[c]).re[i] = (s.*kLaneCoords[c]).re[i];
+    (d.*kLaneCoords[c]).im[i] = (s.*kLaneCoords[c]).im[i];
+  }
+}
+
+size_t fold_lanes_for(size_t count) {
+  const size_t g = static_cast<size_t>(field::lanes::active().group);
+  return (count + g - 1) / g * g;
+}
+
+// Working memory of one fold group: its arena plus three flags per chain.
+size_t fold_scratch_bytes(size_t count) {
+  return 2 * fold_lanes_for(count) * kFoldColumns * sizeof(u128) + 3 * count;
+}
+
+// Folds chains [first, first + count) as one lane group; each chain's
+// result is bitwise fold_chain's. Every lane computes every step's
+// additions, and per-lane selects replay the scalar chain's control flow:
+// an addition is kept only where fold_chain performs it, a chain's first
+// occupied bucket is copied into S instead of added, and an unused bucket
+// leaves S untouched.
+void fold_lanes(const StreamCtx& S, size_t first, size_t count, FoldOut& out) {
+  FoldArena A(field::lanes::active(), fold_lanes_for(count), kFoldColumns);
+  const LaneCol two_d = A.col();
+  for (size_t i = 0; i < A.n; ++i) field::lanes::split(curve_2d(), two_d.re[i], two_d.im[i]);
+  const LanePoint sp = lane_point(A), tp = lane_point(A), bk = lane_point(A);
+  const size_t mark = A.top;
+  std::vector<uint8_t> hit(count), sa(count, 0), ta(count, 0);
+  const size_t len = S.cfg.seg_len;
+  for (size_t b = len; b-- > 0;) {
+    bool s_add = false;
+    for (size_t i = 0; i < count; ++i) {
+      const size_t g = (first + i) * len + b;
+      hit[i] = S.used[g];
+      if (!hit[i]) continue;
+      put_lane(bk, i, S.bkt_r1[g]);
+      s_add |= sa[i] != 0;
+    }
+    if (s_add) {
+      const LanePoint r = add(sp, to_r2(bk, two_d));
+      for (size_t i = 0; i < count; ++i)
+        if (hit[i] && sa[i]) copy_lane(sp, r, i);
+      A.top = mark;
+    }
+    bool t_add = false;
+    for (size_t i = 0; i < count; ++i) {
+      if (hit[i] && !sa[i]) {  // first hit: S starts at this bucket
+        copy_lane(sp, bk, i);
+        sa[i] = 1;
+      }
+      t_add |= ta[i] != 0;
+    }
+    if (t_add) {
+      const LanePoint r = add(tp, to_r2(sp, two_d));
+      for (size_t i = 0; i < count; ++i)
+        if (ta[i]) copy_lane(tp, r, i);
+      A.top = mark;
+    }
+    for (size_t i = 0; i < count; ++i) {
+      if (sa[i] && !ta[i]) {  // T starts at S's first non-empty level
+        copy_lane(tp, sp, i);
+        ta[i] = 1;
+      }
+    }
+  }
+  for (size_t i = 0; i < count; ++i) {
+    const size_t chain = first + i;
+    if (ta[i]) out.seg_t[chain] = get_lane(tp, i);
+    if (sa[i]) out.seg_s[chain] = get_lane(sp, i);
+    out.t_any[chain] = ta[i];
+    out.s_any[chain] = sa[i];
+  }
 }
 
 // The streaming core: pull chunks until the source is exhausted, then fold
@@ -499,14 +693,14 @@ PointR1 run_stream(StreamCtx& S, const MsmTermSource& src) {
     S.c2_im.assign(cfg.chunk, curve_2d().im().raw());
     stage_soa = 6 * cfg.chunk * sizeof(u128);
   }
-  const size_t ncell = static_cast<size_t>(cfg.nwin) * static_cast<size_t>(cfg.nseg);
+  const size_t ncell = (nbkt + cfg.cell_len - 1) / cfg.cell_len;
   S.cell_pending.resize(ncell);
   // Staged arrays plus one in-flight cell's scheduling scratch (defer
   // buffers + claim bitmaps); the pending lists themselves are metered as
   // their capacity grows below.
   S.mem_add(cfg.chunk * (sizeof(ScalarPoint) + sizeof(Affine) +
                          sizeof(PointR2Aff) + sizeof(BucketIns)) +
-            stage_soa + 2 * cfg.half);
+            stage_soa + 2 * cfg.cell_len);
 
   using clk = std::chrono::steady_clock;
   const auto ms_since = [](clk::time_point t0) {
@@ -528,39 +722,26 @@ PointR1 run_stream(StreamCtx& S, const MsmTermSource& src) {
     S.pend_bytes = pend;
     if (staged == 0) continue;
     t0 = clk::now();
-    run_tasks(S.par, ncell, [&](size_t cell) {
-      insert_cell(S, cell / static_cast<size_t>(cfg.nseg),
-                  cell % static_cast<size_t>(cfg.nseg));
-    });
+    run_tasks(S.par, ncell, [&](size_t cell) { insert_cell(S, cell); });
     S.st.insert_ms += ms_since(t0);
   }
   const auto t_fold = clk::now();
 
-  // Per-cell fold: descending S/T chains over the cell's bucket range.
-  std::vector<PointR1> segT(ncell), segS(ncell);
-  std::vector<uint8_t> t_any(ncell, 0), s_any(ncell, 0);
-  S.mem_add(ncell * (2 * sizeof(PointR1) + 2));
-  run_tasks(S.par, ncell, [&](size_t cell) {
-    const size_t j = cell / static_cast<size_t>(cfg.nseg);
-    const size_t s = cell % static_cast<size_t>(cfg.nseg);
-    const size_t lo = j * cfg.half + s * cfg.seg_len;
-    PointR1 sp{}, tp{};
-    bool sa = false, ta = false;
-    for (size_t b = cfg.seg_len; b-- > 0;) {
-      const size_t g = lo + b;
-      if (S.used[g]) {
-        sp = sa ? add(sp, to_r2(S.bkt_r1[g])) : S.bkt_r1[g];
-        sa = true;
-      }
-      if (!sa) continue;  // no buckets at or above this level yet
-      tp = ta ? add(tp, to_r2(sp)) : sp;
-      ta = true;
-    }
-    if (ta) segT[cell] = tp;
-    if (sa) segS[cell] = sp;
-    t_any[cell] = ta;
-    s_any[cell] = sa;
-  });
+  // Per-chain fold, lane-parallel in groups of chains where lane_fold
+  // allows. The metered scratch is one in-flight group's.
+  const size_t nchain = static_cast<size_t>(cfg.nwin) * static_cast<size_t>(cfg.nseg);
+  FoldOut fold{std::vector<PointR1>(nchain), std::vector<PointR1>(nchain),
+               std::vector<uint8_t>(nchain, 0), std::vector<uint8_t>(nchain, 0)};
+  S.mem_add(nchain * (2 * sizeof(PointR1) + 2));
+  if (lane_fold(cfg.lanes)) {
+    S.mem_add(fold_scratch_bytes(std::min(nchain, kFoldGroup)));
+    run_tasks(S.par, (nchain + kFoldGroup - 1) / kFoldGroup, [&](size_t grp) {
+      const size_t first = grp * kFoldGroup;
+      fold_lanes(S, first, std::min(kFoldGroup, nchain - first), fold);
+    });
+  } else {
+    run_tasks(S.par, nchain, [&](size_t chain) { fold_chain(S, chain, fold); });
+  }
 
   // Deterministic combine, MSB-first.
   PointR1 q{};
@@ -572,17 +753,17 @@ PointR1 run_stream(StreamCtx& S, const MsmTermSource& src) {
     PointR1 w{};
     bool wa = false;
     for (size_t s = static_cast<size_t>(cfg.nseg); s-- > 0;) {
-      const size_t cell = j * static_cast<size_t>(cfg.nseg) + s;
-      if (!t_any[cell]) continue;
-      w = wa ? add(w, to_r2(segT[cell])) : segT[cell];
+      const size_t chain = j * static_cast<size_t>(cfg.nseg) + s;
+      if (!fold.t_any[chain]) continue;
+      w = wa ? add(w, to_r2(fold.seg_t[chain])) : fold.seg_t[chain];
       wa = true;
     }
     PointR1 r{}, u{};
     bool ra = false, ua = false;
     for (int s = cfg.nseg - 1; s >= 1; --s) {
-      const size_t cell = j * static_cast<size_t>(cfg.nseg) + static_cast<size_t>(s);
-      if (s_any[cell]) {
-        r = ra ? add(r, to_r2(segS[cell])) : segS[cell];
+      const size_t chain = j * static_cast<size_t>(cfg.nseg) + static_cast<size_t>(s);
+      if (fold.s_any[chain]) {
+        r = ra ? add(r, to_r2(fold.seg_s[chain])) : fold.seg_s[chain];
         ra = true;
       }
       if (!ra) continue;
@@ -624,6 +805,9 @@ PipConfig resolve_pip(const MsmOptions& opts, size_t live, size_t total_bits,
   cfg.seg_len = cfg.half / static_cast<size_t>(cfg.nseg);
   cfg.seg_log = 0;
   while ((size_t{1} << cfg.seg_log) < cfg.seg_len) ++cfg.seg_log;
+  cfg.cell_len = std::max(cfg.seg_len, kMinCellBuckets);
+  cfg.cell_log = 0;
+  while ((size_t{1} << cfg.cell_log) < cfg.cell_len) ++cfg.cell_log;
   cfg.chunk = opts.chunk ? opts.chunk : kMsmDefaultChunk;
   return cfg;
 }
@@ -709,8 +893,8 @@ const char* msm_backend_name(MsmBackend b) {
 
 MsmBackend msm_choose_backend(size_t n_terms, const MsmOptions& opts) {
   if (opts.backend != MsmBackend::kAuto) return opts.backend;
-  return n_terms < kPippengerMinTerms ? MsmBackend::kStraus
-                                      : MsmBackend::kPippenger;
+  const size_t min_terms = lane_fold(opts.lanes) ? kPippengerMinTermsLaneFold : kPippengerMinTerms;
+  return n_terms < min_terms ? MsmBackend::kStraus : MsmBackend::kPippenger;
 }
 
 PointR1 multi_scalar_mul(const std::vector<ScalarPoint>& terms,

@@ -13,16 +13,21 @@
 //                  pipeline: terms are consumed in bounded-memory chunks
 //                  (normalise + digit-decompose per chunk) while the
 //                  buckets persist across chunks, so peak memory is
-//                  O(buckets + chunk), not O(n). Each window's bucket range
-//                  is split into segments — the (window, segment) grid is
-//                  the parallel axis (MsmOptions::parallel) — and a
+//                  O(buckets + chunk), not O(n). Insertion runs over cells
+//                  of at least 64 buckets (a bucket segment of one window,
+//                  or several narrow windows) as 16-lane kernel waves; the
+//                  fold runs one S/T chain per (window, segment), all
+//                  chains of a group advancing together through the lane
+//                  kernels on a vector table. Cells and chain groups are
+//                  the parallel axis (MsmOptions::parallel), and a
 //                  deterministic MSB-first combine keeps the result bitwise
 //                  independent of chunking and thread count.
 //
-// kAuto picks by a calibrated crossover (bench/bench_msm.cpp measures it).
-// Both backends return the same group element; after to_affine() the
-// coordinates are bit-identical across backends, chunk sizes and thread
-// counts.
+// kAuto picks by a crossover calibrated with bench/bench_msm.cpp: Pippenger
+// from 12 terms where the lane fold runs (a vector kernel table, lanes on),
+// from 40 on the scalar fold. Both backends return the same group element;
+// after to_affine() the coordinates are bit-identical across backends,
+// chunk sizes and thread counts.
 #pragma once
 
 #include <cstddef>
@@ -67,7 +72,7 @@ struct MsmStats {
   size_t terms = 0;         // live (non-zero-scalar) input terms
   size_t sub_terms = 0;     // Pippenger bucket-insertion terms (== terms)
   size_t chunks = 0;        // streamed chunks consumed
-  size_t bucket_waves = 0;  // 8-wide lane-kernel mixed-add waves
+  size_t bucket_waves = 0;  // 16-lane lane-kernel mixed-add waves
   size_t peak_bytes = 0;    // peak bytes of MSM-owned working memory
   // Wall-time phase split of the streaming pipeline (milliseconds): chunk
   // staging (normalise + digit routing), bucket insertion, final fold.
@@ -81,19 +86,22 @@ struct MsmOptions {
   // Pippenger bucket window width c in bits (buckets per window: 2^(c-1)).
   // 0 = choose by minimising the predicted add count for the term set.
   int window = 0;
-  // Optional parallel executor for the Pippenger (window, bucket-segment)
-  // grid. Results are bitwise independent of whether/how this runs (each
-  // cell owns a disjoint bucket range, scans terms in a fixed order, and
-  // the fold combines cells in a fixed MSB-first order).
+  // Optional parallel executor for the Pippenger insertion cells and fold
+  // chain groups. Results are bitwise independent of whether/how this runs
+  // (each cell owns a disjoint bucket range and scans terms in a fixed
+  // order, each fold chain is computed the same way in any group, and the
+  // combine runs in a fixed MSB-first order).
   MsmParallelFor parallel;
   // Streaming chunk: how many input terms are staged (normalised +
   // digit-decomposed) at once. Buckets persist across chunks, so peak
   // memory is O(buckets + chunk) while the result stays bitwise invariant
   // to the chunk size. 0 = default (16384).
   size_t chunk = 0;
-  // Lane-kernel bucket insertion (8-wide SoA mixed-add waves). false forces
-  // the scalar one-add-at-a-time path: the bitwise reference the lane waves
-  // are tested against and bench_msm_large's truly-serial configuration.
+  // Lane-kernel bucket insertion (16-lane SoA mixed-add waves) and, on a
+  // vector kernel table, the lane-parallel fold. false forces the scalar
+  // one-add-at-a-time insertion and fold: the bitwise reference the lane
+  // paths are tested against and bench_msm_large's truly-serial
+  // configuration.
   bool lanes = true;
   // Optional per-call stats sink (see MsmStats).
   MsmStats* stats = nullptr;

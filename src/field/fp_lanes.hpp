@@ -104,6 +104,10 @@ struct Kernels {
   // wave (run_lanes' fp2 kernels) pad a partial wave to a multiple with
   // copies of lane 0 and discard the padded outputs. 8 for avx512; 1 means
   // padding buys nothing (generic; avx2, whose pt_addmix is generic).
+  // group > 1 also selects the MSM's lane-parallel bucket fold (composed
+  // fp2 kernel calls, padded to a multiple of group) and its lower
+  // Straus/Pippenger crossover: on the group-1 tables the composed fold
+  // does not beat scalar point additions.
   int group;
 };
 

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <functional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -171,6 +172,25 @@ TEST(MsmStream, BucketGridIsThreadCountInvariantAt2p16) {
     EXPECT_GT(calls.load(), 0u);
     expect_bitwise(got, want, "pool vs serial");
   }
+
+  // The batch-verify shape (every other scalar 128-bit) at c <= 6: each
+  // insertion cell spans several windows and the fold runs as more than
+  // one lane group of chains.
+  std::vector<ScalarPoint> verify = chain_terms(64, 0x64);
+  for (size_t i = 0; i < verify.size(); i += 2) {
+    verify[i].k.w[2] = verify[i].k.w[3] = 0;
+    verify[i].bits = 128;
+  }
+  const PointR1 want_small = multi_scalar_mul(verify, serial);
+  EXPECT_LE(st.window, 6);
+  for (unsigned nthreads : {1u, 2u, 8u}) {
+    std::atomic<size_t> calls{0};
+    MsmOptions par = serial;
+    par.stats = nullptr;
+    par.parallel = thread_pool_hook(nthreads, &calls);
+    expect_bitwise(multi_scalar_mul(verify, par), want_small, "verify shape: pool vs serial");
+    EXPECT_GT(calls.load(), 0u) << nthreads << " workers";
+  }
 }
 
 TEST(MsmStream, PlantedZeroAndIdentityTermsAtScale) {
@@ -267,6 +287,30 @@ TEST(MsmStream, LaneWavesOffMatchesBitwise) {
   PointR1 got = multi_scalar_mul(terms, off);
   EXPECT_EQ(st_off.bucket_waves, 0u);
   expect_bitwise(got, want, "scalar adds vs lane waves");
+
+  // Lanes on (wave insertion, plus the lane fold on a vector kernel table)
+  // against the scalar reference at every window the cost model can pick:
+  // 128-bit, 256-bit and half-zero scalar sets, from one term (all but a
+  // few chains empty) to 500 (dense windows; below c = 7 each insertion
+  // cell spans several windows).
+  for (size_t count : {size_t{1}, size_t{17}, size_t{64}, size_t{500}}) {
+    for (int kind = 0; kind < 3; ++kind) {
+      std::vector<ScalarPoint> set = chain_terms(count, 0x1a9e5 + count, kind == 0 ? 128 : 256);
+      if (kind == 2)
+        for (size_t i = 1; i < count; i += 2) set[i].k = U256();
+      for (int window = 2; window <= 13; ++window) {
+        SCOPED_TRACE("n=" + std::to_string(count) + " kind=" + std::to_string(kind) +
+                     " window=" + std::to_string(window));
+        MsmOptions lanes_on;
+        lanes_on.backend = MsmBackend::kPippenger;
+        lanes_on.window = window;
+        MsmOptions lanes_off = lanes_on;
+        lanes_off.lanes = false;
+        expect_bitwise(multi_scalar_mul(set, lanes_on), multi_scalar_mul(set, lanes_off),
+                       "lanes on vs lanes off");
+      }
+    }
+  }
 }
 
 TEST(MsmStream, SegmentOverrideKeepsTheSum) {

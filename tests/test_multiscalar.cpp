@@ -9,6 +9,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "curve/scalarmul.hpp"
+#include "field/fp_lanes.hpp"
 
 namespace fourq::curve {
 namespace {
@@ -209,8 +210,9 @@ std::vector<ScalarPoint> random_terms(size_t n, uint64_t seed) {
 
 TEST(MsmBackends, AgreeWithNaiveSumAcrossSizes) {
   // n straddles both crossovers: 0/1/2 (degenerate + Straus), 33 (Straus
-  // with width 5), 257 (Pippenger territory). The two larger sets open with
-  // limb-boundary scalars: 1, 2^64-1, 2^192*(2^64-1) and 2^256-1.
+  // width 5; between the lane-fold and scalar-fold crossovers), 257
+  // (Pippenger territory). The two larger sets open with limb-boundary
+  // scalars: 1, 2^64-1, 2^192*(2^64-1) and 2^256-1.
   const U256 edges[] = {U256(1), U256(~0ull, 0, 0, 0), U256(0, 0, 0, ~0ull),
                         U256(~0ull, ~0ull, ~0ull, ~0ull)};
   for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{33}, size_t{257}}) {
@@ -329,9 +331,18 @@ TEST(MsmBackends, ParallelExecutionIsBitwiseStable) {
 }
 
 TEST(MsmBackends, AutoCrossoverAndNames) {
+  // Pippenger takes over at 12 terms where the lane fold runs (a vector
+  // kernel table, lanes on) and at 40 on the scalar fold.
+  const size_t crossover = field::lanes::active().group > 1 ? 12 : 40;
   EXPECT_EQ(msm_choose_backend(1), MsmBackend::kStraus);
   EXPECT_EQ(msm_choose_backend(2), MsmBackend::kStraus);
+  EXPECT_EQ(msm_choose_backend(crossover - 1), MsmBackend::kStraus);
+  EXPECT_EQ(msm_choose_backend(crossover), MsmBackend::kPippenger);
   EXPECT_EQ(msm_choose_backend(4096), MsmBackend::kPippenger);
+  MsmOptions scalar_fold;
+  scalar_fold.lanes = false;
+  EXPECT_EQ(msm_choose_backend(39, scalar_fold), MsmBackend::kStraus);
+  EXPECT_EQ(msm_choose_backend(40, scalar_fold), MsmBackend::kPippenger);
   MsmOptions forced;
   forced.backend = MsmBackend::kStraus;
   EXPECT_EQ(msm_choose_backend(4096, forced), MsmBackend::kStraus);

@@ -1273,13 +1273,15 @@ int run_batch(const trace::SmTraceOptions& topt, const sched::CompileOptions& co
                 items.size(), ind_ms, ver_ms > 0 ? ind_ms / ver_ms : 0.0);
     if (obs::compiled_in()) {
       // One-line curve.msm.* summary of every MSM the verification ran
-      // (telemetry was reset at the top of this invocation).
+      // (telemetry was reset at the top of this invocation). terms counts
+      // both backends, whichever the crossover picked.
       obs::Registry& mreg = obs::global().metrics;
+      uint64_t terms = 0;
+      for (const char* b : {"straus", "pippenger"})
+        terms += mreg.counter("curve.msm.terms", obs::Labels{{"backend", b}}).value();
       std::printf("  msm: calls=%llu terms=%llu chunks=%llu waves=%llu peak=%.0f KB\n",
                   static_cast<unsigned long long>(mreg.counter("curve.msm.calls").value()),
-                  static_cast<unsigned long long>(
-                      mreg.counter("curve.msm.terms", obs::Labels{{"backend", "pippenger"}})
-                          .value()),
+                  static_cast<unsigned long long>(terms),
                   static_cast<unsigned long long>(mreg.counter("curve.msm.chunks").value()),
                   static_cast<unsigned long long>(
                       mreg.counter("curve.msm.bucket_waves").value()),
