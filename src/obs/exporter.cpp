@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -214,18 +213,6 @@ bool SnapshotExporter::write_snapshot() {
   }
   snapshots_.fetch_add(1, std::memory_order_relaxed);
   return true;
-}
-
-std::unique_ptr<SnapshotExporter> SnapshotExporter::from_env(Telemetry& telemetry) {
-  const char* dir = std::getenv("FOURQ_OBS_EXPORT_DIR");
-  if (!dir || !*dir) return nullptr;
-  ExporterOptions opt;
-  opt.dir = dir;
-  if (const char* iv = std::getenv("FOURQ_OBS_EXPORT_INTERVAL_MS"); iv && *iv) {
-    int v = std::atoi(iv);
-    if (v > 0) opt.interval_ms = v;
-  }
-  return std::make_unique<SnapshotExporter>(telemetry, std::move(opt));
 }
 
 }  // namespace fourq::obs

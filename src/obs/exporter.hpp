@@ -12,14 +12,12 @@
 // Every write is atomic (tmp file + rename), so a scraper reading on its
 // own schedule never sees a torn snapshot. `fourqc batch` starts one when
 // $FOURQ_OBS_EXPORT_DIR is set; `fourqc stats` pretty-prints or tails the
-// result. This is the surface the future `fourqd` service will serve over
-// TCP — keep it free of engine dependencies.
+// result.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -70,10 +68,6 @@ class SnapshotExporter {
   // (also used by write_snapshot); exposed so tests and future serving
   // layers can render without touching the filesystem.
   std::string metrics_json_v1() const;
-
-  // Reads $FOURQ_OBS_EXPORT_DIR / $FOURQ_OBS_EXPORT_INTERVAL_MS; returns
-  // nullptr when the directory variable is unset or empty.
-  static std::unique_ptr<SnapshotExporter> from_env(Telemetry& telemetry);
 
  private:
   void run();

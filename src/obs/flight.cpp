@@ -65,18 +65,18 @@ void FlightRecorder::configure(const FlightConfig& cfg) {
   seen_.store(0, std::memory_order_relaxed);
 }
 
-uint16_t FlightRecorder::intern_locked(const std::string& name) {
+uint16_t FlightRecorder::intern_locked(std::string_view name) {
   auto it = name_ids_.find(name);
   if (it != name_ids_.end()) return it->second;
   if (names_.size() >= kMaxNames) return 0;  // "(other)"
   uint16_t id = static_cast<uint16_t>(names_.size());
-  names_.push_back(name);
+  names_.emplace_back(name);
   name_ids_.emplace(name, id);
   names_bytes_ += 2 * name.size();  // stored in names_ and the id map
   return id;
 }
 
-void FlightRecorder::record(FlightKind kind, const std::string& name, uint64_t t_us,
+void FlightRecorder::record(FlightKind kind, std::string_view name, uint64_t t_us,
                             uint64_t dur_us, int32_t arg) {
   uint64_t n = seen_.fetch_add(1, std::memory_order_relaxed);
   uint32_t every = sample_every_.load(std::memory_order_relaxed);
@@ -168,6 +168,23 @@ std::string FlightRecorder::to_json() const {
            ",\"arg\":" + std::to_string(e.arg) + "}";
   }
   out += "]}";
+  return out;
+}
+
+std::string FlightRecorder::chrome_trace_json() const {
+  std::string out = "{\"traceEvents\":[";
+  bool first = true;
+  for (const Event& e : snapshot()) {
+    if (e.kind != FlightKind::kSpan) continue;
+    if (!first) out += ",";
+    first = false;
+    uint64_t start_us = e.t_us > e.dur_us ? e.t_us - e.dur_us : 0;  // t_us is the end
+    out += "{\"name\":\"" + json_escape(e.name) +
+           "\",\"cat\":\"fourq\",\"ph\":\"X\",\"pid\":1,\"tid\":" +
+           std::to_string(e.arg + 1) + ",\"ts\":" + std::to_string(start_us) +
+           ",\"dur\":" + std::to_string(e.dur_us) + "}";
+  }
+  out += "],\"displayTimeUnit\":\"ms\"}";
   return out;
 }
 

@@ -1,9 +1,11 @@
 // Flight recorder — a bounded ring buffer of recent telemetry events
 // (completed spans, engine task completions, cycle events, free-form marks)
-// with optional 1-in-N sampling. Unlike SpanTracer::spans(), which grows
-// without bound, the recorder holds the *last* `capacity` sampled events in
-// a fixed block of memory, so million-job runs can keep tracing on: when
-// something goes wrong at job 900k, the tail of the flight is still there.
+// with optional 1-in-N sampling. It is the only store of raw spans (the
+// span tracer keeps per-path aggregates): the recorder holds the *last*
+// `capacity` sampled events in a fixed block of memory, so million-job runs
+// can keep tracing on: when something goes wrong at job 900k, the tail of
+// the flight is still there. chrome_trace_json() renders its span events
+// as the Chrome trace `fourqc profile` writes.
 //
 // Event names are interned into a small bounded table (the vocabulary of
 // span/task names is tiny); if an unreasonable number of distinct names
@@ -16,9 +18,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fourq::obs {
@@ -43,7 +47,7 @@ class FlightRecorder {
 
   // Offers one event; it is kept only when the sampling counter selects it,
   // evicting the oldest entry once the ring is full.
-  void record(FlightKind kind, const std::string& name, uint64_t t_us, uint64_t dur_us,
+  void record(FlightKind kind, std::string_view name, uint64_t t_us, uint64_t dur_us,
               int32_t arg = -1);
 
   uint64_t seen() const { return seen_.load(std::memory_order_relaxed); }
@@ -69,6 +73,10 @@ class FlightRecorder {
 
   // {"schema":"fourq.flight.v1",...,"events":[...]}.
   std::string to_json() const;
+  // {"traceEvents":[...]} — one Chrome "X" (complete) event per span event
+  // in the ring, oldest first; tid is the tracer's thread number + 1.
+  // Loadable in chrome://tracing or https://ui.perfetto.dev.
+  std::string chrome_trace_json() const;
 
   // Drops events and resets the sampling/seen counters; keeps config.
   void reset();
@@ -81,7 +89,7 @@ class FlightRecorder {
     uint16_t name;  // index into names_
     uint8_t kind;
   };
-  uint16_t intern_locked(const std::string& name);
+  uint16_t intern_locked(std::string_view name);
 
   mutable std::mutex mu_;
   FlightConfig cfg_;
@@ -94,7 +102,7 @@ class FlightRecorder {
   uint64_t recorded_ = 0;
   uint64_t evicted_ = 0;
   std::vector<std::string> names_;           // names_[0] == "(other)"
-  std::map<std::string, uint16_t> name_ids_;
+  std::map<std::string, uint16_t, std::less<>> name_ids_;
   size_t names_bytes_ = 0;
   std::atomic<uint64_t> seen_{0};
 };

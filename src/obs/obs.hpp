@@ -33,8 +33,9 @@ struct Telemetry {
   FlightRecorder flight;
   SpanTracer spans;
 
-  // Completed spans mirror into the flight recorder's bounded ring so long
-  // runs keep a recent-history tail even once spans() grows unwieldy.
+  // Completed spans mirror into the flight recorder's bounded ring, the
+  // only raw-span store (the tracer keeps per-path aggregates); the ring's
+  // span events are what a Chrome trace shows.
   Telemetry() { spans.set_flight(&flight); }
 
   void reset() {

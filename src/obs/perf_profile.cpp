@@ -6,6 +6,7 @@
 #include <map>
 
 #include "obs/json.hpp"
+#include "obs/span.hpp"  // json_escape
 
 namespace fourq::obs {
 
@@ -40,59 +41,16 @@ double PerfSpanStat::cache_miss_rate() const {
   return cache_refs.sum > 0 ? cache_misses.sum / cache_refs.sum : 0.0;
 }
 
-PerfProfile build_perf_profile(const std::vector<SpanRecord>& spans) {
-  // Group spans per thread; within a thread, begin order (start_us ascending,
-  // parents before children on ties) lets a depth-trimmed name stack
-  // reconstruct each span's ancestor path.
-  std::map<int, std::vector<const SpanRecord*>> by_tid;
-  for (const SpanRecord& s : spans) by_tid[s.tid].push_back(&s);
-
-  std::map<std::string, PerfSpanStat> agg;
-  PerfSource best = PerfSource::kUnavailable;
-  for (auto& [tid, list] : by_tid) {
-    (void)tid;
-    std::stable_sort(list.begin(), list.end(),
-                     [](const SpanRecord* a, const SpanRecord* b) {
-                       if (a->start_us != b->start_us) return a->start_us < b->start_us;
-                       return a->depth < b->depth;
-                     });
-    std::vector<std::string> stack;
-    for (const SpanRecord* s : list) {
-      stack.resize(static_cast<size_t>(s->depth));
-      stack.push_back(s->name);
-      std::string path;
-      for (size_t i = 0; i < stack.size(); ++i) {
-        if (i) path += ';';
-        path += stack[i];
-      }
-      PerfSpanStat& st = agg[path];
-      if (st.path.empty()) {
-        st.path = path;
-        st.name = s->name;
-        st.depth = s->depth;
-      }
-      st.wall_us.add(static_cast<double>(s->dur_us));
-      if (s->has_perf) {
-        ++st.perf_n;
-        st.cycles.add(static_cast<double>(s->perf.cycles));
-        st.instructions.add(static_cast<double>(s->perf.instructions));
-        st.cache_refs.add(static_cast<double>(s->perf.cache_refs));
-        st.cache_misses.add(static_cast<double>(s->perf.cache_misses));
-        st.branch_misses.add(static_cast<double>(s->perf.branch_misses));
-        st.task_clock_ns.add(static_cast<double>(s->perf.task_clock_ns));
-        if (s->perf.source > best) best = s->perf.source;
-      }
-    }
-  }
-
-  PerfProfile p;
-  p.counters = perf_source_name(best);
-  p.spans.reserve(agg.size());
-  for (auto& [path, st] : agg) {
-    (void)path;
-    p.spans.push_back(std::move(st));
-  }
-  return p;
+void PerfSpanStat::add(double wall, const PerfDelta& perf) {
+  wall_us.add(wall);
+  if (perf.source == PerfSource::kUnavailable) return;
+  ++perf_n;
+  cycles.add(static_cast<double>(perf.cycles));
+  instructions.add(static_cast<double>(perf.instructions));
+  cache_refs.add(static_cast<double>(perf.cache_refs));
+  cache_misses.add(static_cast<double>(perf.cache_misses));
+  branch_misses.add(static_cast<double>(perf.branch_misses));
+  task_clock_ns.add(static_cast<double>(perf.task_clock_ns));
 }
 
 namespace {

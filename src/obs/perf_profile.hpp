@@ -1,12 +1,13 @@
 // fourq.perf.v1 — hardware-counter profile artifacts built from the span
 // tracer (docs/OBSERVABILITY.md).
 //
-// A profile aggregates completed spans by *span path* (the ;-joined chain of
-// ancestor names within one thread, e.g. "profile.flat_sm;asic.simulate_flat"),
-// keeping per-path sample counts, means and standard deviations of wall time
-// and of every perfctr counter. Repeated runs of the same workload therefore
-// turn directly into noise bars: each repetition contributes one more sample
-// per path. The artifact states its counter source explicitly ("hardware" /
+// A profile is the span tracer's per-path aggregate (SpanTracer::profile()):
+// one PerfSpanStat per *span path* (the ;-joined chain of ancestor names
+// within one thread, e.g. "profile.flat_sm;asic.simulate_flat"), keeping
+// sample counts, means and standard deviations of wall time and of every
+// perfctr counter. Repeated runs of the same workload therefore turn
+// directly into noise bars: each repetition contributes one more sample per
+// path. The artifact states its counter source explicitly ("hardware" /
 // "software" / "unavailable") so a zero is never mistaken for a measurement.
 //
 // On top of the aggregate:
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "obs/perfctr.hpp"
-#include "obs/span.hpp"
 
 namespace fourq::obs {
 
@@ -50,7 +50,7 @@ struct PerfAccum {
 };
 
 // One span path's aggregate. Counter accumulators only collect samples from
-// spans that actually carried counters (has_perf), tracked by perf_n.
+// spans that actually carried counters, tracked by perf_n.
 struct PerfSpanStat {
   std::string path;   // "parent;child;..." within one thread
   std::string name;   // leaf name
@@ -58,6 +58,10 @@ struct PerfSpanStat {
   PerfAccum wall_us;
   uint64_t perf_n = 0;  // spans with counters attached
   PerfAccum cycles, instructions, cache_refs, cache_misses, branch_misses, task_clock_ns;
+
+  // Folds one completed span in; `perf` counts only when its source is not
+  // kUnavailable (counters were live for the whole span).
+  void add(double wall, const PerfDelta& perf = {});
 
   double ipc() const;              // total instructions / total cycles
   double cache_miss_rate() const;  // total misses / total references
@@ -69,10 +73,6 @@ struct PerfProfile {
   std::string counters = "unavailable";
   std::vector<PerfSpanStat> spans;  // sorted by path
 };
-
-// Aggregates completed spans (SpanTracer::spans()) into a profile. Paths are
-// reconstructed per thread from each span's begin order and depth.
-PerfProfile build_perf_profile(const std::vector<SpanRecord>& spans);
 
 // The fourq.perf.v1 document (one JSON object, trailing newline included).
 std::string perf_profile_json(const PerfProfile& p, const std::string& machine_hash = "");

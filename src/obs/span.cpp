@@ -54,7 +54,7 @@ struct SpanThreadToken {
   }
 };
 
-SpanTracer::SpanTracer() : epoch_ns_(steady_ns()) {
+SpanTracer::SpanTracer() : nodes_(1), epoch_ns_(steady_ns()) {
   std::lock_guard<std::mutex> lock(tracers_mu());
   tracers().push_back(this);
 }
@@ -67,35 +67,43 @@ SpanTracer::~SpanTracer() {
 
 uint64_t SpanTracer::now_us() const { return (steady_ns() - epoch_ns_) / 1000; }
 
-int SpanTracer::tid_for_locked(uint64_t token) {
-  auto it = tids_.find(token);
-  if (it != tids_.end()) return it->second;
-  int tid = next_tid_++;
-  tids_.emplace(token, tid);
-  return tid;
+size_t SpanTracer::child_locked(size_t parent, std::string_view name) {
+  auto& kids = nodes_[parent].children;
+  if (auto it = kids.find(name); it != kids.end()) return it->second;
+  size_t id = nodes_.size();
+  kids.emplace(name, id);
+  Node n;
+  n.stat.name = name;
+  if (parent == 0) {
+    n.stat.path = name;
+  } else {
+    n.stat.path = nodes_[parent].stat.path + ';' + n.stat.name;
+    n.stat.depth = nodes_[parent].stat.depth + 1;
+  }
+  nodes_.push_back(std::move(n));
+  return id;
 }
 
 void SpanTracer::on_thread_exit(uint64_t token) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = tids_.find(token);
-  if (it == tids_.end()) return;
-  auto stack = open_.find(it->second);
-  if (stack != open_.end()) {
-    abandoned_ += stack->second.size();
-    open_.erase(stack);
-  }
-  tids_.erase(it);
+  auto it = threads_.find(token);
+  if (it == threads_.end()) return;
+  abandoned_ += it->second.stack.size();
+  threads_.erase(it);
 }
 
-void SpanTracer::begin(const std::string& name) {
+void SpanTracer::begin(std::string_view name) {
   uint64_t token = SpanThreadToken::current();
   // Counter reads touch only the calling thread's group — outside the lock.
   PerfSample perf;
   if (perf_enabled()) perf = perf_read_thread();
   uint64_t t = now_us();
   std::lock_guard<std::mutex> lock(mu_);
-  int tid = tid_for_locked(token);
-  open_[tid].push_back({name, t, perf});
+  auto it = threads_.find(token);
+  if (it == threads_.end()) it = threads_.emplace(token, Thread{next_tid_++, {}}).first;
+  std::vector<Open>& stack = it->second.stack;
+  size_t node = child_locked(stack.empty() ? 0 : stack.back().node, name);
+  stack.push_back({node, name, t, perf});
 }
 
 void SpanTracer::end() {
@@ -104,66 +112,66 @@ void SpanTracer::end() {
   if (perf_enabled()) perf_end = perf_read_thread();
   uint64_t t = now_us();
   FlightRecorder* flight = nullptr;
-  SpanRecord r;
+  std::string_view name;
+  uint64_t dur_us = 0;
+  int tid = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    int tid = tid_for_locked(token);
-    auto stack_it = open_.find(tid);
-    FOURQ_CHECK_MSG(stack_it != open_.end() && !stack_it->second.empty(),
+    auto it = threads_.find(token);
+    FOURQ_CHECK_MSG(it != threads_.end() && !it->second.stack.empty(),
                     "span end() without matching begin() on this thread");
-    std::vector<Open>& stack = stack_it->second;
-    Open o = std::move(stack.back());
-    stack.pop_back();
-    r.name = std::move(o.name);
-    r.depth = static_cast<int>(stack.size());
-    r.tid = tid;
-    r.start_us = o.start_us;
-    r.dur_us = t - o.start_us;
-    if (o.perf_begin.source != PerfSource::kUnavailable &&
-        perf_end.source != PerfSource::kUnavailable) {
-      r.perf = perf_delta(o.perf_begin, perf_end);
-      r.has_perf = r.perf.source != PerfSource::kUnavailable;
-    }
-    if (stack.empty()) open_.erase(stack_it);
-    spans_.push_back(r);
+    const Open o = it->second.stack.back();
+    it->second.stack.pop_back();
+    // kUnavailable unless counters were live at both ends of the span.
+    PerfDelta d = perf_delta(o.perf_begin, perf_end);
+    dur_us = t - o.start_us;
+    nodes_[o.node].stat.add(static_cast<double>(dur_us), d);
+    if (d.source > best_) best_ = d.source;
+    // The caller's name, not the node's: reset() may free nodes once the
+    // lock is released.
+    name = o.name;
+    tid = it->second.tid;
     flight = flight_;
   }
-  if (flight)
-    flight->record(FlightKind::kSpan, r.name, r.start_us + r.dur_us, r.dur_us, r.tid);
+  if (flight) flight->record(FlightKind::kSpan, name, t, dur_us, tid);
 }
 
-std::vector<SpanRecord> SpanTracer::spans() const {
+PerfProfile SpanTracer::profile() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return spans_;
+  PerfProfile p;
+  p.counters = perf_source_name(best_);
+  for (size_t i = 1; i < nodes_.size(); ++i)
+    if (nodes_[i].stat.wall_us.n) p.spans.push_back(nodes_[i].stat);
+  std::sort(p.spans.begin(), p.spans.end(),
+            [](const PerfSpanStat& a, const PerfSpanStat& b) { return a.path < b.path; });
+  return p;
 }
 
 int SpanTracer::open_depth() const {
   uint64_t token = SpanThreadToken::current();
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = tids_.find(token);
-  if (it == tids_.end()) return 0;
-  auto stack = open_.find(it->second);
-  return stack == open_.end() ? 0 : static_cast<int>(stack->second.size());
+  auto it = threads_.find(token);
+  return it == threads_.end() ? 0 : static_cast<int>(it->second.stack.size());
 }
 
-size_t SpanTracer::count(const std::string& name) const {
+size_t SpanTracer::count(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t n = 0;
-  for (const SpanRecord& s : spans_)
-    if (s.name == name) ++n;
+  for (const Node& node : nodes_)
+    if (node.stat.name == name) n += node.stat.wall_us.n;
   return n;
 }
 
 size_t SpanTracer::tracked_threads() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return tids_.size();
+  return threads_.size();
 }
 
 size_t SpanTracer::open_stacks() const {
   std::lock_guard<std::mutex> lock(mu_);
   size_t n = 0;
-  for (const auto& [tid, stack] : open_)
-    if (!stack.empty()) ++n;
+  for (const auto& [token, th] : threads_)
+    if (!th.stack.empty()) ++n;
   return n;
 }
 
@@ -179,60 +187,37 @@ void SpanTracer::set_flight(FlightRecorder* f) {
 
 void SpanTracer::reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  tids_.clear();
-  open_.clear();
-  spans_.clear();
+  threads_.clear();
+  nodes_.assign(1, Node{});
   next_tid_ = 0;
   abandoned_ = 0;
+  best_ = PerfSource::kUnavailable;
   epoch_ns_ = steady_ns();
-}
-
-std::string SpanTracer::chrome_trace_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  for (const SpanRecord& s : spans_) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"name\":\"" + json_escape(s.name) +
-           "\",\"cat\":\"fourq\",\"ph\":\"X\",\"pid\":1,\"tid\":" +
-           std::to_string(s.tid + 1) + ",\"ts\":" + std::to_string(s.start_us) +
-           ",\"dur\":" + std::to_string(s.dur_us) +
-           ",\"args\":{\"depth\":" + std::to_string(s.depth) + "}}";
-  }
-  out += "],\"displayTimeUnit\":\"ms\"}";
-  return out;
 }
 
 std::string SpanTracer::to_table() const {
   std::lock_guard<std::mutex> lock(mu_);
-  // Spans complete children-first; re-emit in start order for readability,
-  // grouping each thread's spans together.
-  std::vector<const SpanRecord*> by_start;
-  by_start.reserve(spans_.size());
-  for (const SpanRecord& s : spans_) by_start.push_back(&s);
-  std::stable_sort(by_start.begin(), by_start.end(),
-                   [](const SpanRecord* a, const SpanRecord* b) {
-                     if (a->tid != b->tid) return a->tid < b->tid;
-                     if (a->start_us != b->start_us) return a->start_us < b->start_us;
-                     return a->depth < b->depth;  // parents before ties
-                   });
-  bool multi_thread = !by_start.empty() && by_start.back()->tid != by_start.front()->tid;
   std::string out;
   char line[192];
-  int cur_tid = -1;
-  for (const SpanRecord* s : by_start) {
-    if (multi_thread && s->tid != cur_tid) {
-      cur_tid = s->tid;
-      std::snprintf(line, sizeof line, "-- thread %d --\n", cur_tid);
-      out += line;
+  std::snprintf(line, sizeof line, "%-44s %8s %12s %12s\n", "span path", "n", "total ms",
+                "mean ms");
+  out += line;
+  // Depth-first, siblings by name, so children sit under their parent.
+  auto walk = [&](auto& self, size_t id) -> void {
+    for (const auto& [name, kid] : nodes_[id].children) {
+      const PerfSpanStat& s = nodes_[kid].stat;
+      if (s.wall_us.n) {
+        std::string label(static_cast<size_t>(2 * s.depth), ' ');
+        label += s.name;
+        std::snprintf(line, sizeof line, "%-44s %8llu %12.3f %12.3f\n", label.c_str(),
+                      static_cast<unsigned long long>(s.wall_us.n), s.wall_us.sum / 1000.0,
+                      s.wall_us.mean() / 1000.0);
+        out += line;
+      }
+      self(self, kid);
     }
-    std::string name(static_cast<size_t>(2 * s->depth), ' ');
-    name += s->name;
-    std::snprintf(line, sizeof line, "%-44s %12.3f ms  (at +%.3f ms)\n", name.c_str(),
-                  s->dur_us / 1000.0, s->start_us / 1000.0);
-    out += line;
-  }
+  };
+  walk(walk, 0);
   return out;
 }
 

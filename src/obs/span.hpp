@@ -1,7 +1,9 @@
 // Scoped span tracer — nested wall-clock timing for the software pipeline
 // (decompose/precompute/loop/normalize, scheduler stages, simulation).
-// Completed spans export as Chrome trace_event JSON ("X" complete events),
-// loadable in chrome://tracing or https://ui.perfetto.dev.
+// A span's path (the ;-joined names open on its thread) is resolved at
+// begin(); end() folds the span into that path's PerfSpanStat. Memory grows
+// with distinct paths, not spans, and a span allocates nothing once its path
+// and thread are known. Raw spans live only in the attached flight ring.
 //
 // Thread safety: begin()/end() maintain a per-thread open-span stack, so
 // nesting is tracked correctly when the batch engine's worker pool traces
@@ -10,36 +12,25 @@
 // a recycled id would silently inherit a dead worker's open stack). A
 // thread-exit hook releases the thread's bookkeeping in every live tracer,
 // so pools that shrink and regrow (BatchEngine re-creation) neither leak
-// entries nor leave orphaned open spans. All state is guarded by one mutex —
-// spans mark millisecond-scale pipeline stages, not per-cycle work, so the
-// lock is far off any hot path. Exported records carry a small stable `tid`
-// (assigned in first-begin order) rather than the raw thread identity.
+// entries nor leave orphaned open spans. All state is guarded by one mutex.
+// Flight records carry a small stable `tid` (assigned in first-begin order)
+// rather than the raw thread identity.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "obs/perf_profile.hpp"
 #include "obs/perfctr.hpp"
 
 namespace fourq::obs {
 
 class FlightRecorder;
-
-struct SpanRecord {
-  std::string name;
-  int depth = 0;         // nesting level at begin time (0 = top level)
-  int tid = 0;           // tracer-assigned thread number (0 = first tracing thread)
-  uint64_t start_us = 0; // microseconds since the tracer epoch
-  uint64_t dur_us = 0;
-  // Hardware-counter increments across the span (obs/perfctr). Populated
-  // only when sampling was enabled for the whole span on its thread;
-  // has_perf distinguishes "zero cycles" from "not measured".
-  bool has_perf = false;
-  PerfDelta perf;
-};
 
 class SpanTracer {
  public:
@@ -48,17 +39,19 @@ class SpanTracer {
   SpanTracer(const SpanTracer&) = delete;
   SpanTracer& operator=(const SpanTracer&) = delete;
 
-  void begin(const std::string& name);
+  // `name` is not copied per span: it must stay valid until the matching
+  // end() (FOURQ_SPAN passes a string literal).
+  void begin(std::string_view name);
   void end();
 
-  // Snapshot of completed spans, in completion order (children before
-  // parents within a thread).
-  std::vector<SpanRecord> spans() const;
+  // Every completed span, aggregated per path and sorted by path.
+  PerfProfile profile() const;
   // Open-span nesting depth of the *calling* thread.
   int open_depth() const;
-  // Number of completed spans with this exact name (any thread). Used by
-  // `fourqc batch` to prove a warm cache ran zero sched.compile spans.
-  size_t count(const std::string& name) const;
+  // Completed spans named `name` (the summed counts of the paths whose
+  // leaf is `name`, any thread). Used by `fourqc batch` to prove a warm
+  // cache ran zero sched.compile spans.
+  size_t count(std::string_view name) const;
 
   // Live threads this tracer currently tracks (drops to the surviving
   // traced threads as workers exit — regression surface for the
@@ -70,43 +63,50 @@ class SpanTracer {
   uint64_t abandoned_spans() const;
 
   // Mirrors every completed span into `f` (subject to the recorder's own
-  // sampling policy); nullptr detaches. Telemetry wires the global tracer
-  // to the global flight recorder so long runs keep a bounded recent
-  // history even after spans() grows unwieldy.
+  // sampling policy); nullptr detaches.
   void set_flight(FlightRecorder* f);
 
-  // Microseconds since the tracer was constructed (or last reset).
-  uint64_t now_us() const;
-
-  // {"traceEvents":[...]} — one "X" (complete) event per finished span.
-  std::string chrome_trace_json() const;
-  // Indented human-readable listing (children under parents).
+  // One line per path, indented by depth: span count, total and mean time.
   std::string to_table() const;
 
-  // Drops all records and restarts the epoch. Spans still open are
+  // Drops all aggregates and restarts the epoch. Spans still open are
   // abandoned.
   void reset();
 
  private:
   friend struct SpanThreadToken;
 
+  // One node per distinct span path; nodes_[0] is the root, whose children
+  // are the top-level names.
+  struct Node {
+    PerfSpanStat stat;
+    std::map<std::string, size_t, std::less<>> children;  // leaf name -> node
+  };
   struct Open {
-    std::string name;
-    uint64_t start_us;
+    size_t node = 0;
+    std::string_view name;  // the caller's, valid until end()
+    uint64_t start_us = 0;
     PerfSample perf_begin;  // source == kUnavailable when sampling was off
   };
-  int tid_for_locked(uint64_t token);
+  struct Thread {
+    int tid = 0;             // stable small number for flight records
+    std::vector<Open> stack; // kept allocated until the thread exits
+  };
+
+  // Microseconds since the tracer was constructed (or last reset).
+  uint64_t now_us() const;
+  size_t child_locked(size_t parent, std::string_view name);
   // Called by the thread-exit hook: abandon the exiting thread's open
   // spans and drop its bookkeeping.
   void on_thread_exit(uint64_t token);
 
   mutable std::mutex mu_;
-  std::map<uint64_t, int> tids_;          // live thread token -> stable small number
-  std::map<int, std::vector<Open>> open_; // tid -> open stack (erased when empty)
+  std::map<uint64_t, Thread> threads_;  // live thread token -> its state
   int next_tid_ = 0;
   uint64_t abandoned_ = 0;
   FlightRecorder* flight_ = nullptr;
-  std::vector<SpanRecord> spans_;
+  std::vector<Node> nodes_;
+  PerfSource best_ = PerfSource::kUnavailable;  // best counter source seen
   uint64_t epoch_ns_ = 0;
 };
 

@@ -14,6 +14,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include <sys/resource.h>
+
 #include "asic/simulator.hpp"
 #include "curve/point.hpp"
 #include "obs/exporter.hpp"
@@ -297,7 +299,8 @@ TEST(Flight, CapacityAndSampling) {
 }
 
 TEST(Spans, ThreadChurnReleasesBookkeeping) {
-  SpanTracer t;
+  obs::Telemetry tel;
+  SpanTracer& t = tel.spans;
   {
     obs::ScopedSpan s(t, "main.anchor");
   }
@@ -335,9 +338,39 @@ TEST(Spans, ThreadChurnReleasesBookkeeping) {
   {
     obs::ScopedSpan s(t, "main.after");
   }
+  EXPECT_EQ(t.count("main.after"), 1u);
   std::string err;
-  obs::json::parse(t.chrome_trace_json(), &err);
+  obs::json::parse(tel.flight.chrome_trace_json(), &err);
   EXPECT_TRUE(err.empty()) << err;
+}
+
+// Every span folds into its path's aggregate as it closes, so the tracer's
+// memory is bounded by the number of distinct paths: a million spans must
+// not grow the process (the old per-span store kept ~145 bytes each).
+TEST(Spans, MemoryFlatAcrossAMillionSpans) {
+  auto max_rss_kb = [] {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<long>(ru.ru_maxrss);
+  };
+  obs::Telemetry tel;
+  SpanTracer& t = tel.spans;
+  for (int i = 0; i < 1000; ++i) {  // warm up: the path and thread exist
+    t.begin("memory.outer.span");
+    t.end();
+  }
+  const long before = max_rss_kb();
+  constexpr int kSpans = 1000000;
+  for (int i = 0; i < kSpans; ++i) {
+    t.begin("memory.outer.span");
+    t.end();
+  }
+  const long grown_kb = max_rss_kb() - before;
+  EXPECT_LE(grown_kb, 8 * 1024) << "max RSS grew " << grown_kb << " KB over " << kSpans
+                                << " spans";
+  EXPECT_EQ(t.count("memory.outer.span"), static_cast<size_t>(kSpans) + 1000);
+  EXPECT_EQ(tel.flight.seen(), static_cast<uint64_t>(kSpans) + 1000);
+  EXPECT_LE(tel.flight.size(), tel.flight.capacity());
 }
 
 TEST(Provenance, HeaderShape) {
@@ -440,7 +473,8 @@ TEST(Exporter, SnapshotRoundTrip) {
 }
 
 TEST(Spans, NestingDepths) {
-  SpanTracer t;
+  obs::Telemetry tel;
+  SpanTracer& t = tel.spans;
   t.begin("outer");
   EXPECT_EQ(t.open_depth(), 1);
   {
@@ -450,28 +484,45 @@ TEST(Spans, NestingDepths) {
   t.end();
   EXPECT_EQ(t.open_depth(), 0);
 
-  // Completion order is children-first; depth reflects nesting at begin.
-  ASSERT_EQ(t.spans().size(), 2u);
-  EXPECT_EQ(t.spans()[0].name, "inner");
-  EXPECT_EQ(t.spans()[0].depth, 1);
-  EXPECT_EQ(t.spans()[1].name, "outer");
-  EXPECT_EQ(t.spans()[1].depth, 0);
-  EXPECT_GE(t.spans()[1].dur_us, t.spans()[0].dur_us);
-  EXPECT_LE(t.spans()[1].start_us, t.spans()[0].start_us);
+  // One aggregate per path; depth reflects nesting at begin.
+  obs::PerfProfile p = t.profile();
+  ASSERT_EQ(p.spans.size(), 2u);
+  EXPECT_EQ(p.spans[0].path, "outer");
+  EXPECT_EQ(p.spans[0].depth, 0);
+  EXPECT_EQ(p.spans[1].path, "outer;inner");
+  EXPECT_EQ(p.spans[1].name, "inner");
+  EXPECT_EQ(p.spans[1].depth, 1);
+  EXPECT_EQ(p.spans[0].wall_us.n, 1u);
+  EXPECT_EQ(p.spans[1].wall_us.n, 1u);
+  EXPECT_GE(p.spans[0].wall_us.sum, p.spans[1].wall_us.sum);
+
+  // The raw spans live in the flight ring, in completion order (children
+  // first); the parent encloses the child on the timeline.
+  std::string err;
+  obs::json::ValuePtr v = obs::json::parse(tel.flight.chrome_trace_json(), &err);
+  ASSERT_TRUE(err.empty()) << err;
+  const obs::json::Value& events = v->at("traceEvents");
+  ASSERT_EQ(events.arr.size(), 2u);
+  EXPECT_EQ(events.at(0).at("name").string(), "inner");
+  EXPECT_EQ(events.at(1).at("name").string(), "outer");
+  EXPECT_GE(events.at(1).at("dur").number(), events.at(0).at("dur").number());
+  EXPECT_LE(events.at(1).at("ts").number(), events.at(0).at("ts").number());
 
   t.reset();
-  EXPECT_TRUE(t.spans().empty());
+  EXPECT_TRUE(t.profile().spans.empty());
+  EXPECT_EQ(t.count("outer"), 0u);
 }
 
 TEST(Spans, ChromeTraceJsonWellFormed) {
-  SpanTracer t;
+  obs::Telemetry tel;
+  SpanTracer& t = tel.spans;
   t.begin("phase \"a\"\n");  // name needing escaping
   t.begin("child");
   t.end();
   t.end();
 
   std::string err;
-  obs::json::ValuePtr v = obs::json::parse(t.chrome_trace_json(), &err);
+  obs::json::ValuePtr v = obs::json::parse(tel.flight.chrome_trace_json(), &err);
   ASSERT_TRUE(err.empty()) << err;
   ASSERT_TRUE(v->is_object());
   const obs::json::Value& events = v->at("traceEvents");
@@ -483,11 +534,16 @@ TEST(Spans, ChromeTraceJsonWellFormed) {
     EXPECT_EQ(e.at("cat").string(), "fourq");
     EXPECT_TRUE(e.has("ts"));
     EXPECT_TRUE(e.has("dur"));
-    EXPECT_TRUE(e.at("args").has("depth"));
   }
   // The escaped name must round-trip through the parser (spans export in
   // completion order, so the outer span is last).
   EXPECT_EQ(events.at(1).at("name").string(), "phase \"a\"\n");
+
+  // Only span events become trace events; other flight kinds stay out.
+  tel.flight.record(obs::FlightKind::kTask, "engine.task.sm", 10, 5, 0);
+  v = obs::json::parse(tel.flight.chrome_trace_json(), &err);
+  ASSERT_TRUE(err.empty()) << err;
+  EXPECT_EQ(v->at("traceEvents").arr.size(), 2u);
 }
 
 TEST(Macros, GlobalRegistryWiring) {
@@ -502,10 +558,7 @@ TEST(Macros, GlobalRegistryWiring) {
   }
   EXPECT_EQ(obs::global().metrics.counter("test.macro.calls").value(), before + 3);
   EXPECT_DOUBLE_EQ(obs::global().metrics.gauge("test.macro.gauge").value(), 3.5);
-  bool saw_span = false;
-  for (const auto& s : obs::global().spans.spans())
-    if (s.name == "test.macro.span") saw_span = true;
-  EXPECT_TRUE(saw_span);
+  EXPECT_EQ(obs::global().spans.count("test.macro.span"), 1u);
 }
 
 // Golden check: run the Table I loop body through the cycle-accurate
@@ -594,11 +647,11 @@ TEST(Json, EscapeRoundTripsControlAndHighBytes) {
   EXPECT_EQ(v->at("s").string(), nasty);
 
   // The same bytes as a span name survive the Chrome trace export.
-  SpanTracer t;
-  t.begin(nasty);
-  t.end();
+  obs::Telemetry tel;
+  tel.spans.begin(nasty);
+  tel.spans.end();
   err.clear();
-  obs::json::ValuePtr trace = obs::json::parse(t.chrome_trace_json(), &err);
+  obs::json::ValuePtr trace = obs::json::parse(tel.flight.chrome_trace_json(), &err);
   ASSERT_TRUE(err.empty()) << err;
   EXPECT_EQ(trace->at("traceEvents").at(0).at("name").string(), nasty);
 

@@ -1,9 +1,10 @@
 // Concurrency stress for the telemetry pipeline, built to run under
 // ThreadSanitizer (the CI tsan leg runs every test labeled "engine"):
-// 8 threads hammer labeled counters, shared latency histograms, and the
-// flight recorder while a snapshot exporter repeatedly drains the registry
-// from yet another thread. Final counts must be exact — relaxed atomics are
-// fine for statistics, lost updates are not.
+// 8 threads hammer labeled counters, shared latency histograms, nested
+// spans and the flight recorder while a snapshot exporter repeatedly drains
+// the registry and a reader renders the span profile and Chrome trace from
+// yet other threads. Final counts must be exact — relaxed atomics are fine
+// for statistics, lost updates are not.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -37,7 +38,19 @@ TEST(ObsStress, ConcurrentMetricsFlightAndExporter) {
   obs::SnapshotExporter exporter(tel, xopt);
   exporter.start();
 
-  std::atomic<bool> go{false};
+  std::atomic<bool> go{false}, done{false};
+  // Reads the span aggregate and the ring's Chrome trace while they change.
+  std::thread reader([&tel, &done] {
+    size_t renders = 0;
+    while (!done.load(std::memory_order_acquire) || renders == 0) {
+      obs::PerfProfile p = tel.spans.profile();
+      std::string err;
+      obs::json::parse(tel.flight.chrome_trace_json(), &err);
+      EXPECT_TRUE(err.empty()) << err;
+      EXPECT_LE(p.spans.size(), 2u);
+      ++renders;
+    }
+  });
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t)
     workers.emplace_back([&tel, &go, t] {
@@ -57,11 +70,14 @@ TEST(ObsStress, ConcurrentMetricsFlightAndExporter) {
                           static_cast<uint64_t>(i), 1, t);
         if (i % 512 == 0) {
           obs::ScopedSpan span(tel.spans, "stress.span");
+          obs::ScopedSpan inner(tel.spans, "stress.inner");
         }
       }
     });
   go.store(true, std::memory_order_release);
   for (auto& w : workers) w.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
   exporter.stop();
 
   // Exact accounting: no update may be lost under contention.
@@ -81,13 +97,19 @@ TEST(ObsStress, ConcurrentMetricsFlightAndExporter) {
   // tracer mirrors into it) and stayed within its fixed cap.
   constexpr uint64_t kSpans =
       static_cast<uint64_t>(kThreads) * ((kOpsPerThread + 511) / 512);
-  EXPECT_EQ(tel.flight.seen(), kTotal + kSpans);
+  EXPECT_EQ(tel.flight.seen(), kTotal + 2 * kSpans);
   EXPECT_LE(tel.flight.size(), tel.flight.capacity());
 
   // Spans balanced across all threads; their bookkeeping died with them.
   EXPECT_EQ(tel.spans.open_stacks(), 0u);
   EXPECT_EQ(tel.spans.tracked_threads(), 0u);
   EXPECT_EQ(tel.spans.count("stress.span"), static_cast<size_t>(kSpans));
+  obs::PerfProfile prof = tel.spans.profile();
+  ASSERT_EQ(prof.spans.size(), 2u);
+  EXPECT_EQ(prof.spans[0].path, "stress.span");
+  EXPECT_EQ(prof.spans[0].wall_us.n, kSpans);
+  EXPECT_EQ(prof.spans[1].path, "stress.span;stress.inner");
+  EXPECT_EQ(prof.spans[1].wall_us.n, kSpans);
 
   // The exporter ran concurrently and its final flush is well-formed.
   EXPECT_GE(exporter.snapshots_written(), 2u);

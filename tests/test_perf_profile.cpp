@@ -1,11 +1,14 @@
-// fourq.perf.v1 profile tests: span-path reconstruction, artifact
+// fourq.perf.v1 profile tests: span-path aggregation, artifact
 // round-trip, flamegraph folding, differential reports, and the perfctr
 // sampling layer's degradation contract (hardware -> software ->
 // unavailable must never turn into silent zeros).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -19,41 +22,53 @@ namespace {
 using obs::PerfAccum;
 using obs::PerfProfile;
 using obs::PerfSpanStat;
-using obs::SpanRecord;
 
-SpanRecord span(const char* name, int depth, int tid, uint64_t start_us,
-                uint64_t dur_us) {
-  SpanRecord s;
-  s.name = name;
-  s.depth = depth;
-  s.tid = tid;
-  s.start_us = start_us;
-  s.dur_us = dur_us;
-  return s;
-}
+// Synthetic profiles with exact durations: each sample goes through
+// PerfSpanStat::add, the same fold SpanTracer::end() applies to a closing
+// span, keyed by its ;-joined path.
+struct ProfileBuilder {
+  std::map<std::string, PerfSpanStat> stats;
+  obs::PerfSource best = obs::PerfSource::kUnavailable;
 
-SpanRecord hw_span(const char* name, int depth, int tid, uint64_t start_us,
-                   uint64_t dur_us, uint64_t cycles, uint64_t instructions) {
-  SpanRecord s = span(name, depth, tid, start_us, dur_us);
-  s.has_perf = true;
-  s.perf.cycles = cycles;
-  s.perf.instructions = instructions;
-  s.perf.cache_refs = 100;
-  s.perf.cache_misses = 10;
-  s.perf.source = obs::PerfSource::kHardware;
-  return s;
+  ProfileBuilder& span(const std::string& path, double wall_us,
+                       const obs::PerfDelta& perf = {}) {
+    PerfSpanStat& st = stats[path];
+    if (st.path.empty()) {
+      size_t cut = path.rfind(';');
+      st.path = path;
+      st.name = cut == std::string::npos ? path : path.substr(cut + 1);
+      st.depth = static_cast<int>(std::count(path.begin(), path.end(), ';'));
+    }
+    st.add(wall_us, perf);
+    if (perf.source > best) best = perf.source;
+    return *this;
+  }
+  PerfProfile profile() const {
+    PerfProfile p;
+    p.counters = obs::perf_source_name(best);
+    for (const auto& [path, st] : stats) p.spans.push_back(st);
+    return p;
+  }
+};
+
+obs::PerfDelta hw(uint64_t cycles, uint64_t instructions) {
+  obs::PerfDelta d;
+  d.cycles = cycles;
+  d.instructions = instructions;
+  d.cache_refs = 100;
+  d.cache_misses = 10;
+  d.source = obs::PerfSource::kHardware;
+  return d;
 }
 
 // Two repetitions of run{phase_a, phase_b} on one thread, plus an unrelated
-// top-level span on a second thread. Paths must be reconstructed per thread
-// from begin order and depth.
-std::vector<SpanRecord> two_rep_spans() {
-  return {
-      span("run", 0, 0, 0, 100),      span("phase_a", 1, 0, 10, 30),
-      span("phase_b", 1, 0, 50, 40),  span("run", 0, 0, 200, 120),
-      span("phase_a", 1, 0, 210, 34), span("phase_b", 1, 0, 250, 44),
-      span("io", 0, 1, 5, 7),
-  };
+// top-level span on a second thread.
+ProfileBuilder two_reps() {
+  ProfileBuilder b;
+  b.span("run;phase_a", 30).span("run;phase_b", 40).span("run", 100);
+  b.span("run;phase_a", 34).span("run;phase_b", 44).span("run", 120);
+  b.span("io", 7);
+  return b;
 }
 
 TEST(PerfAccum, StatsAndReconstruction) {
@@ -76,32 +91,69 @@ TEST(PerfAccum, StatsAndReconstruction) {
 }
 
 TEST(PerfProfile, PathReconstructionAcrossThreads) {
-  PerfProfile p = obs::build_perf_profile(two_rep_spans());
+  // The tracer resolves each span's path from its own thread's open stack:
+  // the second thread's top-level span is a root even while `run` is open
+  // on the first.
+  obs::SpanTracer t;
+  for (int rep = 0; rep < 2; ++rep) {
+    obs::ScopedSpan run(t, "run");
+    { obs::ScopedSpan a(t, "phase_a"); }
+    { obs::ScopedSpan b(t, "phase_b"); }
+    if (rep == 0) std::thread([&t] { obs::ScopedSpan io(t, "io"); }).join();
+  }
+  PerfProfile p = t.profile();
   ASSERT_EQ(p.spans.size(), 4u);  // sorted by path
   EXPECT_EQ(p.spans[0].path, "io");
   EXPECT_EQ(p.spans[1].path, "run");
   EXPECT_EQ(p.spans[2].path, "run;phase_a");
   EXPECT_EQ(p.spans[3].path, "run;phase_b");
+  EXPECT_EQ(p.spans[0].wall_us.n, 1u);
 
   // Both repetitions aggregate into one path with noise statistics.
   const PerfSpanStat& a = p.spans[2];
   EXPECT_EQ(a.name, "phase_a");
   EXPECT_EQ(a.depth, 1);
   EXPECT_EQ(a.wall_us.n, 2u);
-  EXPECT_DOUBLE_EQ(a.wall_us.mean(), 32.0);
-  EXPECT_GT(a.wall_us.stddev(), 0.0);
+  PerfProfile synthetic = two_reps().profile();
+  const PerfSpanStat& fixed = synthetic.spans[2];
+  EXPECT_EQ(fixed.path, "run;phase_a");
+  EXPECT_DOUBLE_EQ(fixed.wall_us.mean(), 32.0);
+  EXPECT_GT(fixed.wall_us.stddev(), 0.0);
 
   // No counters attached anywhere -> the artifact says so explicitly.
   EXPECT_EQ(p.counters, "unavailable");
   EXPECT_EQ(a.perf_n, 0u);
 }
 
+TEST(PerfProfile, SubMicrosecondSiblingsKeepTheirParents) {
+  // Spans far shorter than the microsecond clock: sibling `b` routinely
+  // starts in the same microsecond `a` ended, so a path rebuilt from start
+  // times can file `b`'s child under `a`. Paths resolved at begin() cannot.
+  obs::SpanTracer t;
+  constexpr int kReps = 2000;
+  for (int i = 0; i < kReps; ++i) {
+    {
+      obs::ScopedSpan a(t, "a");
+      obs::ScopedSpan x(t, "x");
+    }
+    {
+      obs::ScopedSpan b(t, "b");
+      obs::ScopedSpan y(t, "y");
+    }
+  }
+  PerfProfile p = t.profile();
+  std::vector<std::string> paths;
+  for (const PerfSpanStat& s : p.spans) {
+    paths.push_back(s.path);
+    EXPECT_EQ(s.wall_us.n, static_cast<uint64_t>(kReps)) << s.path;
+  }
+  EXPECT_EQ(paths, (std::vector<std::string>{"a", "a;x", "b", "b;y"}));
+}
+
 TEST(PerfProfile, HardwareCountersAggregate) {
-  std::vector<SpanRecord> spans = {
-      hw_span("run", 0, 0, 0, 100, 1000, 2000),
-      hw_span("run", 0, 0, 200, 100, 3000, 6000),
-  };
-  PerfProfile p = obs::build_perf_profile(spans);
+  PerfProfile p = ProfileBuilder().span("run", 100, hw(1000, 2000))
+                      .span("run", 100, hw(3000, 6000))
+                      .profile();
   EXPECT_EQ(p.counters, "hardware");
   ASSERT_EQ(p.spans.size(), 1u);
   const PerfSpanStat& s = p.spans[0];
@@ -112,9 +164,7 @@ TEST(PerfProfile, HardwareCountersAggregate) {
 }
 
 TEST(PerfProfile, JsonRoundTrip) {
-  std::vector<SpanRecord> spans = two_rep_spans();
-  spans.push_back(hw_span("run", 0, 0, 400, 110, 5000, 9000));
-  PerfProfile p = obs::build_perf_profile(spans);
+  PerfProfile p = two_reps().span("run", 110, hw(5000, 9000)).profile();
   std::string doc = obs::perf_profile_json(p, "beef");
 
   // It is one well-formed JSON object with provenance.
@@ -145,7 +195,7 @@ TEST(PerfProfile, JsonRoundTrip) {
 }
 
 TEST(PerfProfile, FoldedSelfTime) {
-  PerfProfile p = obs::build_perf_profile(two_rep_spans());
+  PerfProfile p = two_reps().profile();
   std::string folded = obs::perf_folded(p);
 
   // Each line is "path self_value"; `run` self time excludes its children:
@@ -171,20 +221,15 @@ TEST(PerfProfile, FoldedSelfTime) {
 }
 
 TEST(PerfDiff, AlignedDeltasAndNoise) {
-  std::vector<SpanRecord> base_spans, cur_spans;
+  ProfileBuilder base_b, cur_b;
   // Same workload measured 3x each; phase_a doubles, phase_b is unchanged,
   // "gone" exists only in base and "new" only in current.
   for (int rep = 0; rep < 3; ++rep) {
-    uint64_t t = 1000u * static_cast<unsigned>(rep);
-    base_spans.push_back(span("phase_a", 0, 0, t, 100));
-    base_spans.push_back(span("phase_b", 0, 0, t + 200, 50));
-    base_spans.push_back(span("gone", 0, 0, t + 300, 10));
-    cur_spans.push_back(span("phase_a", 0, 0, t, 200));
-    cur_spans.push_back(span("phase_b", 0, 0, t + 300, 50));
-    cur_spans.push_back(span("new", 0, 0, t + 400, 10));
+    base_b.span("phase_a", 100).span("phase_b", 50).span("gone", 10);
+    cur_b.span("phase_a", 200).span("phase_b", 50).span("new", 10);
   }
-  PerfProfile base = obs::build_perf_profile(base_spans);
-  PerfProfile cur = obs::build_perf_profile(cur_spans);
+  PerfProfile base = base_b.profile();
+  PerfProfile cur = cur_b.profile();
 
   obs::PerfDiffReport r = obs::perf_diff(base, cur);
   EXPECT_EQ(r.metric, "wall_us");  // no hardware counters on either side
@@ -225,8 +270,8 @@ TEST(PerfDiff, AlignedDeltasAndNoise) {
   EXPECT_EQ(v->at("rows").arr.size(), 4u);
 
   // With hardware counters on both sides, the compared metric is cycles.
-  PerfProfile hb = obs::build_perf_profile({hw_span("x", 0, 0, 0, 10, 100, 200)});
-  PerfProfile hc = obs::build_perf_profile({hw_span("x", 0, 0, 0, 10, 150, 300)});
+  PerfProfile hb = ProfileBuilder().span("x", 10, hw(100, 200)).profile();
+  PerfProfile hc = ProfileBuilder().span("x", 10, hw(150, 300)).profile();
   obs::PerfDiffReport hr = obs::perf_diff(hb, hc);
   EXPECT_EQ(hr.metric, "cycles");
   ASSERT_EQ(hr.rows.size(), 1u);

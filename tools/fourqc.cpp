@@ -15,12 +15,15 @@
 //   fourqc lint --program sm --out lint_out
 //   fourqc batch --jobs 256 --workers 8 --rom-cache rom_cache
 //   fourqc batch --verify-sigs 64 --corrupt 3,17
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -69,6 +72,7 @@ void usage() {
       "  --mul-ii N                        multiplier initiation interval (default 1)\n"
       "  --read-ports N / --write-ports N  register-file ports (default 4/2)\n"
       "  --multipliers N / --addsubs N     unit instances (default 1/1)\n"
+      "                                    (latency, interval, ports and units: 1..64)\n"
       "  --no-forwarding                   disable forwarding paths\n"
       "  --no-inversion                    skip final affine normalisation\n"
       "  --looped                          blocked/looped controller instead of flat ROM\n"
@@ -125,7 +129,7 @@ void usage() {
       "                                    in parallel\n"
       "  --fleet-grid smoke|full           3-point CI grid (default) or the 12-point\n"
       "                                    DSE gate\n"
-      "  --fleet-workers N                 fleet pool size (0 = hw concurrency)\n"
+      "  --fleet-workers N                 fleet pool size (0 = hw concurrency, max 256)\n"
       "\n"
       "batch subcommand — compile once (through the engine's CompileCache),\n"
       "then run a batch of scalar multiplications on the worker-pool\n"
@@ -133,7 +137,7 @@ void usage() {
       "directory persists the compiled ROM so later processes skip the\n"
       "scheduler solve entirely (watch 'scheduler solves' drop to 0):\n"
       "  --jobs N                          scalar multiplications (default 64)\n"
-      "  --workers N                       worker threads (default 1)\n"
+      "  --workers N                       worker threads (default 1, max 256)\n"
       "  --chunk N                         jobs per pool task (default: auto)\n"
       "  --rom-cache DIR                   on-disk ROM cache directory\n"
       "  --seed N                          scalar-generation seed (default 42)\n"
@@ -274,7 +278,7 @@ int run_profile(const trace::SmTraceOptions& topt_in, const sched::CompileOption
   // bars. Event sinks are cleared per repetition (energy attribution below
   // reads the last repetition's stream); the repeat-summed sim counters are
   // recorded once after the loop from the final repetition's stats.
-  const int repeat = std::max(1, popt.repeat);
+  const int repeat = popt.repeat;
   trace::SmTraceOptions topt = topt_in;
   curve::Affine sw;
   obs::RecordingSink flat_events;
@@ -388,7 +392,7 @@ int run_profile(const trace::SmTraceOptions& topt_in, const sched::CompileOption
   // Hardware-counter profile (fourq.perf.v1) aggregated over all
   // repetitions. Always written — an artifact with counters:"unavailable"
   // still carries wall-time stats usable by `fourqc perf diff`.
-  obs::PerfProfile prof = obs::build_perf_profile(tel.spans.spans());
+  obs::PerfProfile prof = tel.spans.profile();
   if (popt.hw) {
     summary += "\n== hardware counters (" + prof.counters + ", " +
                std::to_string(repeat) + " repetition" + (repeat == 1 ? "" : "s") + ") ==\n";
@@ -428,7 +432,7 @@ int run_profile(const trace::SmTraceOptions& topt_in, const sched::CompileOption
   if (!obs::compiled_in())
     summary += "\n(note: built with FOURQ_OBS=OFF — span/counter macros compiled out)\n";
 
-  bool ok = write_file(dir / "trace.json", tel.spans.chrome_trace_json()) &&
+  bool ok = write_file(dir / "trace.json", tel.flight.chrome_trace_json()) &&
             write_file(dir / "metrics.jsonl",
                        obs::provenance_line("fourq.metrics.v1", machine_hash_for(topt, copt)) +
                            tel.metrics.to_jsonl()) &&
@@ -1242,10 +1246,7 @@ int run_batch(const trace::SmTraceOptions& topt, const sched::CompileOptions& co
       std::string msg = "fourqc batch message " + std::to_string(i);
       items.push_back({kp.pub, msg, scheme.sign(kp, msg)});
     }
-    for (int idx : bopt.corrupt) {
-      if (idx >= 0 && idx < bopt.verify_sigs)
-        items[static_cast<size_t>(idx)].msg += " (tampered)";
-    }
+    for (int idx : bopt.corrupt) items[static_cast<size_t>(idx)].msg += " (tampered)";
     auto v0 = std::chrono::steady_clock::now();
     std::vector<uint8_t> verdicts = eng.verify(items);
     double ver_ms =
@@ -1335,7 +1336,7 @@ int run_batch(const trace::SmTraceOptions& topt, const sched::CompileOptions& co
     else
       std::printf("  hw counters: unavailable (perf_event_open blocked here)\n");
     std::string path = bopt.perf_out.empty() ? "batch_perf.json" : bopt.perf_out;
-    obs::PerfProfile prof = obs::build_perf_profile(obs::global().spans.spans());
+    obs::PerfProfile prof = obs::global().spans.profile();
     if (write_file(path, obs::perf_profile_json(prof, key.hash_hex())))
       std::printf("  hw profile (fourq.perf.v1, counters: %s) -> %s\n",
                   prof.counters.c_str(), path.c_str());
@@ -1557,9 +1558,28 @@ int run_perf_diff(int argc, char** argv) {
   return 0;
 }
 
-}  // namespace
+// Largest accepted values: hardware shape parameters (units, ports,
+// latencies) and thread counts stay far below anything that could
+// overflow a schedule or exhaust the host.
+constexpr int kMaxInt = std::numeric_limits<int>::max();
+constexpr int kMaxHw = 64;
+constexpr int kMaxThreads = 256;
 
-int main(int argc, char** argv) {
+// Reads one numeric flag value. The whole string must be a decimal integer
+// in [lo, hi]; anything else is a usage error (exit 2) naming the flag.
+uint64_t flag_value(const std::string& flag, const char* v, uint64_t lo, uint64_t hi) {
+  errno = 0;
+  char* end = nullptr;
+  unsigned long long x = std::strtoull(v, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(v[0])) || *end != '\0' || errno == ERANGE ||
+      x < lo || x > hi) {
+    std::fprintf(stderr, "fourqc: bad %s value: %s\n", flag.c_str(), v);
+    std::exit(2);
+  }
+  return x;
+}
+
+int fourqc_main(int argc, char** argv) {
   trace::SmTraceOptions topt;
   topt.endo = trace::EndoVariant::kPaperCost;
   sched::CompileOptions copt;
@@ -1619,6 +1639,11 @@ int main(int argc, char** argv) {
       }
     };
     std::string a = argv[i];
+    // The next argument as the value of flag `a`, an integer in [lo, hi].
+    auto int_arg = [&](int lo, int hi) {
+      need(1);
+      return static_cast<int>(flag_value(a, argv[++i], lo, hi));
+    };
     if (a == "--variant") {
       need(1);
       std::string v = argv[++i];
@@ -1642,26 +1667,19 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (a == "--anneal-iters") {
-      need(1);
-      copt.anneal.iterations = std::atoi(argv[++i]);
+      copt.anneal.iterations = int_arg(1, kMaxInt);
     } else if (a == "--mul-latency") {
-      need(1);
-      copt.cfg.mul_latency = std::atoi(argv[++i]);
+      copt.cfg.mul_latency = int_arg(1, kMaxHw);
     } else if (a == "--mul-ii") {
-      need(1);
-      copt.cfg.mul_ii = std::atoi(argv[++i]);
+      copt.cfg.mul_ii = int_arg(1, kMaxHw);
     } else if (a == "--read-ports") {
-      need(1);
-      copt.cfg.rf_read_ports = std::atoi(argv[++i]);
+      copt.cfg.rf_read_ports = int_arg(1, kMaxHw);
     } else if (a == "--write-ports") {
-      need(1);
-      copt.cfg.rf_write_ports = std::atoi(argv[++i]);
+      copt.cfg.rf_write_ports = int_arg(1, kMaxHw);
     } else if (a == "--multipliers") {
-      need(1);
-      copt.cfg.num_multipliers = std::atoi(argv[++i]);
+      copt.cfg.num_multipliers = int_arg(1, kMaxHw);
     } else if (a == "--addsubs") {
-      need(1);
-      copt.cfg.num_addsubs = std::atoi(argv[++i]);
+      copt.cfg.num_addsubs = int_arg(1, kMaxHw);
     } else if (a == "--no-forwarding") {
       copt.cfg.forwarding = false;
     } else if (a == "--no-inversion") {
@@ -1689,9 +1707,8 @@ int main(int argc, char** argv) {
       need(1);
       verilog_path = argv[++i];
     } else if (a == "--disasm") {
-      need(2);
-      disasm_from = std::atoi(argv[++i]);
-      disasm_count = std::atoi(argv[++i]);
+      disasm_from = int_arg(0, kMaxInt);
+      disasm_count = int_arg(1, kMaxInt);
     } else if (a == "--report") {
       report = true;
     } else if (profile_mode && a == "--out") {
@@ -1705,8 +1722,7 @@ int main(int argc, char** argv) {
     } else if (profile_mode && a == "--hw") {
       popt.hw = true;
     } else if (profile_mode && a == "--repeat") {
-      need(1);
-      popt.repeat = std::atoi(argv[++i]);
+      popt.repeat = int_arg(1, kMaxInt);
     } else if (profile_mode && a == "--flame") {
       need(1);
       popt.flame = argv[++i];
@@ -1747,8 +1763,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (lint_mode && a == "--fleet-workers") {
-      need(1);
-      lopt.fleet_workers = std::atoi(argv[++i]);
+      lopt.fleet_workers = int_arg(0, kMaxThreads);
     } else if (explain_mode && a == "--gantt") {
       eopt.gantt = 1;
     } else if (explain_mode && a == "--no-gantt") {
@@ -1757,35 +1772,31 @@ int main(int argc, char** argv) {
       need(1);
       eopt.out_dir = argv[++i];
     } else if (batch_mode && a == "--jobs") {
-      need(1);
-      bopt.jobs = std::atoi(argv[++i]);
+      bopt.jobs = int_arg(1, kMaxInt);
     } else if (batch_mode && a == "--workers") {
-      need(1);
-      bopt.workers = std::atoi(argv[++i]);
+      bopt.workers = int_arg(1, kMaxThreads);
     } else if (batch_mode && a == "--chunk") {
-      need(1);
-      bopt.chunk = static_cast<size_t>(std::atoi(argv[++i]));
+      bopt.chunk = static_cast<size_t>(int_arg(0, kMaxInt));
     } else if (batch_mode && a == "--rom-cache") {
       need(1);
       bopt.rom_cache = argv[++i];
     } else if (batch_mode && a == "--seed") {
       need(1);
-      bopt.seed = static_cast<uint64_t>(std::strtoull(argv[++i], nullptr, 0));
+      bopt.seed = flag_value(a, argv[++i], 0, UINT64_MAX);
     } else if (batch_mode && a == "--no-check") {
       bopt.check = false;
     } else if (batch_mode && a == "--verify-sigs") {
-      need(1);
-      bopt.verify_sigs = std::atoi(argv[++i]);
+      bopt.verify_sigs = int_arg(0, kMaxInt);
     } else if (batch_mode && a == "--corrupt") {
       need(1);
+      // Range-checked against --verify-sigs once every flag is read.
       for (const std::string& s : split_csv(argv[++i]))
-        bopt.corrupt.push_back(std::atoi(s.c_str()));
+        bopt.corrupt.push_back(static_cast<int>(flag_value(a, s.c_str(), 0, kMaxInt)));
     } else if (batch_mode && a == "--export-dir") {
       need(1);
       bopt.export_dir = argv[++i];
     } else if (batch_mode && a == "--export-interval-ms") {
-      need(1);
-      bopt.export_interval_ms = std::atoi(argv[++i]);
+      bopt.export_interval_ms = int_arg(0, kMaxInt);
     } else if (batch_mode && a == "--hw") {
       bopt.hw = true;
     } else if (batch_mode && a == "--perf-out") {
@@ -1797,11 +1808,9 @@ int main(int argc, char** argv) {
     } else if (stats_mode && a == "--json") {
       sopt.json = true;
     } else if (stats_mode && a == "--follow") {
-      need(1);
-      sopt.follow = std::atoi(argv[++i]);
+      sopt.follow = int_arg(1, kMaxInt);
     } else if (stats_mode && a == "--interval-ms") {
-      need(1);
-      sopt.interval_ms = std::atoi(argv[++i]);
+      sopt.interval_ms = int_arg(1, kMaxInt);
     } else if (a == "--help" || a == "-h") {
       usage();
       return 0;
@@ -1818,10 +1827,12 @@ int main(int argc, char** argv) {
     return lopt.fleet ? run_fleet_lint(topt, copt, lopt) : run_lint(topt, copt, lopt);
   if (stats_mode) return run_stats(sopt);
   if (batch_mode) {
-    if (bopt.jobs < 1 || bopt.workers < 1) {
-      usage();
-      return 2;
-    }
+    for (int idx : bopt.corrupt)
+      if (idx >= bopt.verify_sigs) {
+        std::fprintf(stderr, "fourqc: bad --corrupt value: %d (--verify-sigs %d)\n", idx,
+                     bopt.verify_sigs);
+        return 2;
+      }
     return run_batch(topt, copt, bopt);
   }
 
@@ -1983,4 +1994,18 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+// Anything thrown past argument parsing (a FOURQ_CHECK on a machine
+// configuration the scheduler cannot meet, an allocation failure) is
+// reported as an error, exit 1, rather than aborting the process.
+int main(int argc, char** argv) {
+  try {
+    return fourqc_main(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "fourqc: %s\n", e.what());
+    return 1;
+  }
 }
