@@ -67,14 +67,29 @@ std::optional<Affine> decompress(const CompressedPoint& bytes) {
   if (!yr || !yi) return std::nullopt;
   Fp2 y(*yr, *yi);
 
-  // x^2 = (y^2 - 1) / (d y^2 + 1).
-  Fp2 one = Fp2::from_u64(1);
-  Fp2 y2 = y.sqr();
-  Fp2 den = curve_d() * y2 + one;
-  if (den.is_zero()) return std::nullopt;
-  Fp2 x2 = (y2 - one) * den.inv();
-  Fp2 x;
-  if (!x2.sqrt(x)) return std::nullopt;
+  // x^2 = u / v with u = y^2 - 1 and v = d y^2 + 1.
+  const Fp2 one = Fp2::from_u64(1);
+  const Fp2 y2 = y.sqr();
+  const Fp2 u = y2 - one;
+  const Fp2 v = curve_d() * y2 + one;
+  if (v.is_zero()) return std::nullopt;
+  // Square root of the ratio with two F_p exponentiations and no
+  // inversion. u / v = (a + bi) / N(v) with a + bi = u * conj(v), and a
+  // root x0 + x1 i has x0^2 = (a ± δ) / 2N(v), δ^2 = a^2 + b^2, and
+  // 2 x0 x1 = b / N(v). Take α = a ± δ (the sign that makes α != 0),
+  // β = 2 N(v) and ρ = (αβ)^((p-3)/4): αβρ^2 is αβ's Legendre symbol, and
+  // x = (αρ, bρ) when it is 1, (bρ, -αρ) otherwise. When u / v has no
+  // root the candidate fails the x^2 v == u check below.
+  const Fp2 w = u * v.conj();
+  const Fp delta = w.norm().sqr_n(125);  // δ = (a^2 + b^2)^((p+1)/4)
+  Fp alpha = w.re() + delta;
+  if (alpha.is_zero()) alpha = w.re() - delta;
+  const Fp norm_v = v.norm();
+  const Fp ab = alpha * (norm_v + norm_v);
+  const Fp rho = ab.pow_p34();
+  Fp2 x = ab * rho.sqr() == Fp::from_u64(1) ? Fp2(alpha * rho, w.im() * rho)
+                                            : Fp2(w.im() * rho, -(alpha * rho));
+  if (x.sqr() * v != u) return std::nullopt;
   if (x.is_zero()) {
     if (sign) return std::nullopt;  // -0 == 0: sign bit must be clear
   } else if (x_sign(x) != sign) {

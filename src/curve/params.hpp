@@ -29,6 +29,11 @@ const Fp2& curve_2d();
 // Candidate prime order of the large subgroup (#E = 2^3 * 7^2 * N).
 const U256& candidate_subgroup_order();
 
+// The cofactor h = #E / N = 2^3 * 7^2. [h]P lies in the order-N subgroup
+// for every curve point P, so cofactored checks ([h]X == O) ignore any
+// small-order component of X.
+inline constexpr uint64_t kCofactor = 392;
+
 // Candidate standard generator (affine).
 const Fp2& candidate_generator_x();
 const Fp2& candidate_generator_y();

@@ -94,10 +94,14 @@ PointR1 scalar_mul_reference(const U256& k, const Affine& p) {
 }
 
 PointR1 mul_small(uint64_t k, const PointR1& p) {
-  PointR2 p2 = to_r2(p);
   PointR1 q = identity();
-  for (int i = 63; i >= 0; --i) {
-    q = dbl(q);
+  if (k == 0) return q;
+  // From k's top set bit. The coordinates equal a full 64-bit
+  // double-and-add's: doubling the identity returns its own coordinates.
+  PointR2 p2 = to_r2(p);
+  const int top = 63 - __builtin_clzll(k);
+  for (int i = top; i >= 0; --i) {
+    if (i != top) q = dbl(q);
     if ((k >> i) & 1) q = add(q, p2);
   }
   return q;

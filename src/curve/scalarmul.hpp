@@ -40,7 +40,9 @@ PointR1 scalar_mul(const U256& k, const Affine& p);
 // Classic double-and-add (the paper's §II-A baseline).
 PointR1 scalar_mul_reference(const U256& k, const Affine& p);
 
-// Small-scalar helper used by tests and parameter validation.
+// [k]P for a 64-bit k by double-and-add from k's top set bit (so [392]P
+// costs 8 doublings and 3 additions). Used for cofactor checks, tests and
+// parameter validation.
 PointR1 mul_small(uint64_t k, const PointR1& p);
 
 // Number of point doublings/additions the two algorithms perform for a

@@ -1,6 +1,8 @@
 #include "dsa/schnorrq.hpp"
 
 #include <algorithm>
+#include <array>
+#include <map>
 
 #include "common/check.hpp"
 #include "curve/multiscalar.hpp"
@@ -13,9 +15,110 @@ namespace fourq::dsa {
 
 namespace {
 
+using BatchItem = SchnorrQ::BatchItem;
+
 std::string encode_point(const curve::Affine& p) {
   return p.x.to_hex() + p.y.to_hex();
 }
+
+// Items failing this get no challenge, no weight and no MSM term.
+bool precheck(const curve::Affine& pub, const SchnorrQ::Signature& sig, const U256& n) {
+  return curve::on_curve(pub) && curve::on_curve(sig.r) && sig.s < n;
+}
+
+curve::PointR1 sub(const curve::PointR1& a, const curve::PointR1& b) {
+  return curve::add(a, curve::neg_r2(curve::to_r2(b)));
+}
+
+// The weighted residual of a set of signatures, built once: for each item
+// that passes the precheck ("live") its challenge e, a random non-zero
+// 128-bit weight z, z*s and z*e mod N, and the index of its public key
+// among the set's distinct keys. cofactored(lo, hi) is [392] times the
+// residual of live items [lo, hi):
+//   [sum z s]G - sum [z]R - sum over distinct keys Q of [sum z e]Q.
+// The scalars are reduced mod N, which moves the residual only by small-
+// order points; [392] removes those, so residuals of disjoint ranges add.
+class Residuals {
+ public:
+  Residuals(const SchnorrQ& scheme, const Monty& n, std::span<const BatchItem> items, Rng& rng)
+      : n_(n.modulus()), g_(scheme.generator()) {
+    for (uint32_t i = 0; i < items.size(); ++i)
+      if (precheck(items[i].pub, items[i].sig, n_)) live_.push_back(i);
+    w_.resize(live_.size());
+    // Distinct keys by coordinates: items sharing one get one Q term.
+    std::map<std::array<u128, 4>, uint32_t> key_ids;
+    for (size_t k = 0; k < live_.size(); ++k) {
+      const BatchItem& it = items[live_[k]];
+      Weight& w = w_[k];
+      do {
+        w.z = U256(rng.next_u64(), rng.next_u64(), 0, 0);
+      } while (w.z.is_zero());
+      // mul(z R, x) = z x mod N: one Montgomery product per weighted scalar.
+      const U256 zm = n.to_monty(w.z);
+      w.zs = n.mul(zm, it.sig.s);
+      w.ze = n.mul(zm, scheme.challenge(it.sig.r, it.pub, it.msg));
+      w.neg_r = curve::neg(it.sig.r);
+      const curve::Affine& q = it.pub;
+      auto [id, fresh] = key_ids.try_emplace(
+          {q.x.re().raw(), q.x.im().raw(), q.y.re().raw(), q.y.im().raw()},
+          static_cast<uint32_t>(neg_q_.size()));
+      if (fresh) neg_q_.push_back(curve::neg(q));
+      w.key = id->second;
+    }
+  }
+
+  // Item indices (into the constructor's items) that passed the precheck.
+  const std::vector<uint32_t>& live() const { return live_; }
+
+  curve::PointR1 cofactored(size_t lo, size_t hi, const curve::MsmOptions& msm) const {
+    U256 zs;
+    std::vector<curve::ScalarPoint> terms;
+    std::vector<size_t> q_term(neg_q_.size(), kNone);  // key -> its term
+    for (size_t k = lo; k < hi; ++k) {
+      const Weight& w = w_[k];
+      zs = addmod(zs, w.zs, n_);
+      terms.push_back({w.z, w.neg_r, 128});
+      size_t& q = q_term[w.key];
+      if (q == kNone) {
+        q = terms.size();
+        terms.push_back({U256(), neg_q_[w.key], 256});
+      }
+      terms[q].k = addmod(terms[q].k, w.ze, n_);
+    }
+    terms.push_back({zs, g_, 256});
+    return curve::mul_small(curve::kCofactor, curve::multi_scalar_mul(terms, msm));
+  }
+
+  // Sets verdicts[live[k]] for k in [lo, hi), given c = cofactored(lo, hi).
+  // A failing set tests its left half by MSM and derives the right half's
+  // residual by subtraction; a failing single item stays 0.
+  void bisect(size_t lo, size_t hi, const curve::PointR1& c, std::span<uint8_t> verdicts,
+              const curve::MsmOptions& msm) const {
+    if (curve::is_identity(c)) {
+      for (size_t k = lo; k < hi; ++k) verdicts[live_[k]] = 1;
+      return;
+    }
+    if (hi - lo == 1) return;
+    const size_t mid = lo + (hi - lo) / 2;
+    const curve::PointR1 left = cofactored(lo, mid, msm);
+    bisect(lo, mid, left, verdicts, msm);
+    bisect(mid, hi, sub(c, left), verdicts, msm);
+  }
+
+ private:
+  static constexpr size_t kNone = ~size_t{0};
+  struct Weight {
+    U256 z, zs, ze;        // weight, z*s mod N, z*e mod N
+    curve::Affine neg_r;   // -R
+    uint32_t key = 0;      // index into neg_q_
+  };
+
+  const U256& n_;
+  const curve::Affine& g_;
+  std::vector<uint32_t> live_;
+  std::vector<Weight> w_;             // per live item
+  std::vector<curve::Affine> neg_q_;  // per distinct key: -Q
+};
 
 }  // namespace
 
@@ -61,46 +164,29 @@ SchnorrQ::Signature SchnorrQ::sign(const KeyPair& kp, const std::string& msg) co
 
 bool SchnorrQ::verify(const curve::Affine& pub, const std::string& msg,
                       const Signature& sig) const {
-  if (!curve::on_curve(pub) || !curve::on_curve(sig.r)) return false;
-  if (sig.s >= n_.modulus()) return false;
+  if (!precheck(pub, sig, n_.modulus())) return false;
   U256 e = challenge(sig.r, pub, msg);
-  // [s]G == R + [e]Q
-  curve::PointR1 lhs = g_mul_.mul(sig.s);
+  // [392]([s]G - (R + [e]Q)) == O
   curve::PointR1 rhs =
       curve::add(curve::to_r1(sig.r), curve::to_r2(curve::scalar_mul(e, pub)));
-  return curve::equal(lhs, rhs);
+  return curve::is_identity(curve::mul_small(curve::kCofactor, sub(g_mul_.mul(sig.s), rhs)));
 }
 
 bool SchnorrQ::verify_batch(const std::vector<BatchItem>& items, Rng& rng,
                             const curve::MsmOptions& msm) const {
   if (items.empty()) return true;
+  Residuals res(*this, n_, items, rng);
+  if (res.live().size() != items.size()) return false;
+  return curve::is_identity(res.cofactored(0, items.size(), msm));
+}
 
-  U256 sum_zs;  // sum z_i s_i mod N
-  std::vector<curve::ScalarPoint> terms;
-  terms.reserve(2 * items.size());
-
-  for (const BatchItem& it : items) {
-    if (!curve::on_curve(it.pub) || !curve::on_curve(it.sig.r)) return false;
-    if (it.sig.s >= n_.modulus()) return false;
-    U256 e = challenge(it.sig.r, it.pub, it.msg);
-    // 128-bit non-zero random weight; z == 0 (probability 2^-128) is
-    // rejected up front, before any Montgomery round-trip touches it.
-    U256 z;
-    do {
-      z = U256(rng.next_u64(), rng.next_u64(), 0, 0);
-    } while (z.is_zero());
-    U256 zs = n_.from_monty(n_.mul(n_.to_monty(z), n_.to_monty(it.sig.s)));
-    sum_zs = addmod(sum_zs, zs, n_.modulus());
-    U256 ze = n_.from_monty(n_.mul(n_.to_monty(z), n_.to_monty(e)));
-    // The weight term is declared at its native half length: its wNAF /
-    // window digits stop at bit 127 instead of being padded to 256.
-    terms.push_back({z, it.sig.r, 128});
-    terms.push_back({ze, it.pub, 256});
-  }
-
-  curve::PointR1 lhs = g_mul_.mul(sum_zs);
-  curve::PointR1 rhs = curve::multi_scalar_mul(terms, msm);
-  return curve::equal(lhs, rhs);
+void SchnorrQ::verify_each(std::span<const BatchItem> items, std::span<uint8_t> verdicts,
+                           Rng& rng, const curve::MsmOptions& msm) const {
+  FOURQ_CHECK_MSG(verdicts.size() == items.size(), "verify_each: one verdict per item");
+  std::fill(verdicts.begin(), verdicts.end(), uint8_t{0});
+  Residuals res(*this, n_, items, rng);
+  const size_t n = res.live().size();
+  if (n > 0) res.bisect(0, n, res.cofactored(0, n, msm), verdicts, msm);
 }
 
 SchnorrQ::EncodedSignature SchnorrQ::encode_signature(const Signature& sig) const {

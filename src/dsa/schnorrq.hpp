@@ -6,10 +6,19 @@
 //
 // Nonces are derived deterministically (hash of secret key and message), so
 // no RNG quality assumption enters the signature path.
+//
+// Every verify path accepts by one cofactored predicate (the ZIP-215 rule,
+// Chalkias et al., "Taming the many EdDSAs"): a signature (R, s) on msg
+// under key Q is valid iff Q and R are curve points, s < N and
+//   [392]([s]G - R - [e]Q) == O,   e = challenge(R, Q, msg).
+// Small-order components of Q or R therefore never split verify() from
+// verify_batch() or verify_each(): each item's verdict is a function of the
+// item alone, whatever the batch's random weights (docs/API.md).
 #pragma once
 
 #include <array>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,32 +52,46 @@ class SchnorrQ {
   curve::Affine public_key(const U256& secret) const;
 
   Signature sign(const KeyPair& kp, const std::string& msg) const;
+  // The cofactored predicate above, by one fixed-base [s]G and one
+  // scalar_mul [e]Q.
   bool verify(const curve::Affine& pub, const std::string& msg, const Signature& sig) const;
 
-  // Batch verification (Bellare–Garay–Rabin small-exponent test): checks
-  // all signatures at once with one multi-scalar multiplication
-  //   [sum z_i s_i]G == sum [z_i]R_i + sum [z_i e_i]Q_i
-  // for random 128-bit weights z_i. Sound except with probability ~2^-128
-  // per run; a failing batch should fall back to per-item verify() to
-  // locate the culprit. Assumes points lie in the prime-order subgroup
-  // (honest-signer setting); adversarial small-order components can make
-  // batch and individual verification disagree.
   struct BatchItem {
     curve::Affine pub;
     std::string msg;
     Signature sig;
   };
-  // The weight terms [z_i]R_i enter the MSM at their native 128-bit length
-  // (half the wNAF digits / bucket windows of a full scalar); msm selects
-  // the backend — Straus for small batches, Pippenger buckets for large
-  // ones, optionally parallelised via MsmOptions::parallel.
+  // Batch verification (Bellare–Garay–Rabin small-exponent test) with one
+  // multi-scalar multiplication of the batch's residual
+  //   [sum z_i s_i]G - sum [z_i]R_i - sum [z_i e_i]Q_i
+  // under random non-zero 128-bit weights z_i, the Q terms of a repeated
+  // public key merged into one; true iff [392] times it is O. True whenever
+  // every item verifies; a batch holding an item verify() rejects passes
+  // with probability at most 2^-128. The weight terms [z_i]R_i enter the
+  // MSM at their native 128-bit length; msm selects the backend (Straus
+  // for small batches, Pippenger buckets for large ones, optionally
+  // parallelised via MsmOptions::parallel).
   bool verify_batch(const std::vector<BatchItem>& items, Rng& rng,
                     const curve::MsmOptions& msm = {}) const;
+
+  // Per-item verdicts: verdicts[i] = 1 iff verify() accepts items[i]
+  // (verdicts.size() must equal items.size()). Items that are not curve
+  // points or carry s >= N get 0 without entering an MSM; the rest are
+  // tested as a set by one MSM of their residual as in verify_batch. A
+  // failing set is split in halves: the left half's residual is a new MSM,
+  // the right half's the parent's minus the left's (the same weights), so
+  // one bad item among n costs log2(n) half-size MSMs. A one-item residual
+  // is z_i times the item's equation, so leaf verdicts equal verify()
+  // exactly; an invalid item is accepted with probability at most 2^-128
+  // per set test that contains it.
+  void verify_each(std::span<const BatchItem> items, std::span<uint8_t> verdicts, Rng& rng,
+                   const curve::MsmOptions& msm = {}) const;
 
   // Wire format: 64 bytes = compressed R (32) || s little-endian (32).
   using EncodedSignature = std::array<uint8_t, 64>;
   EncodedSignature encode_signature(const Signature& sig) const;
-  // Rejects malformed/off-curve R and out-of-range s.
+  // Strictly canonical: rejects a non-canonical or off-curve R and s >= N,
+  // so an accepted encoding re-encodes byte for byte.
   std::optional<Signature> decode_signature(const EncodedSignature& bytes) const;
 
   // Public keys travel compressed (32 bytes).

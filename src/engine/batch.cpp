@@ -415,38 +415,15 @@ void BatchEngine::exec_sm(const Task& t, SmArena& ar) {
   FOURQ_COUNTER_ADD("engine.jobs.sm", t.end - t.begin);
 }
 
-namespace {
-
-void verify_range(const dsa::SchnorrQ& scheme, const dsa::SchnorrQ::BatchItem* items,
-                  size_t begin, size_t end, uint8_t* verdicts, Rng& rng,
-                  const curve::MsmOptions& msm) {
-  if (end - begin == 1) {
-    verdicts[begin] =
-        scheme.verify(items[begin].pub, items[begin].msg, items[begin].sig) ? 1 : 0;
-    return;
-  }
-  std::vector<dsa::SchnorrQ::BatchItem> chunk(items + begin, items + end);
-  if (scheme.verify_batch(chunk, rng, msm)) {
-    std::fill(verdicts + begin, verdicts + end, uint8_t{1});
-    return;
-  }
-  // Bisect: each half re-tested as its own batch until single items remain,
-  // so exactly the corrupted indices come back 0.
-  size_t mid = begin + (end - begin) / 2;
-  verify_range(scheme, items, begin, mid, verdicts, rng, msm);
-  verify_range(scheme, items, mid, end, verdicts, rng, msm);
-}
-
-}  // namespace
-
 void BatchEngine::exec_verify(const Task& t, Rng& rng) {
   // The MSM inside each chunk fans back out over the same pool. Nested
   // fan-outs cannot deadlock: parallel_for's caller self-drains, so a fully
   // busy pool just degrades to the sequential path.
   curve::MsmOptions msm = opt_.msm;
   if (threads_.size() > 1 && !msm.parallel) msm.parallel = msm_parallel();
-  verify_range(*scheme_, t.items, t.begin, t.end, t.verdicts, rng, msm);
-  FOURQ_COUNTER_ADD("engine.jobs.verify", t.end - t.begin);
+  const size_t n = t.end - t.begin;
+  scheme_->verify_each({t.items + t.begin, n}, {t.verdicts + t.begin, n}, rng, msm);
+  FOURQ_COUNTER_ADD("engine.jobs.verify", n);
 }
 
 void BatchEngine::dispatch(std::vector<Task>& tasks) {
@@ -523,12 +500,12 @@ std::vector<uint8_t> BatchEngine::verify(const std::vector<dsa::SchnorrQ::BatchI
     if (!scheme_) scheme_ = std::make_unique<dsa::SchnorrQ>();
   }
 
-  // Fewer, larger chunks than run(): each chunk is one MSM, and the bucket
-  // method amortises better over more terms (the MSM itself re-parallelises
-  // over the pool via exec_verify's fan-out hook).
+  // One chunk per worker: each chunk is one residual MSM, and a bigger one
+  // both amortises the bucket method over more terms and merges more
+  // repeated keys (the MSM itself re-parallelises over the pool via
+  // exec_verify's fan-out hook).
   size_t chunk = opt_.chunk;
-  if (chunk == 0)
-    chunk = std::max<size_t>(1, items.size() / (threads_.size() * 2));
+  if (chunk == 0) chunk = (items.size() + threads_.size() - 1) / threads_.size();
 
   BatchCtl ctl;
   std::vector<Task> tasks;

@@ -10,9 +10,10 @@
 //               SoA executor (engine/lanes.hpp), kMaxLanes jobs per wave,
 //               with per-worker reusable workspaces; the steady-state path
 //               allocates nothing per job.
-//  * verify() — SchnorrQ batch verification: chunks verified with the
-//               Bellare–Garay–Rabin small-exponent test, failing chunks
-//               bisected down to the exact corrupted indices.
+//  * verify() — SchnorrQ per-item verification: each chunk is one
+//               SchnorrQ::verify_each call (one residual MSM; a failing
+//               chunk bisects by subtraction), so every verdict equals
+//               SchnorrQ::verify() on that item.
 //
 // Threading model: N persistent workers created in the constructor, joined
 // in the destructor. run()/verify() enqueue index-range tasks over caller
@@ -59,12 +60,13 @@ struct EngineOptions {
   size_t chunk = 0;           // jobs per task; 0 = wave-aligned chunks sized
                               // so each worker receives ~2 tasks for run()
                               // (one queue op per wave, not per job),
-                              // max(1, n / (workers * 2)) for verify()
-                              // (bigger chunks give the bucket MSM more
-                              // terms to amortise over)
+                              // ceil(n / workers) for verify() (one
+                              // residual MSM per worker: more terms to
+                              // amortise over, more repeated keys merged)
   CompileKey key;             // program compiled/decoded for run()
   CompileCache* cache = nullptr;  // nullptr = CompileCache::process_cache()
   uint64_t verify_seed = 0x5eedf00d;  // BGR small-exponent weight seed
+                                      // (verdicts do not depend on it)
   curve::MsmOptions msm;      // MSM backend policy for verify() (parallel
                               // hook is filled in by the engine itself)
 };
@@ -84,7 +86,9 @@ class BatchEngine {
   // runs, if a base point is not on the curve.
   std::vector<SmResult> run(const std::vector<SmJob>& jobs);
 
-  // Per-item verdicts (1 = valid). Exactly the corrupted indices are 0.
+  // Per-item verdicts: verdicts[i] = 1 iff SchnorrQ::verify() accepts
+  // items[i], for any worker count, chunk size and verify_seed (up to the
+  // 2^-128 false-accept bound of SchnorrQ::verify_each).
   std::vector<uint8_t> verify(const std::vector<dsa::SchnorrQ::BatchItem>& items);
 
   // Runs fn(i) for every i in [0, n) across the worker pool, returning when

@@ -42,10 +42,15 @@ Fp Fp::pow(const U256& e) const {
 
 Fp Fp::inv() const {
   FOURQ_CHECK_MSG(!is_zero(), "inverse of zero in F_p");
-  // x^(p-2) = x^(2^127 - 3) by the fixed addition chain the traced
-  // hardware program runs (trace/sm_trace.cpp, fermat_inverse_chain):
-  // 126 squarings and 12 multiplications, where square-and-multiply over
-  // the exponent's 126 set bits needs 127 squarings and 126 multiplications.
+  // x^(p-2) = x^(2^127 - 3) = (x^(2^125 - 1))^4 * x: the fixed addition
+  // chain the traced hardware program runs (trace/sm_trace.cpp,
+  // fermat_inverse_chain), 126 squarings and 12 multiplications, where
+  // square-and-multiply over the exponent's 126 set bits needs 127
+  // squarings and 126 multiplications.
+  return pow_p34().sqr_n(2) * *this;  // 4 * (2^125 - 1) + 1 = 2^127 - 3
+}
+
+Fp Fp::pow_p34() const {
   const Fp& t1 = *this;                // x^(2^1 - 1)
   const Fp t2 = t1.sqr_n(1) * t1;      // 2^2 - 1
   const Fp t4 = t2.sqr_n(2) * t2;      // 2^4 - 1
@@ -57,8 +62,7 @@ Fp Fp::inv() const {
   const Fp b = a.sqr_n(16) * t16;      // 2^112 - 1
   const Fp c = b.sqr_n(8) * t8;        // 2^120 - 1
   const Fp d = c.sqr_n(4) * t4;        // 2^124 - 1
-  const Fp e = d.sqr_n(1) * t1;        // 2^125 - 1
-  return e.sqr_n(2) * t1;              // 4 * (2^125 - 1) + 1 = 2^127 - 3
+  return d.sqr_n(1) * t1;              // 2^125 - 1
 }
 
 bool Fp::sqrt(Fp& root) const {

@@ -90,6 +90,11 @@ class Fp {
   // Multiplicative inverse x^(p-2) by a fixed addition chain; x must be
   // non-zero.
   Fp inv() const;
+  // x^((p-3)/4) = x^(2^125 - 1), the chain inv() runs (inv = x^((p-3)/4)^4
+  // * x). For x != 0, x * x^((p-3)/4)^2 is x's Legendre symbol, and
+  // x * x^((p-3)/4) a square root of x when that symbol is 1 (curve
+  // point decompression takes its root of a ratio this way).
+  Fp pow_p34() const;
   // x^(2^n) — n repeated squarings.
   Fp sqr_n(int n) const;
   // Square root when one exists (p ≡ 3 mod 4, so x^((p+1)/4)).

@@ -1,10 +1,17 @@
 // Signature-scheme tests: Schnorr over FourQ and ECDSA over P-256
-// (paper §II-A workflow), including negative cases.
+// (paper §II-A workflow), including negative cases, and the adversarial
+// SchnorrQ vectors every verify path must agree on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
+#include "curve/params.hpp"
+#include "curve/scalarmul.hpp"
 #include "dsa/ecdsa_fourq.hpp"
 #include "dsa/ecdsa_p256.hpp"
 #include "dsa/schnorrq.hpp"
+#include "engine/batch.hpp"
 
 namespace fourq::dsa {
 namespace {
@@ -173,6 +180,277 @@ TEST_F(SchnorrTest, PublicKeySerializationRoundTrip) {
   EXPECT_EQ(back->y, kp.pub.y);
   auto sig = scheme.sign(kp, "compressed-key verify");
   EXPECT_TRUE(scheme.verify(*back, "compressed-key verify", sig));
+}
+
+// --- Adversarial vectors: one acceptance predicate on every path ---------
+
+using curve::Affine;
+using curve::PointR1;
+
+// Points of every order d | 392 that occurs in E(F_{p^2}), from [N]P of
+// deterministic points: [N]P has order dividing 392, and [ord/d]([N]P)
+// order d. The 7-part of the group is not cyclic (no sampled [N]P has a
+// component of order 49), so the orders that occur divide 56.
+std::vector<std::pair<uint64_t, Affine>> torsion_by_order() {
+  const uint64_t divisors[] = {1, 2, 4, 7, 8, 14, 28, 49, 56, 98, 196, 392};
+  auto order = [&](const PointR1& t) {
+    for (uint64_t d : divisors)
+      if (curve::is_identity(curve::mul_small(d, t))) return d;
+    return uint64_t{0};
+  };
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    PointR1 t = curve::scalar_mul_reference(curve::candidate_subgroup_order(),
+                                            curve::deterministic_point(seed));
+    EXPECT_EQ(56 % order(t), 0u) << "seed " << seed;
+    if (order(t) != 56) continue;
+    std::vector<std::pair<uint64_t, Affine>> out;
+    for (uint64_t d : {2, 4, 8, 7, 14, 28, 56}) {
+      PointR1 td = curve::mul_small(56 / d, t);
+      EXPECT_EQ(order(td), d);
+      out.push_back({d, curve::to_affine(td)});
+    }
+    return out;
+  }
+  ADD_FAILURE() << "no [N]P of order 56 among the sampled points";
+  return {};
+}
+
+struct Vector {
+  std::string label;
+  SchnorrQ::BatchItem item;
+  bool expect;  // verdict by the definition
+};
+
+// [392]([s]G - R - [e]Q) == O for curve points and s < N, with both scalar
+// multiplications by the classic double-and-add.
+bool verdict_by_definition(const SchnorrQ& scheme, const SchnorrQ::BatchItem& it) {
+  if (!curve::on_curve(it.pub) || !curve::on_curve(it.sig.r) || it.sig.s >= scheme.order())
+    return false;
+  const U256 e = scheme.challenge(it.sig.r, it.pub, it.msg);
+  PointR1 rhs = curve::add(curve::to_r1(it.sig.r),
+                           curve::to_r2(curve::scalar_mul_reference(e, it.pub)));
+  PointR1 d = curve::add(curve::scalar_mul_reference(it.sig.s, scheme.generator()),
+                         curve::neg_r2(curve::to_r2(rhs)));
+  return curve::is_identity(curve::mul_small(curve::kCofactor, d));
+}
+
+class VerifyVectors : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() { vectors_ = new std::vector<Vector>(build()); }
+  static void TearDownTestSuite() { delete vectors_; }
+
+  // A signature with nonce k on msg under (secret, pub), R = [k]G + rt:
+  // s = k + e*secret mod N with e over the R and pub given.
+  static SchnorrQ::BatchItem forge(const SchnorrQ& scheme, const U256& secret,
+                                   const Affine& pub, const U256& k, const Affine* rt,
+                                   const std::string& msg) {
+    const Monty n(scheme.order());
+    PointR1 r = curve::scalar_mul(k, scheme.generator());
+    if (rt) r = curve::add(r, curve::to_r2(curve::to_r1(*rt)));
+    const Affine ra = curve::to_affine(r);
+    const U256 e = scheme.challenge(ra, pub, msg);
+    const U256 es = n.from_monty(n.mul(n.to_monty(e), n.to_monty(secret)));
+    return {pub, msg, {ra, addmod(mod(k, scheme.order()), es, scheme.order())}};
+  }
+
+  static std::vector<Vector> build() {
+    SchnorrQ scheme;
+    Rng rng(0x7e57);
+    std::vector<Vector> v;
+    auto push = [&](std::string label, SchnorrQ::BatchItem it, bool intended) {
+      const bool expect = verdict_by_definition(scheme, it);
+      EXPECT_EQ(expect, intended) << label;
+      v.push_back({std::move(label), std::move(it), expect});
+    };
+    const Affine identity{curve::Fp2(), curve::Fp2::from_u64(1)};
+    for (int i = 0; i < 4; ++i) {
+      auto kp = scheme.keygen(rng);
+      const std::string msg = "honest " + std::to_string(i);
+      push("honest", {kp.pub, msg, scheme.sign(kp, msg)}, true);
+      SchnorrQ::BatchItem t = {kp.pub, msg, scheme.sign(kp, msg)};
+      t.msg[0] ^= 0x20;
+      push("tampered message", t, false);
+    }
+    auto kp = scheme.keygen(rng);
+    for (const auto& [d, t] : torsion_by_order()) {
+      const std::string o = std::to_string(d);
+      const Affine qt = curve::to_affine(curve::add(curve::to_r1(kp.pub),
+                                                    curve::to_r2(curve::to_r1(t))));
+      // Signed with the honest secret, Q + T in the challenge.
+      const std::string m = "key Q+T, order " + o;
+      push(m, {qt, m, scheme.sign(SchnorrQ::KeyPair{kp.secret, qt}, m)}, true);
+      SchnorrQ::BatchItem bad = {qt, m, scheme.sign(SchnorrQ::KeyPair{kp.secret, qt}, m)};
+      bad.msg += "!";
+      push("key Q+T, tampered, order " + o, bad, false);
+      push("R+T, order " + o, forge(scheme, kp.secret, kp.pub, rng.next_u256(), &t, "R+T " + o),
+           true);
+      // Small-order key (secret 0) and small-order R (nonce 0).
+      push("key T, order " + o, forge(scheme, U256(), t, rng.next_u256(), nullptr, "key " + o),
+           true);
+      push("R = T, order " + o, forge(scheme, kp.secret, kp.pub, U256(), &t, "R=T " + o), true);
+    }
+    push("identity key", forge(scheme, U256(), identity, rng.next_u256(), nullptr, "id key"),
+         true);
+    SchnorrQ::BatchItem id_bad = forge(scheme, U256(), identity, rng.next_u256(), nullptr, "id");
+    id_bad.sig.s = addmod(id_bad.sig.s, U256(1), scheme.order());
+    push("identity key, wrong s", id_bad, false);
+    push("identity R", forge(scheme, kp.secret, kp.pub, U256(), nullptr, "id R"), true);
+    SchnorrQ::BatchItem base = {kp.pub, "ranges", scheme.sign(kp, "ranges")};
+    SchnorrQ::BatchItem s_n = base, s_max = base, off_key = base, off_r = base, swapped = base;
+    s_n.sig.s = scheme.order();
+    push("s = N", s_n, false);
+    s_max.sig.s = U256(~0ull, ~0ull, ~0ull, ~0ull);
+    push("s = 2^256 - 1", s_max, false);
+    off_key.pub.x = off_key.pub.x + curve::Fp2::from_u64(1);
+    push("off-curve key", off_key, false);
+    off_r.sig.r.y = off_r.sig.r.y + curve::Fp2::from_u64(1);
+    push("off-curve R", off_r, false);
+    swapped.pub = scheme.keygen(rng).pub;
+    push("wrong key", swapped, false);
+    // Interleave valid and invalid vectors so bisection splits mixed sets.
+    std::shuffle(v.begin(), v.end(), std::mt19937_64(7));
+    return v;
+  }
+
+  static std::vector<SchnorrQ::BatchItem> items() {
+    std::vector<SchnorrQ::BatchItem> out;
+    for (const Vector& x : *vectors_) out.push_back(x.item);
+    return out;
+  }
+
+  SchnorrQ scheme;
+  static std::vector<Vector>* vectors_;
+};
+
+std::vector<Vector>* VerifyVectors::vectors_ = nullptr;
+
+TEST_F(VerifyVectors, CoverTheAdversarialCases) {
+  // The torsion vectors are the ones an uncofactored check gets wrong:
+  // some fail [s]G == R + [e]Q although the definition accepts them.
+  size_t accepted = 0, uncofactored_rejects = 0;
+  for (const Vector& x : *vectors_) {
+    accepted += x.expect;
+    const SchnorrQ::BatchItem& it = x.item;
+    if (!x.expect || x.label.find("order") == std::string::npos) continue;
+    const U256 e = scheme.challenge(it.sig.r, it.pub, it.msg);
+    PointR1 rhs = curve::add(curve::to_r1(it.sig.r),
+                             curve::to_r2(curve::scalar_mul_reference(e, it.pub)));
+    uncofactored_rejects +=
+        !curve::equal(curve::scalar_mul_reference(it.sig.s, scheme.generator()), rhs);
+  }
+  EXPECT_EQ(vectors_->size(), 51u);
+  EXPECT_GT(accepted, 20u);
+  EXPECT_LT(accepted, vectors_->size());
+  EXPECT_GT(uncofactored_rejects, 10u);
+}
+
+TEST_F(VerifyVectors, VerifyAndSingletonBatchesMatchTheDefinition) {
+  Rng rng(1);
+  for (const Vector& x : *vectors_) {
+    EXPECT_EQ(scheme.verify(x.item.pub, x.item.msg, x.item.sig), x.expect) << x.label;
+    EXPECT_EQ(scheme.verify_batch({x.item}, rng), x.expect) << x.label;
+  }
+}
+
+TEST_F(VerifyVectors, MixedBatchesMatchTheDefinition) {
+  std::vector<SchnorrQ::BatchItem> valid;
+  for (const Vector& x : *vectors_)
+    if (x.expect) valid.push_back(x.item);
+  for (uint64_t seed : {2, 3}) {
+    Rng rng(seed);
+    EXPECT_TRUE(scheme.verify_batch(valid, rng));
+    EXPECT_FALSE(scheme.verify_batch(items(), rng));
+  }
+  Rng rng(4);
+  for (const Vector& x : *vectors_) {
+    if (x.expect) continue;
+    std::vector<SchnorrQ::BatchItem> batch = valid;
+    batch.insert(batch.begin() + static_cast<std::ptrdiff_t>(batch.size() / 3), x.item);
+    EXPECT_FALSE(scheme.verify_batch(batch, rng)) << x.label;
+  }
+}
+
+TEST_F(VerifyVectors, VerifyEachMatchesTheDefinition) {
+  const std::vector<SchnorrQ::BatchItem> all = items();
+  for (uint64_t seed : {5, 6, 7}) {
+    Rng rng(seed);
+    std::vector<uint8_t> verdicts(all.size(), 7);
+    scheme.verify_each(all, verdicts, rng);
+    for (size_t i = 0; i < all.size(); ++i)
+      EXPECT_EQ(verdicts[i], (*vectors_)[i].expect ? 1 : 0) << (*vectors_)[i].label;
+  }
+  // Every prefix length, so sets of every size bisect (odd halves too).
+  Rng rng(8);
+  for (size_t n = 0; n <= 12; ++n) {
+    std::vector<uint8_t> verdicts(n);
+    scheme.verify_each(std::span(all).first(n), verdicts, rng);
+    for (size_t i = 0; i < n; ++i) EXPECT_EQ(verdicts[i], (*vectors_)[i].expect ? 1 : 0) << n;
+  }
+}
+
+TEST_F(VerifyVectors, BatchEngineMatchesTheDefinition) {
+  const std::vector<SchnorrQ::BatchItem> all = items();
+  for (int workers : {1, 3}) {
+    for (size_t chunk : {size_t{0}, size_t{1}, size_t{5}}) {
+      engine::EngineOptions opt;
+      opt.workers = workers;
+      opt.chunk = chunk;
+      engine::BatchEngine eng(opt);
+      const std::vector<uint8_t> verdicts = eng.verify(all);
+      ASSERT_EQ(verdicts.size(), all.size());
+      for (size_t i = 0; i < all.size(); ++i)
+        EXPECT_EQ(verdicts[i], (*vectors_)[i].expect ? 1 : 0)
+            << (*vectors_)[i].label << " workers " << workers << " chunk " << chunk;
+    }
+  }
+}
+
+TEST_F(SchnorrTest, DecodeRejectsNonCanonicalEncodings) {
+  auto kp = scheme.keygen(rng);
+  const SchnorrQ::EncodedSignature good = scheme.encode_signature(scheme.sign(kp, "m"));
+  ASSERT_TRUE(scheme.decode_signature(good).has_value());
+  auto bad = good;  // y.re == p
+  std::fill(bad.begin(), bad.begin() + 15, uint8_t{0xff});
+  bad[15] = 0x7f;
+  EXPECT_FALSE(scheme.decode_signature(bad).has_value());
+  bad = good;  // bit 127 of y.re set
+  bad[15] |= 0x80;
+  EXPECT_FALSE(scheme.decode_signature(bad).has_value());
+  // x = 0 with the sign bit set: the identity's encoding plus the sign.
+  bad = good;
+  const curve::CompressedPoint id = curve::compress(Affine{curve::Fp2(), curve::Fp2::from_u64(1)});
+  std::copy(id.begin(), id.end(), bad.begin());
+  ASSERT_TRUE(scheme.decode_signature(bad).has_value());
+  bad[31] |= 0x80;
+  EXPECT_FALSE(scheme.decode_signature(bad).has_value());
+}
+
+TEST_F(SchnorrTest, FuzzDecodedSignaturesReencodeByteForByte) {
+  // Seeded fuzz loop: valid wire signatures with 1-3 flipped bits, and a
+  // random s below 2^247. Every accepted input carries a curve point R and
+  // s < N and re-encodes byte for byte.
+  std::vector<SchnorrQ::EncodedSignature> pool;
+  for (int i = 0; i < 16; ++i) {
+    auto kp = scheme.keygen(rng);
+    pool.push_back(scheme.encode_signature(scheme.sign(kp, "fuzz " + std::to_string(i))));
+  }
+  size_t accepted = 0;
+  for (size_t i = 0; i < 3000; ++i) {
+    SchnorrQ::EncodedSignature w = pool[i % pool.size()];
+    if (i % 3 == 0)
+      for (size_t b = 32; b < 64; ++b) w[b] = static_cast<uint8_t>(rng.next_u64());
+    if (i % 3 == 0) w[63] &= 0x7f >> 1;
+    const uint64_t flips = 1 + rng.next_below(3);
+    for (uint64_t f = 0; f < flips; ++f)
+      w[rng.next_below(64)] ^= static_cast<uint8_t>(1u << rng.next_below(8));
+    const std::optional<SchnorrQ::Signature> sig = scheme.decode_signature(w);
+    if (!sig) continue;
+    ++accepted;
+    ASSERT_TRUE(curve::on_curve(sig->r));
+    ASSERT_LT(sig->s, scheme.order());
+    ASSERT_EQ(scheme.encode_signature(*sig), w);
+  }
+  EXPECT_GT(accepted, 100u);
 }
 
 class EcdsaTest : public ::testing::Test {

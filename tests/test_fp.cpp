@@ -121,6 +121,22 @@ TEST(Fp, InverseIsInverse) {
   EXPECT_THROW(Fp().inv(), std::logic_error);
 }
 
+TEST(Fp, PowP34IsTheInversionChain) {
+  // x^((p-3)/4) = x^(2^125 - 1); inv() = pow_p34()^4 * x, and
+  // x * pow_p34()^2 is the Legendre symbol (-1 is a non-residue).
+  Rng rng(29);
+  U256 e;
+  sub(shl(U256(1), 125), U256(1), e);
+  for (int i = 0; i < 10; ++i) {
+    Fp a = rand_fp(rng);
+    if (a.is_zero()) continue;
+    EXPECT_EQ(a.pow_p34(), a.pow(e));
+    EXPECT_EQ(a.pow_p34().sqr_n(2) * a, a.inv());
+    EXPECT_EQ(a.sqr() * a.sqr().pow_p34().sqr(), Fp::from_u64(1));
+    EXPECT_EQ(-a.sqr() * (-a.sqr()).pow_p34().sqr(), -Fp::from_u64(1));
+  }
+}
+
 TEST(Fp, FermatLittleTheorem) {
   Rng rng(26);
   U256 p_minus_1;

@@ -118,6 +118,32 @@ TEST(ScalarMul, MulSmallMatches) {
   EXPECT_TRUE(is_identity(mul_small(0, r1)));
 }
 
+TEST(ScalarMul, MulSmallStartsAtTopBitWithUnchangedOutputs) {
+  // The 64-iteration double-and-add mul_small used to run: the doublings
+  // it spends on the identity before k's top bit return the identity's own
+  // coordinates, so starting at the top bit must not change one bit.
+  auto full_loop = [](uint64_t k, const PointR1& p) {
+    PointR2 p2 = to_r2(p);
+    PointR1 q = identity();
+    for (int i = 63; i >= 0; --i) {
+      q = dbl(q);
+      if ((k >> i) & 1) q = add(q, p2);
+    }
+    return q;
+  };
+  Affine p = deterministic_point(15);
+  PointR1 r1 = to_r1(p);
+  for (uint64_t k : {0ull, 1ull, 2ull, 7ull, 392ull, 1ull << 63, ~0ull}) {
+    PointR1 got = mul_small(k, r1);
+    EXPECT_TRUE(equal(got, scalar_mul(U256(k), p))) << k;
+    PointR1 want = full_loop(k, r1);
+    EXPECT_TRUE(got.X == want.X && got.Y == want.Y && got.Z == want.Z && got.Ta == want.Ta &&
+                got.Tb == want.Tb)
+        << k;
+  }
+  EXPECT_EQ(kCofactor, 392u);
+}
+
 TEST(ScalarMul, CofactorTimesSubgroupOrderKillsEveryPoint) {
   // #E = 2^3 * 7^2 * N: [392]([N]P) must be the identity for any P if the
   // candidate N is correct. Run only when parameters validate; this is the
