@@ -1,11 +1,16 @@
 #include "asic/romfile.hpp"
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "common/check.hpp"
+#include "common/fnv.hpp"
 
 namespace fourq::asic {
 
@@ -49,18 +54,74 @@ int bits_for(int n) { return n <= 1 ? 1 : static_cast<int>(std::ceil(std::log2(n
 
 // --- serialisation helpers -------------------------------------------------
 
+constexpr int kRomVersion = 3;
+constexpr std::string_view kTrailer = "checksum ";
+
+uint64_t checksum(std::string_view bytes) {
+  Fnv1a f;
+  f.bytes(bytes);
+  return f.h;
+}
+
+std::string hex64(uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
 void write_src(std::ostream& os, const SrcSel& s) {
   os << static_cast<int>(s.kind) << ' ' << s.reg << ' ' << s.map << ' ' << s.iter << ' '
      << s.unit;
 }
 
-SrcSel read_src(std::istream& is) {
-  SrcSel s;
-  int kind;
-  is >> kind >> s.reg >> s.map >> s.iter >> s.unit;
-  s.kind = static_cast<SrcSel::Kind>(kind);
-  return s;
-}
+// Reads the checksummed body. Any failed extraction or out-of-range field
+// is kCorrupt: the checksum already matched, so the writer and this reader
+// disagree, and nothing of the file can be trusted.
+class BodyReader {
+ public:
+  explicit BodyReader(const std::string& text) : is_(text), size_(text.size()) {}
+
+  template <typename T>
+  T value() {
+    T v{};
+    if (!(is_ >> v)) fail("unreadable field");
+    return v;
+  }
+  int in_range(int lo, int hi) {
+    const int v = value<int>();
+    if (v < lo || v > hi) fail("field out of range");
+    return v;
+  }
+  // An element count: each element takes at least two bytes of text.
+  size_t count() {
+    const size_t n = value<size_t>();
+    if (n > size_ / 2) fail("count larger than the file");
+    return n;
+  }
+  void tag(const char* want) {
+    if (value<std::string>() != want) fail(std::string("missing '") + want + "' section");
+  }
+  bool at_end() {
+    is_ >> std::ws;
+    return is_.eof();
+  }
+  SrcSel src() {
+    SrcSel s;
+    s.kind = static_cast<SrcSel::Kind>(in_range(0, static_cast<int>(SrcSel::Kind::kIndexed)));
+    s.reg = value<int>();
+    s.map = value<int>();
+    s.iter = value<int>();
+    s.unit = value<int>();
+    return s;
+  }
+  [[noreturn]] static void fail(const std::string& what) {
+    throw RomFileError(RomFileError::Reason::kCorrupt, "corrupt ROM file: " + what);
+  }
+
+ private:
+  std::istringstream is_;
+  size_t size_;
+};
 
 }  // namespace
 
@@ -105,129 +166,139 @@ RomStats rom_stats(const CompiledSm& sm) {
   return st;
 }
 
-void save_rom(const CompiledSm& sm, std::ostream& os) {
-  os << "fourq-rom 2\n";
-  os << sm.cfg.mul_latency << ' ' << sm.cfg.mul_ii << ' ' << sm.cfg.addsub_latency << ' '
-     << sm.cfg.num_multipliers << ' ' << sm.cfg.num_addsubs << ' ' << sm.cfg.rf_read_ports
-     << ' ' << sm.cfg.rf_write_ports << ' ' << sm.cfg.rf_size << ' '
-     << (sm.cfg.forwarding ? 1 : 0) << '\n';
-  os << sm.rf_slots << ' ' << sm.iterations << '\n';
+void save_rom(const CompiledSm& sm, std::ostream& os, uint64_t fingerprint) {
+  std::ostringstream body;
+  body << "fourq-rom " << kRomVersion << ' ' << hex64(fingerprint) << '\n';
+  body << sm.cfg.mul_latency << ' ' << sm.cfg.mul_ii << ' ' << sm.cfg.addsub_latency << ' '
+       << sm.cfg.num_multipliers << ' ' << sm.cfg.num_addsubs << ' ' << sm.cfg.rf_read_ports
+       << ' ' << sm.cfg.rf_write_ports << ' ' << sm.cfg.rf_size << ' '
+       << (sm.cfg.forwarding ? 1 : 0) << '\n';
+  body << sm.rf_slots << ' ' << sm.iterations << '\n';
 
-  os << "preload " << sm.preload.size() << '\n';
-  for (const auto& [op, reg] : sm.preload) os << op << ' ' << reg << '\n';
+  body << "preload " << sm.preload.size() << '\n';
+  for (const auto& [op, reg] : sm.preload) body << op << ' ' << reg << '\n';
 
-  os << "outputs " << sm.outputs.size() << '\n';
-  for (const auto& [name, reg] : sm.outputs) os << name << ' ' << reg << '\n';
+  body << "outputs " << sm.outputs.size() << '\n';
+  for (const auto& [name, reg] : sm.outputs) body << name << ' ' << reg << '\n';
 
-  os << "maps " << sm.select_maps.size() << '\n';
+  body << "maps " << sm.select_maps.size() << '\n';
   for (const auto& m : sm.select_maps) {
-    os << static_cast<int>(m.kind) << ' ' << m.reg.size() << '\n';
+    body << static_cast<int>(m.kind) << ' ' << m.reg.size() << '\n';
     for (const auto& variant : m.reg) {
-      os << variant.size();
-      for (int r : variant) os << ' ' << r;
-      os << '\n';
+      body << variant.size();
+      for (int r : variant) body << ' ' << r;
+      body << '\n';
     }
   }
 
-  os << "rom " << sm.rom.size() << '\n';
+  body << "rom " << sm.rom.size() << '\n';
   for (const CtrlWord& w : sm.rom) {
-    os << w.mul.size() << ' ' << w.addsub.size() << ' ' << w.writebacks.size() << '\n';
-    for (const UnitCtrl& u : w.mul) {
-      os << static_cast<int>(u.op) << ' ' << u.unit << ' ';
-      write_src(os, u.a);
-      os << ' ';
-      write_src(os, u.b);
-      os << '\n';
-    }
-    for (const UnitCtrl& u : w.addsub) {
-      os << static_cast<int>(u.op) << ' ' << u.unit << ' ';
-      write_src(os, u.a);
-      os << ' ';
-      write_src(os, u.b);
-      os << '\n';
+    body << w.mul.size() << ' ' << w.addsub.size() << ' ' << w.writebacks.size() << '\n';
+    for (const std::vector<UnitCtrl>* units : {&w.mul, &w.addsub}) {
+      for (const UnitCtrl& u : *units) {
+        body << static_cast<int>(u.op) << ' ' << u.unit << ' ';
+        write_src(body, u.a);
+        body << ' ';
+        write_src(body, u.b);
+        body << '\n';
+      }
     }
     for (const WbCtrl& wb : w.writebacks)
-      os << wb.reg << ' ' << (wb.from_mul ? 1 : 0) << ' ' << wb.unit << '\n';
+      body << wb.reg << ' ' << (wb.from_mul ? 1 : 0) << ' ' << wb.unit << '\n';
   }
+  const std::string text = body.str();
+  os << text << kTrailer << hex64(checksum(text)) << '\n';
 }
 
-CompiledSm load_rom(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  is >> magic >> version;
-  FOURQ_CHECK_MSG(magic == "fourq-rom" && version == 2, "bad ROM file header");
+CompiledSm load_rom(std::istream& is, uint64_t* fingerprint) {
+  const std::string file{std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+  // The header first, so a file of another format version reads as that.
+  {
+    std::istringstream head(file.substr(0, file.find('\n')));
+    std::string magic;
+    int version = 0;
+    head >> magic >> version;
+    if (magic != "fourq-rom") BodyReader::fail("bad header");
+    if (version != kRomVersion)
+      throw RomFileError(RomFileError::Reason::kVersion,
+                         "ROM file format " + std::to_string(version) + ", expected " +
+                             std::to_string(kRomVersion));
+  }
+  // The trailer is the last line: "checksum <16 hex digits>\n".
+  const size_t trailer_len = kTrailer.size() + 16 + 1;
+  if (file.size() < trailer_len || file.back() != '\n' ||
+      file.compare(file.size() - trailer_len, kTrailer.size(), kTrailer) != 0)
+    throw RomFileError(RomFileError::Reason::kTruncated, "truncated ROM file (no checksum)");
+  const std::string body = file.substr(0, file.size() - trailer_len);
+  if (file.compare(file.size() - 17, 16, hex64(checksum(body))) != 0)
+    BodyReader::fail("checksum mismatch");
 
+  BodyReader in(body);
   CompiledSm sm;
-  int fwd = 0;
-  is >> sm.cfg.mul_latency >> sm.cfg.mul_ii >> sm.cfg.addsub_latency >>
-      sm.cfg.num_multipliers >> sm.cfg.num_addsubs >> sm.cfg.rf_read_ports >>
-      sm.cfg.rf_write_ports >> sm.cfg.rf_size >> fwd;
-  sm.cfg.forwarding = fwd != 0;
-  is >> sm.rf_slots >> sm.iterations;
+  in.value<std::string>();  // magic and version, checked above
+  in.value<int>();
+  const std::string fp_hex = in.value<std::string>();
+  if (fingerprint) *fingerprint = std::strtoull(fp_hex.c_str(), nullptr, 16);
+  sm.cfg.mul_latency = in.in_range(1, 1 << 16);
+  sm.cfg.mul_ii = in.in_range(1, 1 << 16);
+  sm.cfg.addsub_latency = in.in_range(1, 1 << 16);
+  sm.cfg.num_multipliers = in.in_range(1, 255);
+  sm.cfg.num_addsubs = in.in_range(1, 255);
+  sm.cfg.rf_read_ports = in.value<int>();
+  sm.cfg.rf_write_ports = in.value<int>();
+  sm.cfg.rf_size = in.value<int>();
+  sm.cfg.forwarding = in.in_range(0, 1) != 0;
+  sm.rf_slots = in.in_range(0, 1 << 16);
+  sm.iterations = in.value<int>();
 
-  std::string tag;
-  size_t n = 0;
-  is >> tag >> n;
-  FOURQ_CHECK(tag == "preload");
-  for (size_t i = 0; i < n; ++i) {
-    int op, reg;
-    is >> op >> reg;
-    sm.preload.emplace_back(op, reg);
+  in.tag("preload");
+  for (size_t i = in.count(); i > 0; --i) {
+    const int op = in.value<int>();
+    sm.preload.emplace_back(op, in.value<int>());
   }
 
-  is >> tag >> n;
-  FOURQ_CHECK(tag == "outputs");
-  for (size_t i = 0; i < n; ++i) {
-    std::string name;
-    int reg;
-    is >> name >> reg;
-    sm.outputs.emplace_back(name, reg);
+  in.tag("outputs");
+  for (size_t i = in.count(); i > 0; --i) {
+    std::string name = in.value<std::string>();
+    sm.outputs.emplace_back(std::move(name), in.value<int>());
   }
 
-  is >> tag >> n;
-  FOURQ_CHECK(tag == "maps");
-  for (size_t i = 0; i < n; ++i) {
+  in.tag("maps");
+  for (size_t i = in.count(); i > 0; --i) {
     sched::SelectMap m;
-    int kind;
-    size_t variants;
-    is >> kind >> variants;
-    m.kind = static_cast<SelKind>(kind);
-    for (size_t v = 0; v < variants; ++v) {
-      size_t cnt;
-      is >> cnt;
-      std::vector<int> regs(cnt);
-      for (auto& r : regs) is >> r;
+    m.kind = static_cast<SelKind>(in.in_range(0, static_cast<int>(SelKind::kCorrection)));
+    for (size_t v = in.count(); v > 0; --v) {
+      std::vector<int> regs(in.count());
+      for (auto& r : regs) r = in.value<int>();
       m.reg.push_back(std::move(regs));
     }
     sm.select_maps.push_back(std::move(m));
   }
 
-  is >> tag >> n;
-  FOURQ_CHECK(tag == "rom");
-  sm.rom.resize(n);
+  in.tag("rom");
+  sm.rom.resize(in.count());
+  const int max_op = static_cast<int>(OpKind::kMul);
   for (auto& w : sm.rom) {
-    size_t nm, na, nw;
-    is >> nm >> na >> nw;
+    const size_t nm = in.count(), na = in.count(), nw = in.count();
     auto read_unit = [&]() {
       UnitCtrl u;
-      int op;
-      is >> op >> u.unit;
-      u.op = static_cast<OpKind>(op);
-      u.a = read_src(is);
-      u.b = read_src(is);
+      u.op = static_cast<OpKind>(in.in_range(0, max_op));
+      u.unit = in.value<int>();
+      u.a = in.src();
+      u.b = in.src();
       return u;
     };
     for (size_t i = 0; i < nm; ++i) w.mul.push_back(read_unit());
     for (size_t i = 0; i < na; ++i) w.addsub.push_back(read_unit());
     for (size_t i = 0; i < nw; ++i) {
       WbCtrl wb;
-      int from_mul;
-      is >> wb.reg >> from_mul >> wb.unit;
-      wb.from_mul = from_mul != 0;
+      wb.reg = in.value<int>();
+      wb.from_mul = in.in_range(0, 1) != 0;
+      wb.unit = in.value<int>();
       w.writebacks.push_back(wb);
     }
   }
-  FOURQ_CHECK_MSG(static_cast<bool>(is), "truncated ROM file");
+  if (!in.at_end()) BodyReader::fail("trailing data");
   return sm;
 }
 

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -10,28 +9,12 @@
 
 #include "asic/romfile.hpp"
 #include "common/check.hpp"
-#include "common/wrap.hpp"
+#include "common/fnv.hpp"
 #include "obs/obs.hpp"
 
 namespace fourq::engine {
 
 namespace {
-
-struct Fnv1a {
-  uint64_t h = 14695981039346656037ull;
-  FOURQ_NO_SANITIZE_UNSIGNED_WRAP void mix(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  void mix_double(double d) {
-    uint64_t bits;
-    static_assert(sizeof bits == sizeof d);
-    std::memcpy(&bits, &d, sizeof bits);
-    mix(bits);
-  }
-};
 
 // Every field that feeds trace construction or compilation, flattened in a
 // fixed order. Keep in sync with key_tuple() below.
@@ -78,6 +61,49 @@ std::string rom_path(const std::string& dir, const CompileKey& key) {
   return dir + "/rom-" + key.hash_hex() + ".txt";
 }
 
+void mix_operand(Fnv1a& f, const trace::Operand& o) {
+  f.mix(static_cast<uint64_t>(o.sel));
+  f.mix(static_cast<uint64_t>(o.ssa));
+  f.mix(static_cast<uint64_t>(o.table));
+  f.mix(static_cast<uint64_t>(o.iter));
+}
+
+// What a disk ROM must have been compiled from: the key and the traced
+// program (ops, select tables, outputs). A ROM whose fingerprint differs
+// was built by another trace builder or for a colliding key.
+uint64_t program_fingerprint(const CompileKey& key, const trace::Program& p) {
+  Fnv1a f;
+  mix_key(f, key);
+  for (const trace::Op& op : p.ops) {
+    f.mix(static_cast<uint64_t>(op.kind));
+    mix_operand(f, op.a);
+    mix_operand(f, op.b);
+  }
+  for (const trace::SelectTable& t : p.tables)
+    for (const std::vector<int>& variant : t.candidates) {
+      f.mix(variant.size());
+      for (int id : variant) f.mix(static_cast<uint64_t>(id));
+    }
+  for (const auto& [id, name] : p.outputs) {
+    f.mix(static_cast<uint64_t>(id));
+    f.bytes(name);
+  }
+  f.mix(static_cast<uint64_t>(p.iterations));
+  return f.h;
+}
+
+const char* reject_reason(asic::RomFileError::Reason r) {
+  switch (r) {
+    case asic::RomFileError::Reason::kVersion:
+      return "stale";
+    case asic::RomFileError::Reason::kTruncated:
+      return "truncated";
+    case asic::RomFileError::Reason::kCorrupt:
+      break;
+  }
+  return "corrupt";
+}
+
 }  // namespace
 
 uint64_t CompileKey::hash() const {
@@ -112,9 +138,11 @@ std::shared_ptr<const CompiledProgram> CompileCache::get_or_compile(const Compil
     }
     entry = slot;
   }
-  std::call_once(entry->once, [&] { entry->prog = build(key); });
+  bool disk_reject = false;
+  std::call_once(entry->once, [&] { entry->prog = build(key, disk_reject); });
   {
     std::lock_guard<std::mutex> lock(mu_);
+    if (disk_reject) ++stats_.disk_rejects;
     if (created) {
       if (entry->prog->loaded_from_disk) {
         // A disk hit is still a cache hit: no scheduler solve happened.
@@ -134,7 +162,8 @@ std::shared_ptr<const CompiledProgram> CompileCache::get_or_compile(const Compil
   return entry->prog;
 }
 
-std::shared_ptr<const CompiledProgram> CompileCache::build(const CompileKey& key) {
+std::shared_ptr<const CompiledProgram> CompileCache::build(const CompileKey& key,
+                                                           bool& disk_reject) {
   auto prog = std::make_shared<CompiledProgram>();
   prog->key = key;
 
@@ -163,13 +192,28 @@ std::shared_ptr<const CompiledProgram> CompileCache::build(const CompileKey& key
     program = &dual.program;
   }
 
+  // Fingerprinted only with a disk directory: nothing else reads it.
+  const uint64_t fingerprint = disk_dir_.empty() ? 0 : program_fingerprint(key, *program);
   if (!disk_dir_.empty()) {
-    std::ifstream is(rom_path(disk_dir_, key));
+    std::ifstream is(rom_path(disk_dir_, key), std::ios::binary);
     if (is) {
-      prog->sm = asic::load_rom(is);
-      FOURQ_CHECK_MSG(prog->sm.preload.size() > 0, "disk ROM with no preloads");
-      prog->loaded_from_disk = true;
-      return prog;
+      const char* reason = "stale";
+      try {
+        uint64_t stored = 0;
+        sched::CompiledSm sm = asic::load_rom(is, &stored);
+        if (stored == fingerprint && !sm.preload.empty()) {
+          prog->sm = std::move(sm);
+          prog->loaded_from_disk = true;
+          return prog;
+        }
+        if (stored == fingerprint) reason = "corrupt";  // a ROM with no preloads
+      } catch (const asic::RomFileError& e) {
+        reason = reject_reason(e.reason());
+      }
+      disk_reject = true;
+#if FOURQ_OBS_ENABLED
+      obs::global().metrics.counter("engine.cache.disk.reject", {{"reason", reason}}).inc();
+#endif
     }
   }
 
@@ -184,8 +228,8 @@ std::shared_ptr<const CompiledProgram> CompileCache::build(const CompileKey& key
       std::string tmp_path = final_path + ".tmp" + std::to_string(
           static_cast<unsigned long long>(key.hash() ^ reinterpret_cast<uintptr_t>(prog.get())));
       {
-        std::ofstream os(tmp_path);
-        if (os) asic::save_rom(prog->sm, os);
+        std::ofstream os(tmp_path, std::ios::binary);
+        if (os) asic::save_rom(prog->sm, os, fingerprint);
       }
       std::filesystem::rename(tmp_path, final_path, ec);
       if (ec) std::filesystem::remove(tmp_path, ec);

@@ -10,11 +10,17 @@
 // program bytes; two processes with equal keys build identical programs and
 // therefore identical ROMs (the solvers are seeded and deterministic).
 //
-// Disk format reuses asic/romfile's text serialisation ("fourq-rom 2"),
+// Disk format reuses asic/romfile's text serialisation ("fourq-rom 3"),
 // which round-trips CompiledSm exactly; a disk hit rebuilds only the cheap
 // trace (for input-op ids) and skips the scheduler entirely — no
 // sched.compile / sched.solve spans are emitted on that path, which is how
-// `fourqc batch` proves a warm start.
+// `fourqc batch` proves a warm start. The file's header carries a
+// fingerprint of the key and of the rebuilt trace, and its trailer a
+// content checksum. A file of another format version or fingerprint
+// (stale), without its trailer (truncated) or failing its checksum or
+// parse (corrupt) is never used: it counts as
+// engine.cache.disk.reject{reason} and the program is compiled again and
+// written over it.
 //
 // Thread safety: get_or_compile may be called concurrently; each key
 // compiles exactly once (later callers block on the per-entry latch and
@@ -75,9 +81,10 @@ class CompileCache {
   std::shared_ptr<const CompiledProgram> get_or_compile(const CompileKey& key);
 
   struct Stats {
-    uint64_t hits = 0;       // served from memory
-    uint64_t misses = 0;     // required a full compile
-    uint64_t disk_hits = 0;  // ROM loaded from disk (solver skipped)
+    uint64_t hits = 0;          // served from memory
+    uint64_t misses = 0;        // required a full compile
+    uint64_t disk_hits = 0;     // ROM loaded from disk (solver skipped)
+    uint64_t disk_rejects = 0;  // disk ROM found but not trusted (recompiled)
   };
   Stats stats() const;
   size_t size() const;
@@ -95,7 +102,7 @@ class CompileCache {
     std::shared_ptr<const CompiledProgram> prog;
   };
 
-  std::shared_ptr<const CompiledProgram> build(const CompileKey& key);
+  std::shared_ptr<const CompiledProgram> build(const CompileKey& key, bool& disk_reject);
 
   std::string disk_dir_;
   mutable std::mutex mu_;

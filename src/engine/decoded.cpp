@@ -4,6 +4,7 @@
 
 #include "asic/select_resolve.hpp"
 #include "common/check.hpp"
+#include "engine/lanes.hpp"
 
 namespace fourq::engine {
 
@@ -106,6 +107,7 @@ DecodedRom decode(const sched::CompiledSm& sm) {
     st.max_writes_in_cycle =
         std::max(st.max_writes_in_cycle, static_cast<int>(w.writebacks.size()));
   }
+  rom.lanes = lower_lanes(rom);
   return rom;
 }
 

@@ -13,7 +13,9 @@
 // per-cycle checks (decode() re-derives SimStats from the static stream;
 // legality is the flat simulator's and the static verifier's job — tests
 // pin run() outputs bitwise to asic::simulate()), and run() reuses a
-// SimWorkspace so repeated jobs perform zero heap allocations.
+// SimWorkspace so repeated jobs perform zero heap allocations. decode()
+// also lowers the streams once more, into the slot program the lane waves
+// run (LaneProgram below).
 #pragma once
 
 #include <vector>
@@ -21,6 +23,7 @@
 #include "asic/pipe_ring.hpp"
 #include "asic/simulator.hpp"
 #include "engine/cache.hpp"
+#include "field/fp_lanes.hpp"
 
 namespace fourq::engine {
 
@@ -48,6 +51,24 @@ struct DecodedWb {
   uint8_t unit = 0;
 };
 
+// The lane waves' form of the decoded streams (engine/lanes.hpp), lowered
+// by decode() in run()'s order — per cycle the mul issues, then the add/sub
+// issues, then the writebacks. Every operand is a fixed state slot:
+// register r is slot r, and each unit's pipe ring follows the register
+// file, so a bus read at cycle t and an issue landing at t + latency name
+// ring slots t mod R and (t + latency) mod R (R = latency + 1), resolved
+// here instead of per op. A digit or correction select becomes a gather
+// row, whose per-lane register run_lanes resolves once per wave.
+struct LaneProgram {
+  std::vector<field::lanes::SlotOp> ops;
+  std::vector<uint16_t> inputs;   // slot of each preload, rom.preload order
+  std::vector<uint16_t> outputs;  // slot of each output, rom.outputs order
+  std::vector<std::pair<int16_t, int16_t>> gathers;  // (select map, digit position) per row
+  int slots = 0;
+
+  field::lanes::SlotProgram view() const;
+};
+
 struct DecodedRom {
   int cycles = 0;
   int rf_slots = 0;
@@ -60,6 +81,7 @@ struct DecodedRom {
   // SimStats are a function of the control stream alone (operand *values*
   // never change which events fire), so they are computed here, once.
   asic::SimStats stats;
+  LaneProgram lanes;
 };
 
 DecodedRom decode(const sched::CompiledSm& sm);

@@ -4,29 +4,28 @@
 // asic::simulate(), but it still pays the full stream walk (cursor
 // advances, operand resolution, pipe-ring indexing) once per *job*. The
 // paper's ASIC never pays that per datum: one control ROM drives a wide
-// datapath. run_lanes() is the software analogue — SimWorkspace state is
-// refactored to struct-of-arrays over W lanes:
+// datapath, and decoding the ROM costs nothing per operand. run_lanes() is
+// the software analogue. decode() lowers the cycle-sorted streams once
+// into a flat slot program (DecodedRom::lanes, see decoded.hpp): every
+// register, bus and pipe-ring operand is a fixed state slot, so no op
+// resolves an operand at run time. A wave of W <= 8 jobs then runs as one
+// call of the active kernel table's run_slots (field/fp_lanes.hpp), which
+// keeps the state of all W lanes in its own representation for the whole
+// wave — radix-2^52 limbs on avx512, split at preload and joined at
+// readout; canonical u128 through the fp2 kernels on avx2 and generic.
 //
-//     rf_re[slot * W + lane]            register file, real component
-//     rf_im[slot * W + lane]            register file, imaginary component
-//     mul_re[(unit * R + ring) * W + lane]   mul pipe rings (R = latency+1)
-//     add_re[(unit * R + ring) * W + lane]   add/sub pipe rings
+// The only per-lane scalar steps are at the wave's edges: binding each
+// lane's preloads, and resolving each digit or correction select (a gather
+// row, whose register depends on the lane's recoded scalar) once per wave
+// from the lanes' EvalContexts. Inside the wave a gather is one per-lane
+// read of the resolved slots.
 //
-// and a single pass over the cycle-sorted issue/writeback streams executes
-// all W jobs: one decode walk, one cursor advance, W datapaths. For a fixed
-// (slot | unit, ring) the W lanes are contiguous, so kReg and bus operands
-// are zero-copy slices handed straight to the field::lanes batch kernels
-// (which provide the per-op parallelism: W independent carry chains for
-// the portable kernels, 4 lanes per vector for AVX2), and results land
-// directly in the destination pipe-ring slot — safe because a ring of size
-// latency+1 puts the write index (t + latency) mod R never equal to the
-// read index t mod R for latency >= 1. Only kIndexed operands (digit-table
-// selects, which depend on each job's recoded scalar) gather per lane.
-//
-// Every value entering the SoA state is canonical and every kernel output
-// is canonical, so each lane's outputs are bitwise-equal to decoded::run()
-// and therefore to asic::simulate() — tests/test_lanes.cpp pins this for
-// W in {1, 2, 4, 8}.
+// Inputs enter canonical and every runner hands back canonical outputs
+// (avx512's semi-reduced state is folded once at readout), and canonical
+// form is unique, so each lane's outputs are bitwise-equal to
+// decoded::run() and therefore to asic::simulate() — tests/test_lanes.cpp
+// pins this for every width 1..8 across a MachineConfig grid, both
+// endomorphism variants and every kernel table.
 #pragma once
 
 #include <string>
@@ -38,24 +37,22 @@
 namespace fourq::engine {
 
 // Maximum lane width accepted by run_lanes; BatchEngine::run's wave width.
-inline constexpr int kMaxLanes = 8;
+inline constexpr int kMaxLanes = static_cast<int>(field::lanes::kWaveLanes);
 
-// Reusable SoA execution state for one wave of W lanes. prepare() sizes
-// everything for (rom, width); run_lanes() re-prepares automatically when
-// either changed, so steady-state waves perform zero heap allocations.
+// Reusable rows and state of one wave. run_lanes() sizes them for the
+// program on first use, so steady-state waves perform zero heap
+// allocations. Rows are kMaxLanes lanes wide whatever the wave's width.
 struct LaneWorkspace {
-  int width = 0;     // W this workspace is laid out for
-  int rf_slots = 0;
-  int mul_units = 0, add_units = 0;
-  int mul_ring = 0, add_ring = 0;  // latency + 1 slots per unit
-
-  std::vector<u128> rf_re, rf_im;
-  std::vector<u128> mul_re, mul_im;  // [(unit * mul_ring + slot) * W + lane]
-  std::vector<u128> add_re, add_im;
-  std::vector<u128> ga_re, ga_im, gb_re, gb_im;  // kIndexed gather scratch
-
-  void prepare(const DecodedRom& rom, int width);
+  int width = 0;                      // live lanes of the last wave
+  std::vector<u128> in_re, in_im;     // [preload * kMaxLanes + lane]
+  std::vector<uint16_t> gather;       // [gather row * kMaxLanes + lane] -> slot
+  std::vector<u128> out_re, out_im;   // [output * kMaxLanes + lane]
+  std::vector<uint64_t> state;        // the kernel table's slot state
 };
+
+// The lowering decode() runs once per program (see LaneProgram in
+// decoded.hpp). Validates every operand it turns into a slot.
+LaneProgram lower_lanes(const DecodedRom& rom);
 
 // Executes the decoded program for `lanes` jobs at once. inputs[l] / ctxs[l]
 // are lane l's preload bindings and select context (the same values the

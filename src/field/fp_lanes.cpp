@@ -1,5 +1,6 @@
 #include "field/fp_lanes.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -21,22 +22,6 @@ inline void put(u128* re, u128* im, const Fp2& v) {
   *im = v.im().raw();
 }
 
-void g_mul_wide(const u128* a, const u128* b, U256* r, size_t n) {
-  for (size_t i = 0; i < n; ++i) r[i] = Fp::mul_wide(fp(a[i]), fp(b[i]));
-}
-
-void g_sqr_wide(const u128* a, U256* r, size_t n) {
-  for (size_t i = 0; i < n; ++i) r[i] = Fp::sqr_wide(fp(a[i]));
-}
-
-void g_reduce_wide(const U256* v, u128* r, size_t n) {
-  for (size_t i = 0; i < n; ++i) r[i] = Fp::reduce_wide(v[i]).raw();
-}
-
-void g_fp_mul(const u128* a, const u128* b, u128* r, size_t n) {
-  for (size_t i = 0; i < n; ++i) r[i] = (fp(a[i]) * fp(b[i])).raw();
-}
-
 // The fp2 kernels compute an element's result before writing either
 // output, so r aliasing any input array — even cross-component, e.g.
 // rre == aim — stays well-defined.
@@ -56,10 +41,6 @@ void g_fp2_sub(const u128* are, const u128* aim, const u128* bre, const u128* bi
                u128* rre, u128* rim, size_t n) {
   for (size_t i = 0; i < n; ++i)
     put(&rre[i], &rim[i], join_unchecked(are[i], aim[i]) - join_unchecked(bre[i], bim[i]));
-}
-
-void g_fp2_conj(const u128* are, const u128* aim, u128* rre, u128* rim, size_t n) {
-  for (size_t i = 0; i < n; ++i) put(&rre[i], &rim[i], join_unchecked(are[i], aim[i]).conj());
 }
 
 // Fused mixed addition, one lane at a time — the curve's 7M + 7A formula
@@ -85,9 +66,12 @@ void g_pt_addmix(u128* const* p, const u128* const* q, size_t n) {
   }
 }
 
+void g_run_slots(const SlotProgram& prog, const SlotWave& wave) {
+  run_slots_u128(prog, wave, g_fp2_mul, g_fp2_add, g_fp2_sub);
+}
+
 constexpr Kernels kGeneric = {
-    "generic", g_mul_wide, g_sqr_wide, g_reduce_wide, g_fp_mul,
-    g_fp2_mul, g_fp2_add,  g_fp2_sub,  g_fp2_conj,   g_pt_addmix, 1,
+    "generic", g_fp2_mul, g_fp2_add, g_fp2_sub, g_pt_addmix, g_run_slots, 1,
 };
 
 // ---------------------------------------------------------------------------
@@ -141,6 +125,64 @@ const Kernels& avx512_kernels() { return kGeneric; }
 const Kernels& active() {
   static const Kernels* table = resolve_active();
   return *table;
+}
+
+void run_slots_u128(const SlotProgram& prog, const SlotWave& wave, Fp2Kernel mul,
+                    Fp2Kernel add, Fp2Kernel sub) {
+  constexpr size_t kW = kWaveLanes;
+  const size_t n = wave.lanes;
+  u128* const st = static_cast<u128*>(wave.state);
+  struct Operand {
+    const u128* re;
+    const u128* im;
+  };
+  // Gathered operands land in per-op scratch; lane l of gather row r reads
+  // lane l of the slot the row names for that lane.
+  u128 scratch[2][2][kW];
+  auto operand = [&](uint16_t src, bool gathered, int which) -> Operand {
+    if (!gathered) return {st + 2 * kW * src, st + 2 * kW * src + kW};
+    const uint16_t* row = wave.gather + kW * src;
+    for (size_t l = 0; l < n; ++l) {
+      scratch[which][0][l] = st[2 * kW * row[l] + l];
+      scratch[which][1][l] = st[2 * kW * row[l] + kW + l];
+    }
+    return {scratch[which][0], scratch[which][1]};
+  };
+  for (size_t i = 0; i < prog.n_inputs; ++i) {
+    u128* d = st + 2 * kW * prog.inputs[i];
+    std::copy_n(wave.in_re + kW * i, n, d);
+    std::copy_n(wave.in_im + kW * i, n, d + kW);
+  }
+  const u128 zero[kW] = {};
+  for (size_t i = 0; i < prog.n_ops; ++i) {
+    const SlotOp& op = prog.ops[i];
+    const Operand a = operand(op.a, op.gather & SlotOp::kGatherA, 0);
+    u128* d = st + 2 * kW * op.dst;
+    switch (op.kind) {
+      case SlotOp::kMul:
+      case SlotOp::kAdd:
+      case SlotOp::kSub: {
+        const Operand b = operand(op.b, op.gather & SlotOp::kGatherB, 1);
+        const Fp2Kernel k = op.kind == SlotOp::kMul ? mul : op.kind == SlotOp::kAdd ? add : sub;
+        k(a.re, a.im, b.re, b.im, d, d + kW, n);
+        break;
+      }
+      case SlotOp::kConj:  // (re, 0 - im): the canonical negation of im
+        sub(a.re, zero, zero, a.im, d, d + kW, n);
+        break;
+      default:  // kCopy (d may be a's own slot)
+        for (size_t l = 0; l < n; ++l) {
+          d[l] = a.re[l];
+          d[kW + l] = a.im[l];
+        }
+        break;
+    }
+  }
+  for (size_t i = 0; i < prog.n_outputs; ++i) {
+    const u128* s = st + 2 * kW * prog.outputs[i];
+    std::copy_n(s, n, wave.out_re + kW * i);
+    std::copy_n(s + kW, n, wave.out_im + kW * i);
+  }
 }
 
 }  // namespace fourq::field::lanes

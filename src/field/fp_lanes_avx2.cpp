@@ -2,7 +2,7 @@
 // 32-bit-limbs-in-64-bit-lanes representation.
 //
 // Layout: an F_p element (u128) is 4 limbs l0..l3, each kept in the low
-// 32 bits of a 64-bit vector lane; a wide product (U256) is 8 such limbs.
+// 32 bits of a 64-bit vector lane; a wide product is 8 such limbs.
 // vpmuludq (_mm256_mul_epu32) multiplies exactly those low-32 halves, so a
 // 128x128-bit product is a 4x4 schoolbook of 16 vector multiplies whose
 // partial products are accumulated per column: the low 32 bits of each
@@ -46,7 +46,7 @@ struct V4 {
 };
 
 struct V8 {
-  __m256i l[8];  // one U256 across 4 lanes, 32-bit limbs
+  __m256i l[8];  // one 256-bit product across 4 lanes, 32-bit limbs
 };
 
 inline V4 load_u128x4(const u128* p) {
@@ -69,51 +69,6 @@ inline void store_u128x4(u128* p, const V4& v) {
   const __m256i b = _mm256_unpackhi_epi64(lo, hi);  // lanes 2,3
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), a);
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + 2), b);
-}
-
-inline V8 load_u256x4(const U256* p) {
-  const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 1));
-  const __m256i c = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 2));
-  const __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 3));
-  // Word-slice the four U256 into vectors with lane order (0, 2, 1, 3).
-  const __m256i t0 = _mm256_unpacklo_epi64(a, c);  // w0/w2 of lanes 0,2
-  const __m256i t1 = _mm256_unpacklo_epi64(b, d);  // w0/w2 of lanes 1,3
-  const __m256i t2 = _mm256_unpackhi_epi64(a, c);  // w1/w3 of lanes 0,2
-  const __m256i t3 = _mm256_unpackhi_epi64(b, d);  // w1/w3 of lanes 1,3
-  const __m256i w0 = _mm256_permute2x128_si256(t0, t1, 0x20);
-  const __m256i w2 = _mm256_permute2x128_si256(t0, t1, 0x31);
-  const __m256i w1 = _mm256_permute2x128_si256(t2, t3, 0x20);
-  const __m256i w3 = _mm256_permute2x128_si256(t2, t3, 0x31);
-  V8 r;
-  r.l[0] = _mm256_and_si256(w0, mask32());
-  r.l[1] = _mm256_srli_epi64(w0, 32);
-  r.l[2] = _mm256_and_si256(w1, mask32());
-  r.l[3] = _mm256_srli_epi64(w1, 32);
-  r.l[4] = _mm256_and_si256(w2, mask32());
-  r.l[5] = _mm256_srli_epi64(w2, 32);
-  r.l[6] = _mm256_and_si256(w3, mask32());
-  r.l[7] = _mm256_srli_epi64(w3, 32);
-  return r;
-}
-
-inline void store_u256x4(U256* p, const V8& v) {
-  const __m256i w0 = _mm256_or_si256(v.l[0], _mm256_slli_epi64(v.l[1], 32));
-  const __m256i w1 = _mm256_or_si256(v.l[2], _mm256_slli_epi64(v.l[3], 32));
-  const __m256i w2 = _mm256_or_si256(v.l[4], _mm256_slli_epi64(v.l[5], 32));
-  const __m256i w3 = _mm256_or_si256(v.l[6], _mm256_slli_epi64(v.l[7], 32));
-  const __m256i t0 = _mm256_unpacklo_epi64(w0, w1);  // w0,w1 of lanes 0 | 1
-  const __m256i t1 = _mm256_unpacklo_epi64(w2, w3);  // w2,w3 of lanes 0 | 1
-  const __m256i t2 = _mm256_unpackhi_epi64(w0, w1);  // w0,w1 of lanes 2 | 3
-  const __m256i t3 = _mm256_unpackhi_epi64(w2, w3);  // w2,w3 of lanes 2 | 3
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p),
-                      _mm256_permute2x128_si256(t0, t1, 0x20));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + 1),
-                      _mm256_permute2x128_si256(t0, t1, 0x31));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + 2),
-                      _mm256_permute2x128_si256(t2, t3, 0x20));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + 3),
-                      _mm256_permute2x128_si256(t2, t3, 0x31));
 }
 
 // --- arithmetic cores ------------------------------------------------------
@@ -335,37 +290,6 @@ inline void fp2_mul_core(const V4& x0, const V4& x1, const V4& y0, const V4& y1,
 
 // --- kernel entry points ---------------------------------------------------
 
-void a_mul_wide(const u128* a, const u128* b, U256* r, size_t n) {
-  size_t i = 0;
-  for (; i + kVL <= n; i += kVL)
-    store_u256x4(r + i, mul_core(load_u128x4(a + i), load_u128x4(b + i)));
-  if (i < n) generic_kernels().mul_wide(a + i, b + i, r + i, n - i);
-}
-
-void a_sqr_wide(const u128* a, U256* r, size_t n) {
-  size_t i = 0;
-  for (; i + kVL <= n; i += kVL) {
-    const V4 v = load_u128x4(a + i);
-    store_u256x4(r + i, mul_core(v, v));
-  }
-  if (i < n) generic_kernels().sqr_wide(a + i, r + i, n - i);
-}
-
-void a_reduce_wide(const U256* v, u128* r, size_t n) {
-  size_t i = 0;
-  for (; i + kVL <= n; i += kVL)
-    store_u128x4(r + i, reduce_core(load_u256x4(v + i)));
-  if (i < n) generic_kernels().reduce_wide(v + i, r + i, n - i);
-}
-
-void a_fp_mul(const u128* a, const u128* b, u128* r, size_t n) {
-  size_t i = 0;
-  for (; i + kVL <= n; i += kVL)
-    store_u128x4(r + i,
-                 reduce_core(mul_core(load_u128x4(a + i), load_u128x4(b + i))));
-  if (i < n) generic_kernels().fp_mul(a + i, b + i, r + i, n - i);
-}
-
 void a_fp2_mul(const u128* are, const u128* aim, const u128* bre,
                const u128* bim, u128* rre, u128* rim, size_t n) {
   size_t i = 0;
@@ -409,20 +333,6 @@ void a_fp2_sub(const u128* are, const u128* aim, const u128* bre,
                               rim + i, n - i);
 }
 
-void a_fp2_conj(const u128* are, const u128* aim, u128* rre, u128* rim,
-                size_t n) {
-  size_t i = 0;
-  for (; i + kVL <= n; i += kVL) {
-    V4 zero;
-    for (auto& v : zero.l) v = _mm256_setzero_si256();
-    const V4 re = load_u128x4(are + i);
-    const V4 im = sub_core(zero, load_u128x4(aim + i));
-    store_u128x4(rre + i, re);
-    store_u128x4(rim + i, im);
-  }
-  if (i < n) generic_kernels().fp2_conj(are + i, aim + i, rre + i, rim + i, n - i);
-}
-
 // No fused point kernel here: the 32-bit-limb layout gains nothing over
 // composing the existing fp2 kernels, so AVX2 delegates to the generic
 // reference (still lane-batched by the caller, still bitwise-identical).
@@ -430,9 +340,14 @@ void a_pt_addmix(u128* const* p, const u128* const* q, size_t n) {
   generic_kernels().pt_addmix(p, q, n);
 }
 
+// Slot programs run on canonical u128 state through the kernels above: the
+// 32-bit-limb split is cheap next to the 4x4 schoolbook it feeds.
+void a_run_slots(const SlotProgram& prog, const SlotWave& wave) {
+  run_slots_u128(prog, wave, a_fp2_mul, a_fp2_add, a_fp2_sub);
+}
+
 constexpr Kernels kAvx2 = {
-    "avx2",    a_mul_wide, a_sqr_wide, a_reduce_wide, a_fp_mul,
-    a_fp2_mul, a_fp2_add,  a_fp2_sub,  a_fp2_conj,   a_pt_addmix, 1,
+    "avx2", a_fp2_mul, a_fp2_add, a_fp2_sub, a_pt_addmix, a_run_slots, 1,
 };
 
 }  // namespace

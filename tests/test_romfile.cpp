@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "asic/simulator.hpp"
+#include "common/rng.hpp"
 #include "curve/scalarmul.hpp"
 #include "sched/compile.hpp"
 #include "trace/sm_trace.hpp"
@@ -101,6 +102,73 @@ TEST(RomFile, RejectsTruncatedFile) {
   std::string text = ss.str();
   std::stringstream cut(text.substr(0, text.size() / 2));
   EXPECT_THROW(load_rom(cut), std::logic_error);
+}
+
+TEST(RomFile, TypedErrorsNameTheDefect) {
+  auto r = compiled_body();
+  std::stringstream ss;
+  save_rom(r.sm, ss, 0x1234abcd);
+  const std::string text = ss.str();
+  auto reason_of = [](const std::string& file) {
+    std::stringstream in(file);
+    try {
+      load_rom(in);
+    } catch (const RomFileError& e) {
+      return static_cast<int>(e.reason());
+    }
+    return -1;
+  };
+  std::string v2 = text;
+  v2.replace(v2.find("fourq-rom 3"), 11, "fourq-rom 2");
+  EXPECT_EQ(reason_of(v2), static_cast<int>(RomFileError::Reason::kVersion));
+  EXPECT_EQ(reason_of(text.substr(0, text.size() - 30)),
+            static_cast<int>(RomFileError::Reason::kTruncated));
+  std::string flipped = text;
+  flipped[text.size() / 2] ^= 0x04;
+  EXPECT_EQ(reason_of(flipped), static_cast<int>(RomFileError::Reason::kCorrupt));
+
+  std::stringstream in(text);
+  uint64_t fingerprint = 0;
+  load_rom(in, &fingerprint);
+  EXPECT_EQ(fingerprint, 0x1234abcdu);
+}
+
+TEST(RomFile, FuzzedFilesThrowTypedErrorsOrLoadIdentically) {
+  // Every truncation length and a seeded run of byte and bit flips: each
+  // input either throws RomFileError or loads the very ROM that was saved.
+  auto r = compiled_body();
+  std::stringstream ss;
+  save_rom(r.sm, ss);
+  const std::string text = ss.str();
+  const std::string want = disassemble(r.sm);
+  size_t thrown = 0, loaded = 0;
+  auto probe = [&](const std::string& file) {
+    std::stringstream in(file);
+    try {
+      const sched::CompiledSm back = load_rom(in);
+      ASSERT_EQ(disassemble(back), want);
+      ASSERT_EQ(back.preload, r.sm.preload);
+      ASSERT_EQ(back.outputs, r.sm.outputs);
+      ++loaded;
+    } catch (const RomFileError&) {
+      ++thrown;
+    }
+  };
+  for (size_t len = 0; len <= text.size(); ++len) probe(text.substr(0, len));
+  Rng rng(20261018);
+  for (int i = 0; i < 4000; ++i) {
+    std::string file = text;
+    const size_t at = rng.next_below(file.size());
+    if (i % 2 == 0)
+      file[at] = static_cast<char>(file[at] ^ (1 << rng.next_below(8)));
+    else
+      file[at] = static_cast<char>(1 + rng.next_below(255));
+    probe(file);
+  }
+  // The full-length truncation is the file itself; a flip may rewrite a
+  // byte with its own value.
+  EXPECT_GE(loaded, 1u);
+  EXPECT_GT(thrown, text.size());
 }
 
 }  // namespace
