@@ -384,23 +384,15 @@ void BatchEngine::exec_sm(const Task& t, SmArena& ar) {
   const CompiledProgram& p = *program_;
   const DecodedRom& rom = *decoded_;
   constexpr size_t kW = static_cast<size_t>(kMaxLanes);
-  const size_t group = static_cast<size_t>(field::lanes::active().group);
-  // Every job runs in a kW-wide SoA wave: one pass over the decoded streams
-  // for all of them. The task's last wave may hold fewer live jobs; it is
-  // padded with copies of lane 0 up to the kernel table's group, so the
-  // vector kernels never drop to their per-lane remainder loop, and the
-  // padded lanes' outputs are never read back.
+  // Every job runs in a kW-wide SoA wave: one run_slots call for all of
+  // them. The task's last wave may hold fewer live jobs; it runs with that
+  // many lanes, and the kernel table decides what its dead lanes compute.
   size_t waves = 0, ragged = 0;
   for (size_t i = t.begin; i < t.end; i += kW) {
     const size_t live = std::min(kW, t.end - i);
     for (size_t l = 0; l < live; ++l)
       stage_job(p, t.jobs[i + l], ar.decs[l], ar.recs[l], ar.bindings[l], ar.ctxs[l]);
-    const size_t width = std::min(kW, (live + group - 1) / group * group);
-    for (size_t l = live; l < width; ++l) {
-      ar.bindings[l] = ar.bindings[0];  // keeps capacity: no allocation
-      ar.ctxs[l] = ar.ctxs[0];
-    }
-    run_lanes(rom, ar.bindings.data(), ar.ctxs.data(), static_cast<int>(width), ar.lane_ws);
+    run_lanes(rom, ar.bindings.data(), ar.ctxs.data(), static_cast<int>(live), ar.lane_ws);
     for (size_t l = 0; l < live; ++l) {
       const int lane = static_cast<int>(l);
       t.results[i + l].out = curve::Affine{lane_output(rom, ar.lane_ws, "x", lane),
@@ -451,7 +443,7 @@ std::vector<SmResult> BatchEngine::run(const std::vector<SmJob>& jobs) {
   // a 256-job batch — on few-core hosts the mutex/condvar traffic made 8
   // workers *slower* than 1 (BENCH_engine.json: queue-wait p50 36.7 ms vs
   // 1.7 ms service). One queue op now covers a whole run of waves, and
-  // wave-alignment confines the partial (padded) wave to the final task.
+  // wave-alignment confines the partial wave to the final task.
   const size_t wv = static_cast<size_t>(kMaxLanes);
   size_t chunk = opt_.chunk;
   if (chunk == 0) {

@@ -80,10 +80,9 @@ class BatchEngine {
 
   // Simulates every job on the pool; results[i] corresponds to jobs[i].
   // First call compiles (or cache-hits) and decodes the program. Every job
-  // runs in a run_lanes() wave: a task's last, partial wave is padded with
-  // copies of its lane 0 up to the kernel table's group, and the padded
-  // outputs are discarded. Throws std::invalid_argument, before any job
-  // runs, if a base point is not on the curve.
+  // runs in a run_lanes() wave; a task's last, partial wave runs with only
+  // its live lanes. Throws std::invalid_argument, before any job runs, if a
+  // base point is not on the curve.
   std::vector<SmResult> run(const std::vector<SmJob>& jobs);
 
   // Per-item verdicts: verdicts[i] = 1 iff SchnorrQ::verify() accepts
