@@ -5,17 +5,18 @@
 // guards the queue-chunking fix (8 workers must not fall below 1 worker
 // again).
 //
-// The headline metric is the 8-lane wave's ledger efficiency: the decoded
-// program's issue counts priced at the measured cost of one lane-op in the
-// kernel table's slot-program runner (W x (mul issues x mul ns + add/sub
-// issues x add ns) per wave), divided by the measured time per wave. The
-// prices come from two straight-line programs of independent ops, one of
-// muls and one of adds, run through the same run_slots entry the wave
-// uses, so the floor is the wave's own arithmetic with nothing between
-// the ops. Both sides run in this process, so ambient host load largely
-// cancels (a busy sibling hyperthread slows the wave more than the
-// L1-resident pricing loop), and the gate depends only on the laned path
-// itself. The laned-vs-scalar throughput ratio and
+// The headline metric is the 8-lane wave's ledger efficiency: the lowered
+// slot program's op counts by kind priced at the measured cost of one
+// lane-op of that kind in the kernel table's slot-program runner (W x (muls
+// x mul ns + squarings x sqr ns + add/sub/conj x add ns) per wave), divided
+// by the measured time per wave. The prices come from three straight-line
+// programs of independent ops, one of muls, one of squarings and one of
+// adds, run through the same run_slots entry the wave uses, so the floor
+// is the wave's own arithmetic with nothing between the ops. Both sides
+// run in this process, so ambient host load largely cancels (a busy
+// sibling hyperthread slows the wave more than the L1-resident pricing
+// loop), and the gate depends only on the laned path itself. The
+// laned-vs-scalar throughput ratio and
 // the ragged-batch rate are still printed and recorded, but not gated: the
 // ratio falls whenever the scalar interpreter gets faster, which is not a
 // lane regression.
@@ -44,10 +45,11 @@ double secs_since(std::chrono::steady_clock::time_point t0) {
 }
 
 // Cost of one lane-op of the wave's arithmetic in the active table's
-// slot-program runner: 2048 independent muls (then adds) over 16 input
-// slots, 8 lanes, best of 4 passes each.
+// slot-program runner: 2048 independent muls (then squarings, then adds)
+// over 16 input slots, 8 lanes, best of 4 passes each.
 struct SlotOpCost {
   double mul_ns = 0.0;
+  double sqr_ns = 0.0;
   double add_ns = 0.0;
 };
 
@@ -95,7 +97,8 @@ SlotOpCost slot_op_cost() {
     }
     return best;
   };
-  return {per_lane_op_ns(lk::SlotOp::kMul), per_lane_op_ns(lk::SlotOp::kAdd)};
+  return {per_lane_op_ns(lk::SlotOp::kMul), per_lane_op_ns(lk::SlotOp::kSqr),
+          per_lane_op_ns(lk::SlotOp::kAdd)};
 }
 
 }  // namespace
@@ -228,11 +231,11 @@ int main(int argc, char** argv) {
               speedup, ratio_8w, mismatches == 0 ? "all match" : "MISMATCH");
 
   // Ledger efficiency of one 8-lane wave, timed on this thread straight
-  // through run_lanes (no pool hand-off, no per-job staging): every mul
-  // issue is priced as one slot-program mul over the wave's 8 lanes, every
-  // add/sub issue as one slot-program add. Each timed batch of waves is
-  // followed by a pricing pass on the same thread, and the best of each is
-  // kept, so both come from the same stretch of host load.
+  // through run_lanes (no pool hand-off, no per-job staging): every op of
+  // the lowered program is priced as one slot-program op of its kind over
+  // the wave's 8 lanes (a conj at the add price). Each timed batch of waves
+  // is followed by a pricing pass on the same thread, and the best of each
+  // is kept, so both come from the same stretch of host load.
   constexpr int kW = 8, kWaves = 4;
   std::vector<trace::InputBindings> binds(kW);
   std::vector<curve::Decomposition> decs(kW);
@@ -245,22 +248,28 @@ int main(int argc, char** argv) {
     check(static_cast<size_t>(l),
           {engine::lane_output(rom, lws, "x", l), engine::lane_output(rom, lws, "y", l)});
   double wave_us = 1e300;
-  SlotOpCost cost{1e300, 1e300};
+  SlotOpCost cost{1e300, 1e300, 1e300};
   for (int rep = 0; rep < 25; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
     for (int w = 0; w < kWaves; ++w) engine::run_lanes(rom, binds.data(), ctxs.data(), kW, lws);
     wave_us = std::min(wave_us, secs_since(t0) * 1e6 / kWaves);
     const SlotOpCost c = slot_op_cost();
     cost.mul_ns = std::min(cost.mul_ns, c.mul_ns);
+    cost.sqr_ns = std::min(cost.sqr_ns, c.sqr_ns);
     cost.add_ns = std::min(cost.add_ns, c.add_ns);
   }
-  const asic::SimStats& st = rom.stats;
+  long muls = 0, sqrs = 0, adds = 0;
+  for (const field::lanes::SlotOp& op : rom.lanes.ops) {
+    if (op.kind == field::lanes::SlotOp::kMul) ++muls;
+    else if (op.kind == field::lanes::SlotOp::kSqr) ++sqrs;
+    else ++adds;
+  }
   const double floor_us =
-      kW * (st.mul_issues * cost.mul_ns + st.addsub_issues * cost.add_ns) / 1e3;
+      kW * (muls * cost.mul_ns + sqrs * cost.sqr_ns + adds * cost.add_ns) / 1e3;
   const double efficiency = floor_us / wave_us;
-  std::printf("8-lane wave: %.1f us measured, %.1f us floor (%d mul x %.2f ns + %d add/sub x "
-              "%.2f ns, per lane-op) -> efficiency %.3f\n",
-              wave_us, floor_us, st.mul_issues, cost.mul_ns, st.addsub_issues, cost.add_ns,
+  std::printf("8-lane wave: %.1f us measured, %.1f us floor (%ld mul x %.2f ns + %ld sqr x "
+              "%.2f ns + %ld add/sub x %.2f ns, per lane-op) -> efficiency %.3f\n",
+              wave_us, floor_us, muls, cost.mul_ns, sqrs, cost.sqr_ns, adds, cost.add_ns,
               efficiency);
 
   bench::JsonRecorder rec("lanes");
@@ -271,6 +280,7 @@ int main(int argc, char** argv) {
   rec.record("speedup_laned_vs_scalar", speedup, "x");
   rec.record("ratio_8w_vs_1w", ratio_8w, "x");
   rec.record("slots.mul_ns_per_lane_op", cost.mul_ns, "ns");
+  rec.record("slots.sqr_ns_per_lane_op", cost.sqr_ns, "ns");
   rec.record("slots.add_ns_per_lane_op", cost.add_ns, "ns");
   rec.record("wave.measured_us", wave_us, "us");
   rec.record("wave.floor_us", floor_us, "us");

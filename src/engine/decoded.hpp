@@ -52,18 +52,23 @@ struct DecodedWb {
 };
 
 // The lane waves' form of the decoded streams (engine/lanes.hpp), lowered
-// by decode() in run()'s order — per cycle the mul issues, then the add/sub
-// issues, then the writebacks. Every operand is a fixed state slot:
-// register r is slot r, and each unit's pipe ring follows the register
-// file, so a bus read at cycle t and an issue landing at t + latency name
-// ring slots t mod R and (t + latency) mod R (R = latency + 1), resolved
-// here instead of per op. A digit or correction select becomes a gather
-// row, whose per-lane register run_lanes resolves once per wave.
+// by decode() by value rather than by register. Walking the streams in
+// run()'s order (per cycle the mul issues, then the add/sub issues, then
+// the writebacks), every preload and every issue defines one value and a
+// writeback only renames its register, so the program is exactly one op
+// per issue: no op copies a result from a pipe ring into a register. Each
+// value keeps one state slot from its definition to its last read, and
+// slots are reused once their values die (a linear scan), so a slot is no
+// longer tied to a register. A mul of one value by itself becomes a kSqr.
+// A digit or correction select becomes a gather row: its map translated to
+// the slots holding the candidate registers' values at that point, whose
+// per-lane slot run_lanes resolves once per wave.
 struct LaneProgram {
-  std::vector<field::lanes::SlotOp> ops;
+  std::vector<field::lanes::SlotOp> ops;  // one per mul and add/sub issue
   std::vector<uint16_t> inputs;   // slot of each preload, rom.preload order
   std::vector<uint16_t> outputs;  // slot of each output, rom.outputs order
-  std::vector<std::pair<int16_t, int16_t>> gathers;  // (select map, digit position) per row
+  std::vector<sched::SelectMap> select_maps;  // rom maps with slots for registers
+  std::vector<std::pair<int16_t, int16_t>> gathers;  // (select_maps index, digit) per row
   int slots = 0;
 
   field::lanes::SlotProgram view() const;

@@ -6,19 +6,21 @@
 // paper's ASIC never pays that per datum: one control ROM drives a wide
 // datapath, and decoding the ROM costs nothing per operand. run_lanes() is
 // the software analogue. decode() lowers the cycle-sorted streams once
-// into a flat slot program (DecodedRom::lanes, see decoded.hpp): every
-// register, bus and pipe-ring operand is a fixed state slot, so no op
-// resolves an operand at run time. A wave of W <= 8 jobs then runs as one
-// call of the active kernel table's run_slots (field/fp_lanes.hpp), which
-// keeps the state of all W lanes in its own representation for the whole
-// wave — radix-2^52 limbs on avx512, split at preload and joined at
-// readout; canonical u128 through the fp2 kernels on avx2 and generic.
+// into a flat slot program (DecodedRom::lanes, see decoded.hpp) by value:
+// one op per issue, each register, bus or pipe-ring operand replaced by
+// the state slot of the value it holds, and each writeback a renaming at
+// lowering time, so no op resolves an operand or copies a result at run
+// time. A wave of W <= 8 jobs then runs as one call of the active kernel
+// table's run_slots (field/fp_lanes.hpp), which keeps the state of all W
+// lanes in its own representation for the whole wave — radix-2^52 limbs on
+// avx512, split at preload and joined at readout; canonical u128 through
+// the fp2 kernels on avx2 and generic.
 //
 // The only per-lane scalar steps are at the wave's edges: binding each
 // lane's preloads, and resolving each digit or correction select (a gather
-// row, whose register depends on the lane's recoded scalar) once per wave
-// from the lanes' EvalContexts. Inside the wave a gather is one per-lane
-// read of the resolved slots.
+// row, whose slot depends on the lane's recoded scalar) once per wave from
+// the lanes' EvalContexts and the program's slot-translated select maps.
+// Inside the wave a gather is one per-lane read of the resolved slots.
 //
 // Inputs enter canonical and every runner hands back canonical outputs
 // (avx512's semi-reduced state is folded once at readout), and canonical
@@ -51,7 +53,9 @@ struct LaneWorkspace {
 };
 
 // The lowering decode() runs once per program (see LaneProgram in
-// decoded.hpp). Validates every operand it turns into a slot.
+// decoded.hpp). Validates every operand it turns into a slot: a read of a
+// register, bus or select candidate that no preload or earlier issue wrote
+// fails a FOURQ_CHECK.
 LaneProgram lower_lanes(const DecodedRom& rom);
 
 // Executes the decoded program for `lanes` jobs at once. inputs[l] / ctxs[l]

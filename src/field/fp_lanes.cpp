@@ -157,7 +157,7 @@ void run_slots_u128(const SlotProgram& prog, const SlotWave& wave, Fp2Kernel mul
   for (size_t i = 0; i < prog.n_ops; ++i) {
     const SlotOp& op = prog.ops[i];
     const Operand a = operand(op.a, op.gather & SlotOp::kGatherA, 0);
-    u128* d = st + 2 * kW * op.dst;
+    u128* d = st + 2 * kW * op.dst;  // may be an operand's own slot
     switch (op.kind) {
       case SlotOp::kMul:
       case SlotOp::kAdd:
@@ -167,14 +167,11 @@ void run_slots_u128(const SlotProgram& prog, const SlotWave& wave, Fp2Kernel mul
         k(a.re, a.im, b.re, b.im, d, d + kW, n);
         break;
       }
-      case SlotOp::kConj:  // (re, 0 - im): the canonical negation of im
-        sub(a.re, zero, zero, a.im, d, d + kW, n);
+      case SlotOp::kSqr:
+        mul(a.re, a.im, a.re, a.im, d, d + kW, n);
         break;
-      default:  // kCopy (d may be a's own slot)
-        for (size_t l = 0; l < n; ++l) {
-          d[l] = a.re[l];
-          d[kW + l] = a.im[l];
-        }
+      default:  // kConj: (re, 0 - im), the canonical negation of im
+        sub(a.re, zero, zero, a.im, d, d + kW, n);
         break;
     }
   }

@@ -63,16 +63,18 @@
 
 namespace fourq::field::lanes {
 
-// One op of a slot program: dst = a * b, a + b, a - b, conj(a) or a.
+// One op of a slot program: dst = a * b, a + b, a - b, conj(a) or a^2.
 // Operands name state slots, or rows of the wave's gather table when the
 // matching gather bit is set (a per-lane slot: the digit-table selects).
+// kSqr is a product of one value by itself, which a table may compute with
+// fewer multiplications than kMul (avx512: two F_p products, not three).
 struct SlotOp {
-  enum Kind : uint8_t { kMul, kAdd, kSub, kConj, kCopy };
+  enum Kind : uint8_t { kMul, kAdd, kSub, kConj, kSqr };
   static constexpr uint8_t kGatherA = 1, kGatherB = 2;
-  uint8_t kind = kCopy;
+  uint8_t kind = kMul;
   uint8_t gather = 0;  // kGatherA | kGatherB
   uint16_t dst = 0;
-  uint16_t a = 0, b = 0;  // kConj and kCopy read only a
+  uint16_t a = 0, b = 0;  // kConj and kSqr read only a
 };
 
 // A straight-line program over numbered F_{p^2} state slots: `inputs[i]`
@@ -80,7 +82,7 @@ struct SlotOp {
 // read from `outputs[i]`. A view: the arrays belong to the caller (the
 // engine's decoded ROM), which also sizes the wave's state for the
 // highest slot. Every slot an op reads must have been preloaded or written
-// by an earlier op.
+// by an earlier op; an op's destination may be one of its own operands.
 struct SlotProgram {
   const SlotOp* ops = nullptr;
   size_t n_ops = 0;
@@ -143,8 +145,8 @@ struct Kernels {
   // every op over the table's own state representation, writes the output
   // rows. Each live lane's outputs are bitwise those of the same ops on
   // scalar Fp2 values. avx512 keeps the state in radix-2^52 limbs for the
-  // whole call; generic and avx2 keep canonical u128 and call their fp2
-  // kernels per op.
+  // whole call and squares with two F_p products; generic and avx2 keep
+  // canonical u128 and call their fp2 kernels per op (kSqr through mul).
   void (*run_slots)(const SlotProgram& prog, const SlotWave& wave);
 
   // Padding group: per-op kernel calls whose n is a multiple of this stay

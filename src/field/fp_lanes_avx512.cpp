@@ -516,7 +516,12 @@ void v_fp2_sub(const u128* are, const u128* aim, const u128* bre,
 //    real part t7 in [0, 2^256) and the imaginary part t8 = x0 y1 + x1 y0
 //    is below 2^255 + 2^132; reduce_semi adds the parts of a value below
 //    2^256 to A + B + C < 2^128 + 4 and folds that once.
-//  * copies and gathers move values unchanged.
+//  * sqr (re = (a0 + a1)(a0 - a1), im = (2 a0) a1, then reduce_semi):
+//    a0 + a1 and 2 a0 are lazy sums below 2^128 + 8 (l2 <= 2^24 + 2), and
+//    a0 - a1 is sub_semi's once-folded a0 + 2p - a1 < 2^127 + 4, so both
+//    products are below (2^128 + 8)(2^127 + 4) < 2^256 and non-negative:
+//    no borrow to compensate, and reduce_semi's input bound holds.
+//  * gathers move values unchanged.
 // Limb bounds follow: mul_core takes l2 < 2^25 and the Karatsuba sums of
 // two semi values have l2 <= 2^24 + 2; sub_semi's complement needs only
 // limbs below 2^52.
@@ -649,14 +654,16 @@ inline void join_row(u128* p, const V3& v) {
         store_slot(st, op.dst, sub_semi(a.re, b.re), sub_semi(a.im, b.im));
         break;
       }
-      case SlotOp::kConj: {
+      case SlotOp::kSqr: {
         const F2 a = operand(op.a, op.gather & SlotOp::kGatherA);
-        store_slot(st, op.dst, a.re, sub_semi(zero, a.im));
+        const V5 re = mul_core(add_lazy(a.re, a.im), sub_semi(a.re, a.im));
+        const V5 im = mul_core(add_lazy(a.re, a.re), a.im);
+        store_slot(st, op.dst, reduce_semi(re), reduce_semi(im));
         break;
       }
-      default: {  // kCopy
+      default: {  // kConj
         const F2 a = operand(op.a, op.gather & SlotOp::kGatherA);
-        store_slot(st, op.dst, a.re, a.im);
+        store_slot(st, op.dst, a.re, sub_semi(zero, a.im));
         break;
       }
     }

@@ -34,6 +34,11 @@ const std::string& Value::string() const {
 
 namespace {
 
+// parse_value recurses once per array or object level; deeper documents are
+// rejected before the recursion can exhaust the stack. The repo's own
+// artifacts nest fewer than 10 levels.
+constexpr int kMaxDepth = 256;
+
 struct Parser {
   const char* p;
   const char* end;
@@ -141,12 +146,15 @@ struct Parser {
     return true;
   }
 
-  bool parse_value(ValuePtr* out) {
+  // `depth` counts the arrays and objects that enclose the value.
+  bool parse_value(ValuePtr* out, int depth = 0) {
     skip_ws();
     if (p >= end) return fail("unexpected end of input");
     *out = std::make_shared<Value>();
     Value& v = **out;
     char c = *p;
+    if ((c == '{' || c == '[') && depth == kMaxDepth)
+      return fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
     if (c == '{') {
       ++p;
       v.type = Type::kObject;
@@ -160,7 +168,7 @@ struct Parser {
         if (!parse_string(&key)) return false;
         if (!consume(':')) return false;
         ValuePtr member;
-        if (!parse_value(&member)) return false;
+        if (!parse_value(&member, depth + 1)) return false;
         v.obj[key] = member;
         skip_ws();
         if (p < end && *p == ',') {
@@ -181,7 +189,7 @@ struct Parser {
       }
       while (true) {
         ValuePtr elem;
-        if (!parse_value(&elem)) return false;
+        if (!parse_value(&elem, depth + 1)) return false;
         v.arr.push_back(elem);
         skip_ws();
         if (p < end && *p == ',') {

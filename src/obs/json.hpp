@@ -39,7 +39,8 @@ struct Value {
 };
 
 // Parses one JSON document. Returns nullptr (and sets *error when given)
-// on malformed input or trailing garbage.
+// on malformed input, trailing garbage, or arrays and objects nested more
+// than 256 levels deep (the parser recurses once per level).
 ValuePtr parse(const std::string& text, std::string* error = nullptr);
 
 // Parses JSON-lines: one document per non-empty line; any bad line fails

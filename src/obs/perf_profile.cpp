@@ -1,10 +1,12 @@
 #include "obs/perf_profile.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <map>
 
+#include "common/check.hpp"
 #include "obs/json.hpp"
 #include "obs/span.hpp"  // json_escape
 
@@ -67,6 +69,14 @@ std::string num(double v) {
 std::string accum_json(const PerfAccum& a) {
   return "{\"mean\":" + num(a.mean()) + ",\"stddev\":" + num(a.stddev()) +
          ",\"total\":" + num(a.sum) + "}";
+}
+
+// A count or depth field: a whole number in [0, max]. The integer casts
+// are undefined outside that range, so anything else is a parse error.
+uint64_t whole(const json::Value& v, double max) {
+  const double d = v.number();
+  FOURQ_CHECK_MSG(d >= 0 && d <= max && d == std::floor(d), "json: not a whole number in range");
+  return static_cast<uint64_t>(d);
 }
 
 bool parse_accum(const json::Value& v, uint64_t n, PerfAccum* out) {
@@ -132,14 +142,14 @@ bool parse_perf_profile(const std::string& text, PerfProfile* out, std::string* 
       PerfSpanStat st;
       st.path = sv->at("path").string();
       st.name = sv->at("name").string();
-      st.depth = static_cast<int>(sv->at("depth").number());
-      auto n = static_cast<uint64_t>(sv->at("n").number());
+      st.depth = static_cast<int>(whole(sv->at("depth"), INT_MAX));
+      const uint64_t n = whole(sv->at("n"), 0x1p53);
       if (!parse_accum(sv->at("wall_us"), n, &st.wall_us)) {
         *err = "span \"" + st.path + "\": bad wall_us";
         return false;
       }
       if (sv->has("perf_n")) {
-        st.perf_n = static_cast<uint64_t>(sv->at("perf_n").number());
+        st.perf_n = whole(sv->at("perf_n"), 0x1p53);
         struct Field {
           const char* key;
           PerfAccum* acc;
