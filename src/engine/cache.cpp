@@ -61,35 +61,13 @@ std::string rom_path(const std::string& dir, const CompileKey& key) {
   return dir + "/rom-" + key.hash_hex() + ".txt";
 }
 
-void mix_operand(Fnv1a& f, const trace::Operand& o) {
-  f.mix(static_cast<uint64_t>(o.sel));
-  f.mix(static_cast<uint64_t>(o.ssa));
-  f.mix(static_cast<uint64_t>(o.table));
-  f.mix(static_cast<uint64_t>(o.iter));
-}
-
 // What a disk ROM must have been compiled from: the key and the traced
 // program (ops, select tables, outputs). A ROM whose fingerprint differs
 // was built by another trace builder or for a colliding key.
 uint64_t program_fingerprint(const CompileKey& key, const trace::Program& p) {
   Fnv1a f;
   mix_key(f, key);
-  for (const trace::Op& op : p.ops) {
-    f.mix(static_cast<uint64_t>(op.kind));
-    mix_operand(f, op.a);
-    mix_operand(f, op.b);
-  }
-  for (const trace::SelectTable& t : p.tables)
-    for (const std::vector<int>& variant : t.candidates) {
-      f.mix(variant.size());
-      for (int id : variant) f.mix(static_cast<uint64_t>(id));
-    }
-  for (const auto& [id, name] : p.outputs) {
-    f.mix(static_cast<uint64_t>(id));
-    f.bytes(name);
-  }
-  f.mix(static_cast<uint64_t>(p.iterations));
-  return f.h;
+  return trace::fingerprint(p, f);
 }
 
 const char* reject_reason(asic::RomFileError::Reason r) {

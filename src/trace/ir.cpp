@@ -80,4 +80,34 @@ void validate(const Program& p) {
   }
 }
 
+namespace {
+
+void mix_operand(Fnv1a& f, const Operand& o) {
+  f.mix(static_cast<uint64_t>(o.sel));
+  f.mix(static_cast<uint64_t>(o.ssa));
+  f.mix(static_cast<uint64_t>(o.table));
+  f.mix(static_cast<uint64_t>(o.iter));
+}
+
+}  // namespace
+
+uint64_t fingerprint(const Program& p, Fnv1a f) {
+  for (const Op& op : p.ops) {
+    f.mix(static_cast<uint64_t>(op.kind));
+    mix_operand(f, op.a);
+    mix_operand(f, op.b);
+  }
+  for (const SelectTable& t : p.tables)
+    for (const std::vector<int>& variant : t.candidates) {
+      f.mix(variant.size());
+      for (int id : variant) f.mix(static_cast<uint64_t>(id));
+    }
+  for (const auto& [id, name] : p.outputs) {
+    f.mix(static_cast<uint64_t>(id));
+    f.bytes(name);
+  }
+  f.mix(static_cast<uint64_t>(p.iterations));
+  return f.h;
+}
+
 }  // namespace fourq::trace

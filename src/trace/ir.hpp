@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.hpp"
+
 namespace fourq::trace {
 
 enum class OpKind : uint8_t {
@@ -114,5 +116,11 @@ OpStats count_ops(const Program& p);
 // Structural validation: operand ids in range and pointing backwards (SSA
 // order), select tables well-formed, outputs resolvable. Throws on error.
 void validate(const Program& p);
+
+// FNV-1a digest of the op stream: every op's kind and operands in emission
+// order, the select tables, the outputs (id and name) and the iteration
+// count. Op labels stay out. `f` may carry a prefix: the compile cache
+// hashes its key first and stores the result in each disk ROM.
+uint64_t fingerprint(const Program& p, Fnv1a f = {});
 
 }  // namespace fourq::trace

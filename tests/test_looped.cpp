@@ -207,5 +207,33 @@ TEST(Looped, FixedCycleCountAcrossScalars) {
   }
 }
 
+// The traced program of every looped segment, pinned by its fingerprint
+// (see SmTrace.OpStreamsArePinned): paper-cost and functional prologues,
+// and the body and epilogue at each legal unroll.
+TEST(Looped, SegmentOpStreamsArePinned) {
+  struct Pin {
+    trace::EndoVariant endo;
+    int unroll;
+    uint64_t prologue, body, epilogue;
+  };
+  const auto pc = trace::EndoVariant::kPaperCost, fn = trace::EndoVariant::kFunctional;
+  const Pin pins[] = {
+      {pc, 1, 0xf067ead5faba27b6ull, 0x49c4cc8cab1788eaull, 0x3ab7d073ba204b3aull},
+      {pc, 5, 0xf067ead5faba27b6ull, 0xb82961e1d9b0d706ull, 0x3ab7d073ba204b3aull},
+      {pc, 13, 0xf067ead5faba27b6ull, 0x8566a736b9314f3eull, 0x3ab7d073ba204b3aull},
+      {fn, 1, 0x885e4b0301eb8addull, 0x49c4cc8cab1788eaull, 0x3ab7d073ba204b3aull},
+  };
+  for (const Pin& pin : pins) {
+    LoopedSmOptions opt;
+    opt.endo = pin.endo;
+    opt.body_unroll = pin.unroll;
+    LoopedSm sm = build_looped_sm(opt);
+    SCOPED_TRACE("unroll " + std::to_string(pin.unroll));
+    EXPECT_EQ(trace::fingerprint(sm.prologue_program), pin.prologue);
+    EXPECT_EQ(trace::fingerprint(sm.body_program), pin.body);
+    EXPECT_EQ(trace::fingerprint(sm.epilogue_program), pin.epilogue);
+  }
+}
+
 }  // namespace
 }  // namespace fourq::asic

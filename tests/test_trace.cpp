@@ -114,6 +114,31 @@ TEST(SmTrace, DigitCountRespected) {
   EXPECT_EQ(sm.program.iterations, 10);
 }
 
+// Every traced SM program's op stream, pinned by its fingerprint (ops in
+// emission order, select tables, outputs; labels excluded). A change to the
+// tracing code that adds, drops or reorders one op fails here, although op
+// counts, cycle counts and results may all stay the same.
+TEST(SmTrace, OpStreamsArePinned) {
+  auto flat = [](EndoVariant endo, bool inversion) {
+    SmTraceOptions opt;
+    opt.endo = endo;
+    opt.include_inversion = inversion;
+    return fingerprint(build_sm_trace(opt).program);
+  };
+  auto dual = [](EndoVariant endo) {
+    SmTraceOptions opt;
+    opt.endo = endo;
+    return fingerprint(build_dual_sm_trace(opt).program);
+  };
+  EXPECT_EQ(flat(EndoVariant::kFunctional, true), 0xd6a57142c53da38bull);
+  EXPECT_EQ(flat(EndoVariant::kFunctional, false), 0x953eb99d209ce736ull);
+  EXPECT_EQ(flat(EndoVariant::kPaperCost, true), 0x459ebecd491c2c95ull);
+  EXPECT_EQ(flat(EndoVariant::kPaperCost, false), 0xe2729fb2ef4650f2ull);
+  EXPECT_EQ(dual(EndoVariant::kFunctional), 0x81f4be8cefc51450ull);
+  EXPECT_EQ(dual(EndoVariant::kPaperCost), 0xf68631c03a6dfbaeull);
+  EXPECT_EQ(fingerprint(build_loop_body_trace().program), 0xd9e63a3eb7a0714aull);
+}
+
 TEST(LoopBody, MatchesPaperOperationCounts) {
   // Fig. 2(b): the double-and-add body is 15 F_{p^2} multiplications and
   // ~13 add/subs (ours: 12 — the negated-dt2 table layout absorbs the sign
