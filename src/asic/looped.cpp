@@ -4,8 +4,7 @@
 
 #include "asic/machine_state.hpp"
 #include "common/check.hpp"
-#include "curve/point.hpp"
-#include "curve/scalar.hpp"
+#include "curve/scalarmul.hpp"
 
 namespace fourq::asic {
 
@@ -15,8 +14,8 @@ using trace::Tracer;
 
 namespace {
 
-using TR1 = curve::R1T<Fp2Var>;
-using TR2 = curve::R2T<Fp2Var>;
+using trace::TR1;
+using trace::TR2;
 
 // Architectural register-file slot layout shared by the three segments.
 struct ArchLayout {
@@ -35,83 +34,19 @@ struct ArchLayout {
   static constexpr int kTempBase = 72;
 };
 
-struct EndoStubConsts {
-  std::array<Fp2Var, 6> c;
+// The table's five columns: name and first slot (entry u sits at slot + u).
+struct TableColumn {
+  std::vector<Fp2Var> trace::TableCols::*col;
+  const char* name;
+  int slot;
 };
-
-TR1 dbl_n(TR1 p, int n) {
-  for (int i = 0; i < n; ++i) p = curve::dbl(p);
-  return p;
-}
-
-// The same endomorphism-shaped stand-in used by the flat trace: tau /
-// phi-hat / psi-hat composition with placeholder constants. Re-traced here
-// with the prologue's own tracer (structure identical to sm_trace.cpp).
-std::array<Fp2Var, 3> stub_tau(Tracer& t, const TR1& p, const EndoStubConsts& k) {
-  Fp2Var t0 = sqr(p.X);
-  Fp2Var t1 = sqr(p.Y);
-  Fp2Var x = t.mul(p.X, p.Y);
-  Fp2Var z = t.mul(t0 + t1, k.c[0]);
-  return {x, t1 - t0, z};
-}
-
-TR1 stub_tau_dual(Tracer& t, const std::array<Fp2Var, 3>& w, const EndoStubConsts& k) {
-  Fp2Var t0 = sqr(w[0]);
-  Fp2Var ta = t0 - w[1];
-  Fp2Var tb = w[1] + w[2];
-  Fp2Var x = t.mul(w[0], k.c[1]);
-  Fp2Var y = t.mul(w[1], w[2]);
-  Fp2Var z = t.mul(tb, k.c[2]);
-  return TR1{x, y, z, ta, tb};
-}
-
-std::array<Fp2Var, 3> stub_phi_hat(Tracer& t, const std::array<Fp2Var, 3>& w,
-                                   const EndoStubConsts& k) {
-  Fp2Var t0 = sqr(w[0]);
-  Fp2Var t1 = sqr(w[1]);
-  Fp2Var t2 = t.mul(t0, k.c[3]);
-  Fp2Var t3 = t.mul(t1, k.c[4]);
-  Fp2Var t4 = t.mul(w[0], w[1]);
-  Fp2Var t5 = t.mul(w[2], k.c[5]);
-  Fp2Var x = t.mul(t4, t2 + t3);
-  Fp2Var y = t.mul(t5, t2 - t3);
-  Fp2Var z = t.mul(t0 + t1, w[2]);
-  return {x, y, z};
-}
-
-std::array<Fp2Var, 3> stub_psi_hat(Tracer& t, const std::array<Fp2Var, 3>& w,
-                                   const EndoStubConsts& k) {
-  Fp2Var t0 = t.conj(w[0]);
-  Fp2Var t1 = t.conj(w[1]);
-  Fp2Var t2 = t.conj(w[2]);
-  Fp2Var x = t.mul(t0, k.c[3]);
-  Fp2Var z = t.mul(t2, k.c[4]);
-  Fp2Var y = t.mul(t1, t2);
-  Fp2Var y2 = t.mul(y, k.c[5]);
-  Fp2Var x2 = t.mul(x, z);
-  return {x2, y2, t0 + t2};
-}
-
-Fp2Var sqr_n(Fp2Var x, int n) {
-  for (int i = 0; i < n; ++i) x = sqr(x);
-  return x;
-}
-
-Fp2Var fermat_inverse_chain(Tracer& t, Fp2Var n) {
-  Fp2Var t1 = n;
-  Fp2Var t2 = t.mul(sqr_n(t1, 1), t1);
-  Fp2Var t4 = t.mul(sqr_n(t2, 2), t2);
-  Fp2Var t8 = t.mul(sqr_n(t4, 4), t4);
-  Fp2Var t16 = t.mul(sqr_n(t8, 8), t8);
-  Fp2Var t32 = t.mul(sqr_n(t16, 16), t16);
-  Fp2Var t64 = t.mul(sqr_n(t32, 32), t32);
-  Fp2Var a = t.mul(sqr_n(t64, 32), t32);
-  Fp2Var b = t.mul(sqr_n(a, 16), t16);
-  Fp2Var c = t.mul(sqr_n(b, 8), t8);
-  Fp2Var d = t.mul(sqr_n(c, 4), t4);
-  Fp2Var e = t.mul(sqr_n(d, 1), t1);
-  return t.mul(sqr_n(e, 2), t1);
-}
+constexpr TableColumn kTableColumns[] = {
+    {&trace::TableCols::xpy, "T.xpy", ArchLayout::kXpy},
+    {&trace::TableCols::ymx, "T.ymx", ArchLayout::kYmx},
+    {&trace::TableCols::z2, "T.z2", ArchLayout::kZ2},
+    {&trace::TableCols::dt2, "T.dt2", ArchLayout::kDt2},
+    {&trace::TableCols::ndt2, "T.ndt2", ArchLayout::kNdt2},
+};
 
 }  // namespace
 
@@ -142,6 +77,9 @@ LoopedSm build_looped_sm(const LoopedSmOptions& opt) {
     sched::PinSpec pins;
     pins.temp_base = L::kTempBase;
     auto pin = [&](const Fp2Var& v, int slot) { pins.pins.emplace_back(v.id, slot); };
+    auto pin_r2 = [&](const TR2& v, int slot) {
+      for (const Fp2Var& x : {v.xpy, v.ymx, v.z2, v.dt2}) pin(x, slot++);
+    };
 
     Fp2Var zero = t.input("const.zero");
     Fp2Var one = t.input("const.one");
@@ -159,74 +97,33 @@ LoopedSm build_looped_sm(const LoopedSmOptions& opt) {
     out.in_px = px.id;
     out.in_py = py.id;
 
-    TR1 p = curve::to_r1(curve::AffineT<Fp2Var>{px, py}, one);
-
-    TR1 p2, p3, p4;
-    if (opt.endo == trace::EndoVariant::kFunctional) {
-      p2 = dbl_n(p, 64);
-      p3 = dbl_n(p2, 64);
-      p4 = dbl_n(p3, 64);
-    } else {
-      EndoStubConsts k;
-      for (int i = 0; i < 6; ++i) {
-        Fp2Var c = t.input("endo.c" + std::to_string(i));
-        k.c[static_cast<size_t>(i)] = c;
-        pin(c, L::kEndoBase + i);
-        out.in_endo_consts.push_back(c.id);
+    const TR1 p = curve::to_r1(curve::AffineT<Fp2Var>{px, py}, one);
+    trace::EndoConsts k;
+    const bool paper = opt.endo == trace::EndoVariant::kPaperCost;
+    if (paper) {
+      k = trace::endo_inputs(t, out.in_endo_consts);
+      for (int i = 0; i < 6; ++i) pin(k[static_cast<size_t>(i)], L::kEndoBase + i);
+    }
+    const trace::TableCols c = trace::table_cols(
+        t, curve::table_r1(p, trace::aux_points(t, p, paper ? &k : nullptr), two_d), zero,
+        two_d);
+    for (int u = 0; u < 8; ++u)
+      for (const TableColumn& tc : kTableColumns) {
+        const Fp2Var& v = (c.*tc.col)[static_cast<size_t>(u)];
+        pin(v, tc.slot + u);
+        t.mark_output(v, tc.name + std::to_string(u));
       }
-      auto w = stub_tau(t, p, k);
-      p2 = stub_tau_dual(t, stub_phi_hat(t, w, k), k);
-      p3 = stub_tau_dual(t, stub_psi_hat(t, w, k), k);
-      auto w2 = stub_tau(t, p2, k);
-      p4 = stub_tau_dual(t, stub_psi_hat(t, w2, k), k);
-    }
 
-    TR2 p2r = curve::to_r2(p2, two_d);
-    TR2 p3r = curve::to_r2(p3, two_d);
-    TR2 p4r = curve::to_r2(p4, two_d);
-    std::array<TR1, 8> t1;
-    t1[0] = p;
-    t1[1] = curve::add(t1[0], p2r);
-    t1[2] = curve::add(t1[0], p3r);
-    t1[3] = curve::add(t1[1], p3r);
-    for (int u = 0; u < 4; ++u)
-      t1[static_cast<size_t>(u + 4)] = curve::add(t1[static_cast<size_t>(u)], p4r);
-
-    for (int u = 0; u < 8; ++u) {
-      TR2 r2 = curve::to_r2(t1[static_cast<size_t>(u)], two_d);
-      Fp2Var ndt2 = t.sub(zero, r2.dt2);
-      pin(r2.xpy, L::kXpy + u);
-      pin(r2.ymx, L::kYmx + u);
-      pin(r2.z2, L::kZ2 + u);
-      pin(r2.dt2, L::kDt2 + u);
-      pin(ndt2, L::kNdt2 + u);
-      std::string su = std::to_string(u);
-      t.mark_output(r2.xpy, "T.xpy" + su);
-      t.mark_output(r2.ymx, "T.ymx" + su);
-      t.mark_output(r2.z2, "T.z2" + su);
-      t.mark_output(r2.dt2, "T.dt2" + su);
-      t.mark_output(ndt2, "T.ndt2" + su);
-    }
-
-    // Correction candidates. Odd: identity in R2 = (1, 1, 2, 0); computed
-    // with explicit ops so each lands in its own architectural slot.
-    Fp2Var co_xpy = t.add(one, zero, "corr.odd.xpy");
-    Fp2Var co_ymx = t.add(one, zero, "corr.odd.ymx");
-    Fp2Var co_z2 = t.add(one, one, "corr.odd.z2");
-    Fp2Var co_dt2 = t.add(zero, zero, "corr.odd.dt2");
-    pin(co_xpy, L::kCorrOdd + 0);
-    pin(co_ymx, L::kCorrOdd + 1);
-    pin(co_z2, L::kCorrOdd + 2);
-    pin(co_dt2, L::kCorrOdd + 3);
-    // Even: -P in R2 (swap xpy/ymx of to_r2(P), negate dt2).
-    TR2 pr2 = curve::to_r2(p, two_d);
-    Fp2Var ce_dt2 = t.sub(zero, pr2.dt2, "corr.even.dt2");
-    pin(pr2.ymx, L::kCorrEven + 0);  // xpy of -P
-    pin(pr2.xpy, L::kCorrEven + 1);  // ymx of -P
-    pin(pr2.z2, L::kCorrEven + 2);
-    pin(ce_dt2, L::kCorrEven + 3);
-    for (const Fp2Var& v : {co_xpy, co_ymx, co_z2, co_dt2, pr2.ymx, pr2.xpy, pr2.z2, ce_dt2})
-      t.mark_output(v, "corr." + std::to_string(v.id));
+    // Correction candidates, each in its own architectural slot: the
+    // identity (1, 1, 2, 0) in R2 by explicit copies, and -P.
+    const TR2 odd{t.add(one, zero, "corr.odd.xpy"), t.add(one, zero, "corr.odd.ymx"),
+                  t.add(one, one, "corr.odd.z2"), t.add(zero, zero, "corr.odd.dt2")};
+    const TR2 even = curve::neg_r2(curve::to_r2(p, two_d), zero);
+    pin_r2(odd, L::kCorrOdd);
+    pin_r2(even, L::kCorrEven);
+    for (const TR2& v : {odd, even})
+      for (const Fp2Var& x : {v.xpy, v.ymx, v.z2, v.dt2})
+        t.mark_output(x, "corr." + std::to_string(x.id));
 
     // Initial accumulator Q = identity, copied into bank A.
     Fp2Var q0x = t.add(zero, zero, "Q0.X");
@@ -260,30 +157,19 @@ LoopedSm build_looped_sm(const LoopedSmOptions& opt) {
     const Fp2Var qin[5] = {q.X, q.Y, q.Z, q.Ta, q.Tb};
     for (int i = 0; i < 5; ++i) pin(qin[i], L::kBankA + i);
 
-    std::vector<Fp2Var> xpy(8), ymx(8), z2(8), dt2(8), ndt2(8);
-    for (int u = 0; u < 8; ++u) {
-      std::string su = std::to_string(u);
-      xpy[static_cast<size_t>(u)] = t.input("T.xpy" + su);
-      ymx[static_cast<size_t>(u)] = t.input("T.ymx" + su);
-      z2[static_cast<size_t>(u)] = t.input("T.z2" + su);
-      dt2[static_cast<size_t>(u)] = t.input("T.dt2" + su);
-      ndt2[static_cast<size_t>(u)] = t.input("T.ndt2" + su);
-      pin(xpy[static_cast<size_t>(u)], L::kXpy + u);
-      pin(ymx[static_cast<size_t>(u)], L::kYmx + u);
-      pin(z2[static_cast<size_t>(u)], L::kZ2 + u);
-      pin(dt2[static_cast<size_t>(u)], L::kDt2 + u);
-      pin(ndt2[static_cast<size_t>(u)], L::kNdt2 + u);
-    }
+    trace::TableCols c;
+    for (int u = 0; u < 8; ++u)
+      for (const TableColumn& tc : kTableColumns) {
+        (c.*tc.col).push_back(t.input(tc.name + std::to_string(u)));
+        pin((c.*tc.col).back(), tc.slot + u);
+      }
 
+    // The loop step of curve::digit_loop, always doubling: the first replay
+    // doubles the identity, a no-op.
     TR1 r = q;
     for (int o = 0; o < opt.body_unroll; ++o) {
-      int iter = trace::counter_iter_with_offset(o);
-      std::string tag = "@i-" + std::to_string(o);
-      TR2 sel;
-      sel.xpy = t.digit_select({xpy, ymx}, iter, "T.xpy" + tag);
-      sel.ymx = t.digit_select({ymx, xpy}, iter, "T.ymx" + tag);
-      sel.z2 = t.digit_select({z2, z2}, iter, "T.z2" + tag);
-      sel.dt2 = t.digit_select({dt2, ndt2}, iter, "T.dt2" + tag);
+      const TR2 sel = trace::digit_read(t, c, trace::counter_iter_with_offset(o),
+                                        "@i-" + std::to_string(o));
       r = curve::add(curve::dbl(r), sel);
     }
     const Fp2Var qout[5] = {r.X, r.Y, r.Z, r.Ta, r.Tb};
@@ -321,19 +207,12 @@ LoopedSm build_looped_sm(const LoopedSmOptions& opt) {
       pin(co[i], L::kCorrOdd + i);
       pin(ce[i], L::kCorrEven + i);
     }
-    TR2 corr;
-    corr.xpy = t.correction_select(co[0], ce[0], "corr.xpy");
-    corr.ymx = t.correction_select(co[1], ce[1], "corr.ymx");
-    corr.z2 = t.correction_select(co[2], ce[2], "corr.z2");
-    corr.dt2 = t.correction_select(co[3], ce[3], "corr.dt2");
-    TR1 final_q = curve::add(q, corr);
-
-    Fp2Var zc = t.conj(final_q.Z, "conj(Z)");
-    Fp2Var n = t.mul(final_q.Z, zc, "norm");
-    Fp2Var ninv = fermat_inverse_chain(t, n);
-    Fp2Var zi = t.mul(zc, ninv, "zinv");
-    t.mark_output(t.mul(final_q.X, zi, "x.affine"), "x");
-    t.mark_output(t.mul(final_q.Y, zi, "y.affine"), "y");
+    const TR1 final_q = curve::add(
+        q, trace::correction_read(t, TR2{co[0], co[1], co[2], co[3]},
+                                  TR2{ce[0], ce[1], ce[2], ce[3]}, 0));
+    const auto xy = trace::normalise(t, final_q);
+    t.mark_output(xy[0], "x");
+    t.mark_output(xy[1], "y");
 
     out.epilogue_program = t.take_program();
     out.epilogue = sched::compile_block(out.epilogue_program, copt, pins).sm;

@@ -10,6 +10,14 @@
 //   * digit-addressed table reads take their index from the loop counter
 //     (trace::kIterFromCounter).
 //
+// The segments trace the same Alg. 1 phases as the flat program: the
+// prologue runs curve::aux_points (or the kPaperCost stand-ins) and
+// curve::table_r1 through trace::table_cols, plus the correction
+// candidates and Q0 copied into their own slots; the body is
+// curve::digit_loop's step over trace::digit_read; the epilogue adds
+// trace::correction_read's operand and runs trace::normalise
+// (trace/sm_trace.hpp).
+//
 // Result: a much smaller program ROM (prologue + one body + epilogue)
 // against more cycles (no cross-iteration overlap — the pipeline drains at
 // every block boundary) and a slightly larger register file. The

@@ -2,12 +2,13 @@
 //
 // Protocols multiply the same base point over and over (the generator in
 // key generation and signing, a public key in repeated verifications). The
-// expensive scalar-independent phases of Algorithm 1 — the auxiliary
-// points [2^64]P/[2^128]P/[2^192]P and the 8-entry table — depend only on
-// P, so they are computed once here and reused per scalar. This mirrors
-// the ASIC's usage model: the host loads the table once, then streams
-// scalars (the ROM's per-scalar part is just the main loop + correction +
-// normalisation).
+// expensive scalar-independent phases of Algorithm 1 (scalarmul.hpp's
+// aux_points and table_r1) depend only on P, so they run once here, and
+// one shared inversion normalises the table to affine R2. mul() then runs
+// only digit_loop and the even-k correction, on mixed additions. This
+// mirrors the ASIC's usage model: the host loads the table once, then
+// streams scalars (the ROM's per-scalar part is just the main loop +
+// correction + normalisation).
 #pragma once
 
 #include "curve/scalarmul.hpp"
@@ -31,7 +32,7 @@ class FixedBaseMul {
   // Table entries are batch-normalised to affine R2 once at construction
   // (one shared inversion), so every per-scalar addition is a 7M mixed add.
   std::array<PointR2Aff, 8> table_;
-  PointR2Aff minus_base_;  // for the uniform even-k correction
+  std::array<PointR2Aff, 2> corr_;  // correction_operands(P) in affine R2
 };
 
 }  // namespace fourq::curve

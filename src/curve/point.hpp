@@ -138,6 +138,13 @@ R1T<F> add_mixed(const R1T<F>& p, const R2AffT<F>& q) {
   return R1T<F>{e * f, g * h, f * g, e, h};
 }
 
+// add() of a normalised R2 operand is the mixed addition, so code generic
+// over the table's form (scalarmul.hpp's digit_loop) calls one name.
+template <class F>
+R1T<F> add(const R1T<F>& p, const R2AffT<F>& q) {
+  return add_mixed(p, q);
+}
+
 // Negation of a normalised R2 point: swap the sum/difference coordinates,
 // negate 2dT.
 template <class F>

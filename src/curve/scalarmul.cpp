@@ -5,55 +5,17 @@
 
 namespace fourq::curve {
 
-namespace {
-
-PointR1 dbl_n(PointR1 p, int n) {
-  for (int i = 0; i < n; ++i) p = dbl(p);
-  return p;
-}
-
-}  // namespace
-
-BasePoints compute_base_points(const Affine& p) {
-  BasePoints bp;
-  bp.p = to_r1(p);
-  bp.p2 = dbl_n(bp.p, 64);
-  bp.p3 = dbl_n(bp.p2, 64);
-  bp.p4 = dbl_n(bp.p3, 64);
-  return bp;
-}
-
-std::array<PointR1, 8> build_table_r1(const BasePoints& bp) {
-  // T[0] = P; T[u | 1<<j] = T[u] + P_{j+2}. Seven additions total:
-  // T1 = T0+P2, T2 = T0+P3, T3 = T1+P3, T4 = T0+P4, T5 = T1+P4,
-  // T6 = T2+P4, T7 = T3+P4.
-  PointR2 p2 = to_r2(bp.p2), p3 = to_r2(bp.p3), p4 = to_r2(bp.p4);
-  std::array<PointR1, 8> t1;
-  t1[0] = bp.p;
-  t1[1] = add(t1[0], p2);
-  t1[2] = add(t1[0], p3);
-  t1[3] = add(t1[1], p3);
-  for (int u = 0; u < 4; ++u) t1[u + 4] = add(t1[u], p4);
-  return t1;
-}
-
-std::array<PointR2, 8> build_table(const BasePoints& bp) {
-  std::array<PointR1, 8> t1 = build_table_r1(bp);
-  std::array<PointR2, 8> table;
-  for (int u = 0; u < 8; ++u) table[u] = to_r2(t1[u]);
-  return table;
-}
-
 PointR1 scalar_mul(const U256& k, const Affine& p) {
   FOURQ_SPAN("curve.scalar_mul");
   FOURQ_COUNTER_INC("curve.scalar_mul.calls");
 
-  BasePoints bp;
+  const Fp2 zero, one = Fp2::from_u64(1);
+  const PointR1 p1 = to_r1(p);
   std::array<PointR2, 8> table;
   {
     FOURQ_SPAN("curve.precompute");
-    bp = compute_base_points(p);
-    table = build_table(bp);
+    const std::array<PointR1, 8> t1 = table_r1(p1, aux_points(p1), curve_2d());
+    for (size_t u = 0; u < 8; ++u) table[u] = to_r2(t1[u]);
   }
 
   Decomposition dec;
@@ -64,21 +26,14 @@ PointR1 scalar_mul(const U256& k, const Affine& p) {
     rec = recode(dec.a);
   }
 
-  // Uniform main loop: Q starts at the identity and the digit-64 addition is
-  // folded into the same complete-addition step as every other digit.
-  PointR1 q = identity();
+  PointR1 q;
   {
     FOURQ_SPAN("curve.loop");
-    for (int i = kDigits - 1; i >= 0; --i) {
-      if (i != kDigits - 1) q = dbl(q);
-      const PointR2& entry = table[rec.digit[i]];
-      q = add(q, rec.sign[i] > 0 ? entry : neg_r2(entry));
-    }
-
-    // Uniform even-k correction: always one more complete addition; the
-    // operand is -P when k was even and the identity otherwise.
-    PointR2 correction = dec.k_was_even ? neg_r2(to_r2(bp.p)) : to_r2(identity());
-    q = add(q, correction);
+    q = digit_loop(zero, one, kDigits, [&](int i) {
+      const PointR2& entry = table[rec.digit[static_cast<size_t>(i)]];
+      return rec.sign[static_cast<size_t>(i)] > 0 ? entry : neg_r2(entry);
+    });
+    q = add(q, correction_operands(p1, zero, one, curve_2d())[dec.k_was_even]);
   }
   return q;
 }

@@ -1,23 +1,12 @@
 #include "trace/sm_trace.hpp"
 
-#include <array>
-
 #include "common/check.hpp"
-#include "curve/point.hpp"
-#include "curve/scalar.hpp"
+#include "curve/scalarmul.hpp"
 #include "obs/obs.hpp"
 
 namespace fourq::trace {
 
 namespace {
-
-using TR1 = curve::R1T<Fp2Var>;
-using TR2 = curve::R2T<Fp2Var>;
-
-TR1 dbl_n(TR1 p, int n) {
-  for (int i = 0; i < n; ++i) p = curve::dbl(p);
-  return p;
-}
 
 // x^(2^n) by n chained squarings (multiplier unit only).
 Fp2Var sqr_n(Fp2Var x, int n) {
@@ -62,39 +51,35 @@ Fp2Var fp2_inverse(Tracer& t, Fp2Var z) {
 // inputs (the real values are not printed in the DATE paper). See
 // DESIGN.md §2 for why this preserves the scheduling problem exactly.
 
-struct EndoStub {
-  std::array<Fp2Var, 6> c;  // placeholder constants (RF-resident)
-};
-
 // tau: 4M + 3A, maps (X, Y, Z) to the hat-curve.
-std::array<Fp2Var, 3> stub_tau(Tracer& t, const TR1& p, const EndoStub& k) {
+std::array<Fp2Var, 3> stub_tau(Tracer& t, const TR1& p, const EndoConsts& k) {
   Fp2Var t0 = sqr(p.X);
   Fp2Var t1 = sqr(p.Y);
   Fp2Var x = t.mul(p.X, p.Y);
-  Fp2Var z = t.mul(t0 + t1, k.c[0]);
+  Fp2Var z = t.mul(t0 + t1, k[0]);
   return {x, t1 - t0, z};
 }
 
 // tau_dual: 4M + 3A, maps back to extended twisted Edwards (R1).
-TR1 stub_tau_dual(Tracer& t, const std::array<Fp2Var, 3>& w, const EndoStub& k) {
+TR1 stub_tau_dual(Tracer& t, const std::array<Fp2Var, 3>& w, const EndoConsts& k) {
   Fp2Var t0 = sqr(w[0]);
   Fp2Var ta = t0 - w[1];
   Fp2Var tb = w[1] + w[2];
-  Fp2Var x = t.mul(w[0], k.c[1]);
+  Fp2Var x = t.mul(w[0], k[1]);
   Fp2Var y = t.mul(w[1], w[2]);
-  Fp2Var z = t.mul(tb, k.c[2]);
+  Fp2Var z = t.mul(tb, k[2]);
   return TR1{x, y, z, ta, tb};
 }
 
 // phi_hat: 10M + 5A on the hat-curve (the heaviest CL map).
 std::array<Fp2Var, 3> stub_phi_hat(Tracer& t, const std::array<Fp2Var, 3>& w,
-                                   const EndoStub& k) {
+                                   const EndoConsts& k) {
   Fp2Var t0 = sqr(w[0]);
   Fp2Var t1 = sqr(w[1]);
-  Fp2Var t2 = t.mul(t0, k.c[3]);
-  Fp2Var t3 = t.mul(t1, k.c[4]);
+  Fp2Var t2 = t.mul(t0, k[3]);
+  Fp2Var t3 = t.mul(t1, k[4]);
   Fp2Var t4 = t.mul(w[0], w[1]);
-  Fp2Var t5 = t.mul(w[2], k.c[5]);
+  Fp2Var t5 = t.mul(w[2], k[5]);
   Fp2Var x = t.mul(t4, t2 + t3);
   Fp2Var y = t.mul(t5, t2 - t3);
   Fp2Var z = t.mul(t0 + t1, w[2]);
@@ -103,39 +88,108 @@ std::array<Fp2Var, 3> stub_phi_hat(Tracer& t, const std::array<Fp2Var, 3>& w,
 
 // psi_hat: 5M + 2A (the p-power Frobenius composite is cheap).
 std::array<Fp2Var, 3> stub_psi_hat(Tracer& t, const std::array<Fp2Var, 3>& w,
-                                   const EndoStub& k) {
+                                   const EndoConsts& k) {
   Fp2Var t0 = t.conj(w[0]);
   Fp2Var t1 = t.conj(w[1]);
   Fp2Var t2 = t.conj(w[2]);
-  Fp2Var x = t.mul(t0, k.c[3]);
-  Fp2Var z = t.mul(t2, k.c[4]);
+  Fp2Var x = t.mul(t0, k[3]);
+  Fp2Var z = t.mul(t2, k[4]);
   Fp2Var y = t.mul(t1, t2);
-  Fp2Var y2 = t.mul(y, k.c[5]);
+  Fp2Var y2 = t.mul(y, k[5]);
   Fp2Var x2 = t.mul(x, z);
   return {x2, y2, t0 + t2};
 }
 
-}  // namespace
-
-namespace {
-
 struct CoreInputs {
   Fp2Var zero, one, two_d, px, py;
-  const EndoStub* endo = nullptr;  // null = functional (192-doubling) variant
+  const EndoConsts* endo = nullptr;  // null = functional (192-doubling) variant
 };
 
 struct CoreOutputs {
-  TR1 q;                 // final accumulator (pre-normalisation)
-  Fp2Var x, y;           // affine outputs (valid when inversion requested)
+  TR1 q;                       // final accumulator (pre-normalisation)
+  std::array<Fp2Var, 2> xy;    // affine outputs (valid when inversion requested)
 };
 
 // Traces one complete Alg.-1 scalar multiplication into `t`. `stream`
 // selects which runtime scalar the digit/correction reads bind to (0 or 1
 // for dual-stream throughput programs).
 CoreOutputs trace_sm_core(Tracer& t, const CoreInputs& in, const SmTraceOptions& opt,
-                          int stream);
+                          int stream) {
+  const TR1 p = curve::to_r1(curve::AffineT<Fp2Var>{in.px, in.py}, in.one);
+  const std::array<TR1, 8> table = curve::table_r1(p, aux_points(t, p, in.endo), in.two_d);
+  const TableCols cols = table_cols(t, table, in.zero, in.two_d);
+
+  t.set_iterations(opt.digits);
+  const int iter_base = stream * kStream2IterBase;
+  const std::string s = "/s" + std::to_string(stream);
+  CoreOutputs res;
+  res.q = curve::digit_loop(in.zero, in.one, opt.digits, [&](int i) {
+    return digit_read(t, cols, iter_base + i, "@" + std::to_string(i) + s);
+  });
+  const auto corr = curve::correction_operands(p, in.zero, in.one, in.two_d);
+  res.q = curve::add(res.q, correction_read(t, corr[0], corr[1], stream));
+  if (opt.include_inversion) res.xy = normalise(t, res.q);
+  return res;
+}
 
 }  // namespace
+
+EndoConsts endo_inputs(Tracer& t, std::vector<int>& ids) {
+  EndoConsts k;
+  for (size_t i = 0; i < k.size(); ++i) {
+    k[i] = t.input("endo.c" + std::to_string(i));
+    ids.push_back(k[i].id);
+  }
+  return k;
+}
+
+std::array<TR1, 3> aux_points(Tracer& t, const TR1& p, const EndoConsts* endo) {
+  if (endo == nullptr) return curve::aux_points(p);
+  const EndoConsts& k = *endo;
+  const auto w = stub_tau(t, p, k);
+  const TR1 phi = stub_tau_dual(t, stub_phi_hat(t, w, k), k);  // "phi(P)"
+  const TR1 psi = stub_tau_dual(t, stub_psi_hat(t, w, k), k);  // "psi(P)"
+  const auto w2 = stub_tau(t, phi, k);
+  return {phi, psi, stub_tau_dual(t, stub_psi_hat(t, w2, k), k)};  // "psi(phi(P))"
+}
+
+TableCols table_cols(Tracer& t, const std::array<TR1, 8>& table, const Fp2Var& zero,
+                     const Fp2Var& two_d) {
+  TableCols c;
+  for (size_t u = 0; u < table.size(); ++u) {
+    const TR2 r2 = curve::to_r2(table[u], two_d);
+    c.xpy.push_back(r2.xpy);
+    c.ymx.push_back(r2.ymx);
+    c.z2.push_back(r2.z2);
+    c.dt2.push_back(r2.dt2);
+    c.ndt2.push_back(t.sub(zero, r2.dt2, "T.ndt2[" + std::to_string(u) + "]"));
+  }
+  return c;
+}
+
+TR2 digit_read(Tracer& t, const TableCols& c, int iter, const std::string& tag) {
+  TR2 r;
+  r.xpy = t.digit_select({c.xpy, c.ymx}, iter, "T.xpy" + tag);
+  r.ymx = t.digit_select({c.ymx, c.xpy}, iter, "T.ymx" + tag);
+  r.z2 = t.digit_select({c.z2, c.z2}, iter, "T.z2" + tag);
+  r.dt2 = t.digit_select({c.dt2, c.ndt2}, iter, "T.dt2" + tag);
+  return r;
+}
+
+TR2 correction_read(Tracer& t, const TR2& if_odd, const TR2& if_even, int stream) {
+  TR2 r;
+  r.xpy = t.correction_select(if_odd.xpy, if_even.xpy, "corr.xpy", stream);
+  r.ymx = t.correction_select(if_odd.ymx, if_even.ymx, "corr.ymx", stream);
+  r.z2 = t.correction_select(if_odd.z2, if_even.z2, "corr.z2", stream);
+  r.dt2 = t.correction_select(if_odd.dt2, if_even.dt2, "corr.dt2", stream);
+  return r;
+}
+
+std::array<Fp2Var, 2> normalise(Tracer& t, const TR1& q) {
+  Fp2Var zi = fp2_inverse(t, q.Z);
+  Fp2Var x = t.mul(q.X, zi, "x.affine");
+  return {x, t.mul(q.Y, zi, "y.affine")};
+}
 
 SmTrace build_sm_trace(const SmTraceOptions& opt) {
   FOURQ_SPAN("trace.build_sm");
@@ -156,20 +210,16 @@ SmTrace build_sm_trace(const SmTraceOptions& opt) {
   out.in_px = in.px.id;
   out.in_py = in.py.id;
 
-  EndoStub k;
+  EndoConsts k;
   if (opt.endo == EndoVariant::kPaperCost) {
-    for (int i = 0; i < 6; ++i) {
-      Fp2Var c = t.input("endo.c" + std::to_string(i));
-      k.c[static_cast<size_t>(i)] = c;
-      out.in_endo_consts.push_back(c.id);
-    }
+    k = endo_inputs(t, out.in_endo_consts);
     in.endo = &k;
   }
 
   CoreOutputs res = trace_sm_core(t, in, opt, 0);
   if (opt.include_inversion) {
-    t.mark_output(res.x, "x");
-    t.mark_output(res.y, "y");
+    t.mark_output(res.xy[0], "x");
+    t.mark_output(res.xy[1], "y");
   } else {
     t.mark_output(res.q.X, "X");
     t.mark_output(res.q.Y, "Y");
@@ -195,13 +245,9 @@ DualSmTrace build_dual_sm_trace(const SmTraceOptions& opt) {
   out.in_one = shared.one.id;
   out.in_two_d = shared.two_d.id;
 
-  EndoStub k;
+  EndoConsts k;
   if (opt.endo == EndoVariant::kPaperCost) {
-    for (int i = 0; i < 6; ++i) {
-      Fp2Var c = t.input("endo.c" + std::to_string(i));
-      k.c[static_cast<size_t>(i)] = c;
-      out.in_endo_consts.push_back(c.id);
-    }
+    k = endo_inputs(t, out.in_endo_consts);
     shared.endo = &k;
   }
 
@@ -212,100 +258,14 @@ DualSmTrace build_dual_sm_trace(const SmTraceOptions& opt) {
     out.in_px[static_cast<size_t>(s)] = in.px.id;
     out.in_py[static_cast<size_t>(s)] = in.py.id;
     CoreOutputs res = trace_sm_core(t, in, opt, s);
-    t.mark_output(res.x, "x" + std::to_string(s));
-    t.mark_output(res.y, "y" + std::to_string(s));
+    t.mark_output(res.xy[0], "x" + std::to_string(s));
+    t.mark_output(res.xy[1], "y" + std::to_string(s));
   }
 
   out.program = t.take_program();
   validate(out.program);
   return out;
 }
-
-namespace {
-
-CoreOutputs trace_sm_core(Tracer& t, const CoreInputs& in, const SmTraceOptions& opt,
-                          int stream) {
-  const Fp2Var& zero = in.zero;
-  const Fp2Var& one = in.one;
-  const Fp2Var& two_d = in.two_d;
-  int iter_base = stream * kStream2IterBase;
-
-  TR1 p = curve::to_r1(curve::AffineT<Fp2Var>{in.px, in.py}, one);
-
-  // Phase 1: auxiliary points (endomorphism substitutes).
-  TR1 p2, p3, p4;
-  if (in.endo == nullptr) {
-    p2 = dbl_n(p, 64);
-    p3 = dbl_n(p2, 64);
-    p4 = dbl_n(p3, 64);
-  } else {
-    const EndoStub& k = *in.endo;
-    auto w = stub_tau(t, p, k);
-    p2 = stub_tau_dual(t, stub_phi_hat(t, w, k), k);          // "phi(P)"
-    p3 = stub_tau_dual(t, stub_psi_hat(t, w, k), k);          // "psi(P)"
-    auto w2 = stub_tau(t, p2, k);
-    p4 = stub_tau_dual(t, stub_psi_hat(t, w2, k), k);         // "psi(phi(P))"
-  }
-
-  // Phase 2: 8-entry table, T[u] = P + u0 P2 + u1 P3 + u2 P4 (7 additions).
-  TR2 p2r = curve::to_r2(p2, two_d);
-  TR2 p3r = curve::to_r2(p3, two_d);
-  TR2 p4r = curve::to_r2(p4, two_d);
-  std::array<TR1, 8> t1;
-  t1[0] = p;
-  t1[1] = curve::add(t1[0], p2r);
-  t1[2] = curve::add(t1[0], p3r);
-  t1[3] = curve::add(t1[1], p3r);
-  for (int u = 0; u < 4; ++u) t1[static_cast<size_t>(u + 4)] = curve::add(t1[static_cast<size_t>(u)], p4r);
-
-  std::vector<Fp2Var> xpy(8), ymx(8), z2(8), dt2(8), ndt2(8);
-  for (int u = 0; u < 8; ++u) {
-    TR2 r2 = curve::to_r2(t1[static_cast<size_t>(u)], two_d);
-    xpy[static_cast<size_t>(u)] = r2.xpy;
-    ymx[static_cast<size_t>(u)] = r2.ymx;
-    z2[static_cast<size_t>(u)] = r2.z2;
-    dt2[static_cast<size_t>(u)] = r2.dt2;
-    // Negated 2dT precomputed once so per-iteration sign handling is pure
-    // register addressing (no extra per-iteration op).
-    ndt2[static_cast<size_t>(u)] = t.sub(zero, r2.dt2, "T.ndt2[" + std::to_string(u) + "]");
-  }
-
-  // Phase 3: main double-and-add loop (paper Alg. 1 lines 6-10).
-  t.set_iterations(opt.digits);
-  TR1 q = curve::identity_r1(zero, one);
-  for (int i = opt.digits - 1; i >= 0; --i) {
-    if (i != opt.digits - 1) q = curve::dbl(q);
-    TR2 sel;
-    std::string tag = "@" + std::to_string(i) + "/s" + std::to_string(stream);
-    sel.xpy = t.digit_select({xpy, ymx}, iter_base + i, "T.xpy" + tag);
-    sel.ymx = t.digit_select({ymx, xpy}, iter_base + i, "T.ymx" + tag);
-    sel.z2 = t.digit_select({z2, z2}, iter_base + i, "T.z2" + tag);
-    sel.dt2 = t.digit_select({dt2, ndt2}, iter_base + i, "T.dt2" + tag);
-    q = curve::add(q, sel);
-  }
-
-  // Phase 4: uniform even-k correction (one more complete addition).
-  TR2 id_r2{one, one, one + one, zero};
-  TR2 minus_p = curve::neg_r2(curve::to_r2(p, two_d), zero);
-  TR2 corr;
-  corr.xpy = t.correction_select(id_r2.xpy, minus_p.xpy, "corr.xpy", stream);
-  corr.ymx = t.correction_select(id_r2.ymx, minus_p.ymx, "corr.ymx", stream);
-  corr.z2 = t.correction_select(id_r2.z2, minus_p.z2, "corr.z2", stream);
-  corr.dt2 = t.correction_select(id_r2.dt2, minus_p.dt2, "corr.dt2", stream);
-  q = curve::add(q, corr);
-
-  // Phase 5: normalisation.
-  CoreOutputs res;
-  res.q = q;
-  if (opt.include_inversion) {
-    Fp2Var zi = fp2_inverse(t, q.Z);
-    res.x = t.mul(q.X, zi, "x.affine");
-    res.y = t.mul(q.Y, zi, "y.affine");
-  }
-  return res;
-}
-
-}  // namespace
 
 LoopBodyTrace build_loop_body_trace() {
   LoopBodyTrace out;

@@ -1,6 +1,13 @@
 // Construction of the full scalar-multiplication microinstruction trace
 // (paper Alg. 1 executed under the tracing field type — §III-C steps 1-2).
 //
+// The traced programs run the same Alg. 1 phases as the software path
+// (curve/scalarmul.hpp's templates, on Fp2Var), plus the datapath-only
+// pieces declared at the end of this header: the kPaperCost stand-ins,
+// the table's register layout, the digit-addressed and correction reads,
+// and the Fermat-chain normalisation. build_sm_trace, build_dual_sm_trace
+// and the looped controller's segments (asic/looped.hpp) share them.
+//
 // Two program variants (DESIGN.md §2):
 //  * kFunctional — the auxiliary points [2^64]P, [2^128]P, [2^192]P are
 //    computed by 192 traced doublings. The program's outputs equal the real
@@ -92,5 +99,42 @@ struct LoopBodyTrace {
   std::vector<int> table_inputs;  // xpy, ymx, z2, dt2 of the selected entry
 };
 LoopBodyTrace build_loop_body_trace();
+
+// --- Datapath pieces of Alg. 1, shared with asic/looped.cpp ---------------
+
+using TR1 = curve::R1T<Fp2Var>;
+using TR2 = curve::R2T<Fp2Var>;
+
+// The kPaperCost stand-in's six placeholder curve constants: inputs
+// "endo.c0".."endo.c5", their op ids appended to `ids`.
+using EndoConsts = std::array<Fp2Var, 6>;
+EndoConsts endo_inputs(Tracer& t, std::vector<int>& ids);
+
+// Phase 1: curve::aux_points (192 doublings) when `endo` is null
+// (kFunctional), else the tau / phi-hat / psi-hat stand-ins on its
+// constants (kPaperCost).
+std::array<TR1, 3> aux_points(Tracer& t, const TR1& p, const EndoConsts* endo);
+
+// The 8-entry table as the datapath reads it: each entry's R2 coordinates
+// plus its negated 2dT, computed once so that a negative digit costs no op.
+struct TableCols {
+  std::vector<Fp2Var> xpy, ymx, z2, dt2, ndt2;
+};
+TableCols table_cols(Tracer& t, const std::array<TR1, 8>& table, const Fp2Var& zero,
+                     const Fp2Var& two_d);
+
+// Digit `iter`'s signed table entry as four digit-addressed reads: T[v]
+// for sign +1, -T[v] = (ymx, xpy, z2, ndt2) for sign -1. `iter` is the
+// digit index (plus kStream2IterBase on a dual program's second stream) or
+// a loop-counter sentinel; `tag` ends the four labels.
+TR2 digit_read(Tracer& t, const TableCols& c, int iter, const std::string& tag);
+
+// The even-k correction operand as four reads of `if_odd` or `if_even`,
+// chosen by `stream`'s k_was_even.
+TR2 correction_read(Tracer& t, const TR2& if_odd, const TR2& if_even, int stream);
+
+// Phase 5: the affine (x, y) of q by one F_{p^2} inversion on the
+// datapath: conjugate, norm, F_p Fermat chain.
+std::array<Fp2Var, 2> normalise(Tracer& t, const TR1& q);
 
 }  // namespace fourq::trace

@@ -83,31 +83,24 @@ TEST(ScalarMul, Commutes) {
 
 TEST(ScalarMul, BasePointsAreCorrectMultiples) {
   Affine p = deterministic_point(8);
-  BasePoints bp = compute_base_points(p);
-  EXPECT_TRUE(equal(bp.p2, scalar_mul_reference(U256(0, 1, 0, 0), p)));
-  EXPECT_TRUE(equal(bp.p3, scalar_mul_reference(U256(0, 0, 1, 0), p)));
-  EXPECT_TRUE(equal(bp.p4, scalar_mul_reference(U256(0, 0, 0, 1), p)));
+  std::array<PointR1, 3> aux = aux_points(to_r1(p));
+  EXPECT_TRUE(equal(aux[0], scalar_mul_reference(U256(0, 1, 0, 0), p)));
+  EXPECT_TRUE(equal(aux[1], scalar_mul_reference(U256(0, 0, 1, 0), p)));
+  EXPECT_TRUE(equal(aux[2], scalar_mul_reference(U256(0, 0, 0, 1), p)));
 }
 
 TEST(ScalarMul, TableEntriesMatchDefinition) {
   Affine p = deterministic_point(9);
-  BasePoints bp = compute_base_points(p);
-  auto table = build_table(bp);
+  const PointR1 p1 = to_r1(p);
+  std::array<PointR1, 3> aux = aux_points(p1);
+  std::array<PointR1, 8> table = table_r1(p1, aux, curve_2d());
   for (int u = 0; u < 8; ++u) {
     // T[u] = P + u0*P2 + u1*P3 + u2*P4.
-    PointR1 expect = bp.p;
-    if (u & 1) expect = add(expect, to_r2(bp.p2));
-    if (u & 2) expect = add(expect, to_r2(bp.p3));
-    if (u & 4) expect = add(expect, to_r2(bp.p4));
-    // Compare via the stored R2 coordinates: rebuild affine from R2.
-    // R2 = (X+Y, Y-X, 2Z, 2dT): x = (xpy-ymx)/2Z', y = (xpy+ymx)/2Z' with
-    // Z' = z2/2 -> x = (xpy-ymx)/z2 ... cross-check projectively instead.
-    const PointR2& got = table[static_cast<size_t>(u)];
-    PointR2 want = to_r2(expect);
-    // Both are scalings of the same affine point iff cross products match.
-    EXPECT_EQ(got.xpy * want.z2, want.xpy * got.z2) << u;
-    EXPECT_EQ(got.ymx * want.z2, want.ymx * got.z2) << u;
-    EXPECT_EQ(got.dt2 * want.z2, want.dt2 * got.z2) << u;
+    PointR1 expect = p1;
+    if (u & 1) expect = add(expect, to_r2(aux[0]));
+    if (u & 2) expect = add(expect, to_r2(aux[1]));
+    if (u & 4) expect = add(expect, to_r2(aux[2]));
+    EXPECT_TRUE(equal(table[static_cast<size_t>(u)], expect)) << u;
   }
 }
 
