@@ -3,17 +3,16 @@
 // The redundant operand representation carries values *wide* between units
 // and reduces only where Algorithm 2 demands it, so correctness rests on
 // every intermediate provably fitting its stage register. This header is
-// the single written form of those contracts, shared by three layers that
+// the single written form of those contracts, shared by two layers that
 // must agree bit-for-bit:
 //
 //  * field/fp.hpp + fp2.hpp — the C++ golden model whose operations realise
 //    the transfer semantics (mul_wide < 2^254, reduce_wide accepts < 2^256,
 //    canonical results in [0, p));
-//  * rtl/fp2_mul_pipeline.hpp — the stage-accurate pipeline model, whose
-//    rtl::StageWidths runtime-asserts these widths on one concrete run;
 //  * analysis/range — the abstract-interpretation pass that *proves* the
 //    widths statically, for all inputs, on every scheduled program
-//    (docs/ANALYSIS.md, `fourqc lint --ranges`).
+//    (docs/ANALYSIS.md, `fourqc lint --ranges`); its concrete interpreter
+//    eval_wide asserts every stage register's width on each run.
 //
 // Per-site transfer annotations (u = unreduced / lazy, c = canonical):
 //

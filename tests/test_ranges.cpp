@@ -388,17 +388,7 @@ TEST(RangeEval, RandomSoundnessAndFp2Differential) {
   ASSERT_TRUE(pr.result.proven);
   const WideProgram& wp = pr.expand.wide;
 
-  Rng rng(42);
-  auto random_fp = [&] {
-    uint64_t lo = rng.next_u64();
-    uint64_t hi = rng.next_u64() & 0x7fffffffffffffffull;
-    if (hi == 0x7fffffffffffffffull && lo == ~0ull) lo = 0;  // keep < p
-    return field::Fp::from_words(lo, hi);
-  };
-
-  for (int trial = 0; trial < 10000; ++trial) {
-    field::Fp2 a(random_fp(), random_fp());
-    field::Fp2 b(random_fp(), random_fp());
+  auto check = [&](const field::Fp2& a, const field::Fp2& b, const std::string& what) {
     std::vector<std::pair<int, U512>> inputs = {
         {pr.expand.op_nodes[0].first, wide_of(a.re())},
         {pr.expand.op_nodes[0].second, wide_of(a.im())},
@@ -408,21 +398,41 @@ TEST(RangeEval, RandomSoundnessAndFp2Differential) {
     std::vector<U512> v;
     // Any invariant break (negative Karatsuba middle term, failed p<<127
     // correction, stage-register overflow) throws; a proven program must
-    // execute every trial cleanly.
-    ASSERT_NO_THROW(v = eval_wide(wp, inputs, {})) << "trial " << trial;
+    // execute every input cleanly.
+    ASSERT_NO_THROW(v = eval_wide(wp, inputs, {})) << what;
 
     // Soundness: every executed value respects its proven bound.
     for (size_t n = 0; n < v.size(); ++n) {
       const Bound& bd = pr.result.bounds[n];
       ASSERT_FALSE(bd.top);
-      ASSERT_TRUE(bd.max >= v[n]) << "trial " << trial << " node " << n;
+      ASSERT_TRUE(bd.max >= v[n]) << what << " node " << n;
     }
 
     // Differential: the micro-op semantics agree with field::Fp2.
     field::Fp2 want = ((a * b) - (a + b)).conj();
     auto [re, im] = pr.expand.op_nodes[static_cast<size_t>(p.outputs[0].first)];
-    EXPECT_EQ(canon(v[static_cast<size_t>(re)]), canon(wide_of(want.re())));
-    EXPECT_EQ(canon(v[static_cast<size_t>(im)]), canon(wide_of(want.im())));
+    EXPECT_EQ(canon(v[static_cast<size_t>(re)]), canon(wide_of(want.re()))) << what;
+    EXPECT_EQ(canon(v[static_cast<size_t>(im)]), canon(wide_of(want.im()))) << what;
+  };
+
+  // The extreme operands in every pairing: 0, 1, i, p - 1, (p - 1)(1 + i).
+  const field::Fp pm1 = field::Fp() - field::Fp::from_u64(1);
+  const field::Fp2 edges[] = {field::Fp2(), field::Fp2::from_u64(1), field::Fp2::from_u64(0, 1),
+                              field::Fp2(pm1, field::Fp()), field::Fp2(pm1, pm1)};
+  for (const field::Fp2& a : edges)
+    for (const field::Fp2& b : edges) check(a, b, a.to_hex() + " * " + b.to_hex());
+
+  Rng rng(42);
+  auto random_fp = [&] {
+    uint64_t lo = rng.next_u64();
+    uint64_t hi = rng.next_u64() & 0x7fffffffffffffffull;
+    if (hi == 0x7fffffffffffffffull && lo == ~0ull) lo = 0;  // keep < p
+    return field::Fp::from_words(lo, hi);
+  };
+  for (int trial = 0; trial < 10000; ++trial) {
+    field::Fp2 a(random_fp(), random_fp());
+    field::Fp2 b(random_fp(), random_fp());
+    check(a, b, "trial " + std::to_string(trial));
   }
 }
 
