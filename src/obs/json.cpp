@@ -1,6 +1,8 @@
 #include "obs/json.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -220,17 +222,47 @@ struct Parser {
       }
       return fail("bad literal");
     }
-    // Number.
-    char* numend = nullptr;
+    // Number: RFC 8259's grammar only, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?,
+    // within a double's range (from_chars rejects overflow and underflow to 0).
+    const char* q = p;
+    auto digits = [&] {
+      const char* first = q;
+      while (q < end && *q >= '0' && *q <= '9') ++q;
+      return q != first;
+    };
+    if (q < end && *q == '-') ++q;
+    if (q < end && *q == '0') {
+      ++q;
+    } else if (!digits()) {
+      return fail("bad number");
+    }
+    if (q < end && *q == '.') {
+      ++q;
+      if (!digits()) return fail("bad number");
+    }
+    if (q < end && (*q == 'e' || *q == 'E')) {
+      ++q;
+      if (q < end && (*q == '+' || *q == '-')) ++q;
+      if (!digits()) return fail("bad number");
+    }
     v.type = Type::kNumber;
-    v.num = std::strtod(p, &numend);
-    if (numend == p || numend > end) return fail("bad number");
-    p = numend;
+    const auto [last, ec] = std::from_chars(p, q, v.num);
+    if (ec != std::errc() || last != q) return fail("bad number");
+    p = q;
     return true;
   }
 };
 
 }  // namespace
+
+std::string format_number(double v) {
+  char buf[32];
+  if (std::abs(v) < 1e15 && v == std::trunc(v))
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+  else
+    std::snprintf(buf, sizeof buf, "%.12g", v);
+  return buf;
+}
 
 ValuePtr parse(const std::string& text, std::string* error) {
   Parser ps{text.data(), text.data() + text.size(), {}};

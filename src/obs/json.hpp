@@ -1,11 +1,12 @@
 // Minimal recursive-descent JSON reader — just enough to validate the
 // telemetry exporters' output (Chrome trace JSON, metrics JSONL, perf
 // profiles) and to drive tools/perf_regress. Not a general-purpose library:
-// numbers are doubles, and \uXXXX decoding is byte-oriented below 0x100 —
-// \u00XX yields the single byte XX, exactly inverting obs::json_escape's
-// byte-wise escaping of control/non-ASCII bytes, so escape -> parse
-// round-trips arbitrary byte strings (higher code points, including
-// surrogate pairs, decode to UTF-8 as usual).
+// numbers follow RFC 8259's grammar and must fit a double, and \uXXXX
+// decoding is byte-oriented below 0x100 — \u00XX yields the single byte
+// XX, exactly inverting obs::json_escape's byte-wise escaping of
+// control/non-ASCII bytes, so escape -> parse round-trips arbitrary byte
+// strings (higher code points, including surrogate pairs, decode to UTF-8
+// as usual).
 #pragma once
 
 #include <map>
@@ -46,6 +47,11 @@ ValuePtr parse(const std::string& text, std::string* error = nullptr);
 // Parses JSON-lines: one document per non-empty line; any bad line fails
 // the whole parse.
 std::vector<ValuePtr> parse_lines(const std::string& text, std::string* error = nullptr);
+
+// The number format of every obs writer: an integral value below 1e15 in
+// plain digits, anything else as %.12g. parse() reads back every finite
+// value it writes.
+std::string format_number(double v);
 
 }  // namespace fourq::obs::json
 

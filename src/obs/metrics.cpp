@@ -6,24 +6,14 @@
 #include <limits>
 
 #include "common/check.hpp"
+#include "obs/json.hpp"
 #include "obs/span.hpp"  // json_escape
 
 namespace fourq::obs {
 
 namespace {
 
-// Prints a double the way JSON expects (no trailing garbage, integral
-// values without an exponent).
-std::string num_str(double v) {
-  if (v == static_cast<double>(static_cast<long long>(v)) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
-}
+using json::format_number;
 
 Labels sorted_labels(const Labels& labels) {
   Labels out = labels;
@@ -306,24 +296,24 @@ std::string Registry::to_jsonl() const {
     if (!s.labels.empty()) out += ",\"labels\":" + labels_json(s.labels);
     switch (s.kind) {
       case MetricSnapshot::Kind::kCounter:
-        out += ",\"type\":\"counter\",\"value\":" + num_str(s.value) + "}\n";
+        out += ",\"type\":\"counter\",\"value\":" + format_number(s.value) + "}\n";
         break;
       case MetricSnapshot::Kind::kGauge:
-        out += ",\"type\":\"gauge\",\"value\":" + num_str(s.value) + "}\n";
+        out += ",\"type\":\"gauge\",\"value\":" + format_number(s.value) + "}\n";
         break;
       case MetricSnapshot::Kind::kHistogram: {
         out += ",\"type\":\"histogram\",\"count\":" + std::to_string(s.hist.count) +
-               ",\"sum\":" + num_str(s.hist.sum) + ",\"min\":" + num_str(s.hist.min) +
-               ",\"max\":" + num_str(s.hist.max);
+               ",\"sum\":" + format_number(s.hist.sum) + ",\"min\":" + format_number(s.hist.min) +
+               ",\"max\":" + format_number(s.hist.max);
         for (int qi = 0; qi < 4; ++qi)
           out += std::string(",\"") + (kQuantileSuffix[qi] + 1) +
-                 "\":" + num_str(s.hist.quantile(kQuantiles[qi]));
+                 "\":" + format_number(s.hist.quantile(kQuantiles[qi]));
         out += ",\"buckets\":[";
         for (size_t i = 0; i < s.hist.buckets.size(); ++i) {
           if (i) out += ",";
           out += "{\"le\":";
           double ub = s.hist.buckets[i].first;
-          out += std::isinf(ub) ? "\"inf\"" : num_str(ub);
+          out += std::isinf(ub) ? "\"inf\"" : format_number(ub);
           out += ",\"count\":" + std::to_string(s.hist.buckets[i].second) + "}";
         }
         out += "]}\n";
@@ -333,7 +323,7 @@ std::string Registry::to_jsonl() const {
           out += "{\"metric\":\"" +
                  json_escape(flatten_name(s.name + kQuantileSuffix[qi], s.labels)) +
                  "\",\"type\":\"gauge\",\"value\":" +
-                 num_str(s.hist.quantile(kQuantiles[qi])) + "}\n";
+                 format_number(s.hist.quantile(kQuantiles[qi])) + "}\n";
         }
         break;
       }
@@ -385,13 +375,13 @@ std::string Registry::to_prometheus() const {
     std::string pn = prom_name(name);
     out += "# TYPE " + pn + " counter\n";
     for (const MetricSnapshot* s : series)
-      out += pn + prom_labels(s->labels) + " " + num_str(s->value) + "\n";
+      out += pn + prom_labels(s->labels) + " " + format_number(s->value) + "\n";
   }
   for (const auto& [name, series] : families(MetricSnapshot::Kind::kGauge)) {
     std::string pn = prom_name(name);
     out += "# TYPE " + pn + " gauge\n";
     for (const MetricSnapshot* s : series)
-      out += pn + prom_labels(s->labels) + " " + num_str(s->value) + "\n";
+      out += pn + prom_labels(s->labels) + " " + format_number(s->value) + "\n";
   }
   for (const auto& [name, series] : families(MetricSnapshot::Kind::kHistogram)) {
     std::string pn = prom_name(name);
@@ -400,11 +390,11 @@ std::string Registry::to_prometheus() const {
       uint64_t cum = 0;
       for (const auto& [le, c] : s->hist.buckets) {
         cum += c;
-        std::string le_str = std::isinf(le) ? "+Inf" : num_str(le);
+        std::string le_str = std::isinf(le) ? "+Inf" : format_number(le);
         out += pn + "_bucket" + prom_labels(s->labels, "le", le_str) + " " +
                std::to_string(cum) + "\n";
       }
-      out += pn + "_sum" + prom_labels(s->labels) + " " + num_str(s->hist.sum) + "\n";
+      out += pn + "_sum" + prom_labels(s->labels) + " " + format_number(s->hist.sum) + "\n";
       out += pn + "_count" + prom_labels(s->labels) + " " + std::to_string(s->hist.count) +
              "\n";
     }
@@ -412,7 +402,7 @@ std::string Registry::to_prometheus() const {
     for (const MetricSnapshot* s : series)
       for (int qi = 0; qi < 4; ++qi)
         out += pn + "_q" + prom_labels(s->labels, "quantile", kQuantileLabel[qi]) + " " +
-               num_str(s->hist.quantile(kQuantiles[qi])) + "\n";
+               format_number(s->hist.quantile(kQuantiles[qi])) + "\n";
   }
   return out;
 }

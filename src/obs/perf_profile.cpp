@@ -57,18 +57,10 @@ void PerfSpanStat::add(double wall, const PerfDelta& perf) {
 
 namespace {
 
-std::string num(double v) {
-  char buf[48];
-  if (v == static_cast<double>(static_cast<long long>(v)) && std::abs(v) < 1e15)
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  else
-    std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
-}
-
 std::string accum_json(const PerfAccum& a) {
-  return "{\"mean\":" + num(a.mean()) + ",\"stddev\":" + num(a.stddev()) +
-         ",\"total\":" + num(a.sum) + "}";
+  return "{\"mean\":" + json::format_number(a.mean()) +
+         ",\"stddev\":" + json::format_number(a.stddev()) +
+         ",\"total\":" + json::format_number(a.sum) + "}";
 }
 
 // A count or depth field: a whole number in [0, max]. The integer casts
@@ -110,8 +102,8 @@ std::string perf_profile_json(const PerfProfile& p, const std::string& machine_h
       out += ",\"cache_misses\":" + accum_json(s.cache_misses);
       out += ",\"branch_misses\":" + accum_json(s.branch_misses);
       out += ",\"task_clock_ns\":" + accum_json(s.task_clock_ns);
-      out += ",\"ipc\":" + num(s.ipc());
-      out += ",\"cache_miss_rate\":" + num(s.cache_miss_rate());
+      out += ",\"ipc\":" + json::format_number(s.ipc());
+      out += ",\"cache_miss_rate\":" + json::format_number(s.cache_miss_rate());
     }
     out += "}";
   }
@@ -285,11 +277,11 @@ std::string perf_diff_json(const PerfDiffReport& r) {
     out += "{\"path\":\"" + json_escape(row.path) + "\"";
     out += ",\"in_base\":" + std::string(row.in_base ? "true" : "false");
     out += ",\"in_current\":" + std::string(row.in_current ? "true" : "false");
-    if (row.in_base) out += ",\"base_mean\":" + num(row.base_mean);
-    if (row.in_current) out += ",\"current_mean\":" + num(row.cur_mean);
+    if (row.in_base) out += ",\"base_mean\":" + json::format_number(row.base_mean);
+    if (row.in_current) out += ",\"current_mean\":" + json::format_number(row.cur_mean);
     if (row.in_base && row.in_current) {
-      out += ",\"delta_pct\":" + num(row.delta_pct);
-      out += ",\"noise\":" + num(row.noise);
+      out += ",\"delta_pct\":" + json::format_number(row.delta_pct);
+      out += ",\"noise\":" + json::format_number(row.noise);
       out += ",\"significant\":" + std::string(row.significant ? "true" : "false");
     }
     out += "}";

@@ -771,6 +771,29 @@ TEST(Json, ParserBasics) {
   EXPECT_FALSE(err.empty());
 }
 
+// The strict parser reads back every finite number the obs writers format:
+// integers exactly, anything else as the %.12g text says.
+TEST(Json, FormattedNumbersReadBack) {
+  for (double v : {0.0, 1.0, -1.0, 42.0, -123456789012345.0, 999999999999999.0, 1e15, 1e-300,
+                   1e300, 0.1, -2.5e-7, 123456.789}) {
+    const std::string s = obs::json::format_number(v);
+    std::string err;
+    obs::json::ValuePtr n = obs::json::parse(s, &err);
+    ASSERT_TRUE(n) << s << ": " << err;
+    EXPECT_EQ(n->number(), v) << s;
+  }
+  Rng rng(20261019);
+  for (int i = 0; i < 2000; ++i) {
+    uint64_t bits = rng.next_u64();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    if (!std::isfinite(v)) continue;
+    const std::string s = obs::json::format_number(v);
+    obs::json::ValuePtr n = obs::json::parse(s);
+    ASSERT_TRUE(n) << s;
+    EXPECT_EQ(n->number(), std::strtod(s.c_str(), nullptr)) << s;
+  }
+}
 
 TEST(Json, NestingDepthIsCapped) {
   // The parser recurses once per array or object: 256 levels parse, one
@@ -860,6 +883,17 @@ TEST(Json, FuzzedArtifactsReturnAValueOrAnError) {
         t[at] = rng.next_below(2) ? kBytes[rng.next_below(sizeof(kBytes) - 1)]
                                   : static_cast<char>(rng.next_below(256));
       }
+      feed(t);
+    }
+  }
+  // Numbers outside RFC 8259's grammar, or beyond a double's range, are
+  // errors wherever they stand.
+  for (const char* num : {"inf", "-infinity", "+1", "0x10", "01", "1e999", ".5", "1.", "-", "1e"}) {
+    const std::string bad = num;
+    for (const std::string& t : {bad, "[" + bad + "]", "{\"a\":" + bad + "}"}) {
+      std::string err;
+      EXPECT_EQ(obs::json::parse(t, &err), nullptr) << t;
+      EXPECT_FALSE(err.empty()) << t;
       feed(t);
     }
   }
