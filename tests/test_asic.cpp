@@ -195,6 +195,29 @@ TEST(Simulator, DualMultiplierDatapathCorrect) {
   EXPECT_TRUE(dual_issue);
 }
 
+TEST(MulPipeline, EdgeOperands) {
+  // One product through the datapath's pipelined multiplier, on the extreme
+  // operands 0, 1, i, p - 1 and (p - 1)(1 + i) in every pairing.
+  trace::Program p;
+  int a = p.add_op({trace::OpKind::kInput, {}, {}, "a"});
+  int b = p.add_op({trace::OpKind::kInput, {}, {}, "b"});
+  int m = p.add_op({trace::OpKind::kMul, trace::Operand::of(a), trace::Operand::of(b), "m"});
+  p.outputs.emplace_back(m, "m");
+  sched::CompileResult r = sched::compile_program(p, {});
+
+  const curve::Fp pm1 = curve::Fp() - curve::Fp::from_u64(1);
+  const Fp2 cases[] = {
+      Fp2(), Fp2::from_u64(1), Fp2::from_u64(0, 1), Fp2(pm1, pm1), Fp2(pm1, curve::Fp()),
+  };
+  for (const Fp2& x : cases) {
+    for (const Fp2& y : cases) {
+      SimResult sim = simulate(r.sm, {{a, x}, {b, y}}, EvalContext{});
+      EXPECT_EQ(sim.outputs.at("m"), Fp2::mul_karatsuba(x, y)) << x.to_hex() << " * " << y.to_hex();
+      EXPECT_EQ(sim.stats.mul_issues, 1);
+    }
+  }
+}
+
 TEST(Simulator, MissingInputBindingRejected) {
   trace::LoopBodyTrace body = trace::build_loop_body_trace();
   sched::CompileResult r = sched::compile_program(body.program, {});
