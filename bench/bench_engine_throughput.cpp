@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
   topt.endo = trace::EndoVariant::kFunctional;  // checkable against software [k]P
 
   engine::CompileKey key;
-  key.kind = engine::ProgramKind::kSingleSm;
   key.trace = topt;
 
   constexpr int kBaselineJobs = 12;  // each pays a full compile; keep it short

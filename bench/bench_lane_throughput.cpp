@@ -110,7 +110,6 @@ int main(int argc, char** argv) {
   bench::print_header("Lane executor — scalar reference, full and partial waves");
 
   engine::CompileKey key;
-  key.kind = engine::ProgramKind::kSingleSm;
   key.trace.endo = trace::EndoVariant::kFunctional;
 
   constexpr int kJobs = 256;
@@ -200,8 +199,7 @@ int main(int argc, char** argv) {
               jps_8w / scalar_jps);
 
   // Ragged batches: 1..7 jobs per run(), each one partial wave. Ungated;
-  // on the reduced (avx2-only, generic-only) builds this is the
-  // partial-wave smoke.
+  // on the generic-only build this is the partial-wave smoke.
   double ragged_jps = 0.0;
   {
     engine::EngineOptions eopt;

@@ -62,7 +62,6 @@ int main(int argc, char** argv) {
   trace::SmTraceOptions topt;
   topt.endo = trace::EndoVariant::kFunctional;
   engine::CompileKey key;
-  key.kind = engine::ProgramKind::kSingleSm;
   key.trace = topt;
 
   constexpr int kJobs = 64;

@@ -515,9 +515,9 @@ void fold_chain(const StreamCtx& S, size_t chain, FoldOut& out) {
 // fp2_add, fp2_sub and fp2_mul over the whole column (the way trace::Fp2Var
 // runs the same templates to record a trace).
 
-// Whether the lane fold runs: only on a vector kernel table, since on avx2
-// and generic (group 1) the composed lane formulas do not beat the scalar
-// adds. The Straus/Pippenger crossover follows the same test.
+// Whether the lane fold runs: only on a vector kernel table, since on
+// generic (group 1) the composed lane formulas do not beat the scalar adds.
+// The Straus/Pippenger crossover follows the same test.
 bool lane_fold(bool lanes) { return lanes && field::lanes::active().group > 1; }
 
 // Chains per fold group: the parallel grain of the lane fold.

@@ -349,8 +349,6 @@ curve::MsmParallelFor BatchEngine::msm_parallel() {
 void BatchEngine::ensure_program() {
   std::lock_guard<std::mutex> lock(program_mu_);
   if (decoded_) return;
-  FOURQ_CHECK_MSG(opt_.key.kind == ProgramKind::kSingleSm,
-                  "BatchEngine::run drives the single-SM program");
   FOURQ_CHECK_MSG(opt_.key.trace.include_inversion,
                   "run() needs affine outputs (include_inversion)");
   CompileCache& cache = opt_.cache ? *opt_.cache : CompileCache::process_cache();

@@ -19,7 +19,6 @@ namespace {
 // Every field that feeds trace construction or compilation, flattened in a
 // fixed order. Keep in sync with key_tuple() below.
 void mix_key(Fnv1a& f, const CompileKey& k) {
-  f.mix(static_cast<uint64_t>(k.kind));
   f.mix(static_cast<uint64_t>(k.trace.endo));
   f.mix(k.trace.include_inversion ? 1 : 0);
   f.mix(static_cast<uint64_t>(k.trace.digits));
@@ -50,7 +49,7 @@ auto key_tuple(const CompileKey& k) {
   const sched::AnnealOptions& a = k.compile.anneal;
   const sched::BnbOptions& b = k.compile.bnb;
   return std::make_tuple(
-      static_cast<int>(k.kind), static_cast<int>(k.trace.endo),
+      static_cast<int>(k.trace.endo),
       k.trace.include_inversion, k.trace.digits, static_cast<int>(k.compile.solver),
       c.mul_latency, c.mul_ii, c.addsub_latency, c.num_multipliers, c.num_addsubs,
       c.rf_read_ports, c.rf_write_ports, c.rf_size, c.forwarding, a.iterations,
@@ -147,31 +146,16 @@ std::shared_ptr<const CompiledProgram> CompileCache::build(const CompileKey& key
 
   // Trace construction is deterministic and cheap relative to the solver;
   // it runs even on a disk hit because the input-op ids live in the trace.
-  const trace::Program* program = nullptr;
-  trace::SmTrace single;
-  trace::DualSmTrace dual;
-  if (key.kind == ProgramKind::kSingleSm) {
-    single = trace::build_sm_trace(key.trace);
-    prog->in_zero = single.in_zero;
-    prog->in_one = single.in_one;
-    prog->in_two_d = single.in_two_d;
-    prog->in_px = single.in_px;
-    prog->in_py = single.in_py;
-    prog->in_endo_consts = single.in_endo_consts;
-    program = &single.program;
-  } else {
-    dual = trace::build_dual_sm_trace(key.trace);
-    prog->in_zero = dual.in_zero;
-    prog->in_one = dual.in_one;
-    prog->in_two_d = dual.in_two_d;
-    prog->in_px2 = dual.in_px;
-    prog->in_py2 = dual.in_py;
-    prog->in_endo_consts = dual.in_endo_consts;
-    program = &dual.program;
-  }
+  const trace::SmTrace traced = trace::build_sm_trace(key.trace);
+  prog->in_zero = traced.in_zero;
+  prog->in_one = traced.in_one;
+  prog->in_two_d = traced.in_two_d;
+  prog->in_px = traced.in_px;
+  prog->in_py = traced.in_py;
+  prog->in_endo_consts = traced.in_endo_consts;
 
   // Fingerprinted only with a disk directory: nothing else reads it.
-  const uint64_t fingerprint = disk_dir_.empty() ? 0 : program_fingerprint(key, *program);
+  const uint64_t fingerprint = disk_dir_.empty() ? 0 : program_fingerprint(key, traced.program);
   if (!disk_dir_.empty()) {
     std::ifstream is(rom_path(disk_dir_, key), std::ios::binary);
     if (is) {
@@ -195,7 +179,7 @@ std::shared_ptr<const CompiledProgram> CompileCache::build(const CompileKey& key
     }
   }
 
-  prog->sm = sched::compile_program(*program, key.compile).sm;
+  prog->sm = sched::compile_program(traced.program, key.compile).sm;
 
   if (!disk_dir_.empty()) {
     std::error_code ec;

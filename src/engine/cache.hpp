@@ -4,7 +4,7 @@
 // and, with a disk directory attached, at most once per machine.
 //
 // The cache key is the full set of inputs that determine the compiled
-// artifact: program kind, endomorphism variant, trace shape, solver choice
+// artifact: endomorphism variant, trace shape, solver choice
 // (with its options) and every MachineConfig field. Trace construction is
 // deterministic given those descriptors, so the key never needs to hash
 // program bytes; two processes with equal keys build identical programs and
@@ -27,7 +27,6 @@
 // share the result).
 #pragma once
 
-#include <array>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -39,13 +38,8 @@
 
 namespace fourq::engine {
 
-enum class ProgramKind {
-  kSingleSm,  // one scalar multiplication per simulation
-  kDualSm,    // two interleaved streams per simulation (throughput trace)
-};
-
+// Keys the single-SM program (one scalar multiplication per simulation).
 struct CompileKey {
-  ProgramKind kind = ProgramKind::kSingleSm;
   trace::SmTraceOptions trace;  // endo variant, inversion, digit count
   sched::CompileOptions compile;  // MachineConfig + solver + solver options
 
@@ -65,8 +59,7 @@ struct CompiledProgram {
   CompileKey key;
   sched::CompiledSm sm;
   int in_zero = -1, in_one = -1, in_two_d = -1;
-  int in_px = -1, in_py = -1;    // kSingleSm
-  std::array<int, 2> in_px2{-1, -1}, in_py2{-1, -1};  // kDualSm, per stream
+  int in_px = -1, in_py = -1;
   std::vector<int> in_endo_consts;  // kPaperCost placeholder constants
   bool loaded_from_disk = false;    // provenance (engine.cache.disk.hit)
 };

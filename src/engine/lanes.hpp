@@ -14,7 +14,7 @@
 // table's run_slots (field/fp_lanes.hpp), which keeps the state of all W
 // lanes in its own representation for the whole wave — radix-2^52 limbs on
 // avx512, split at preload and joined at readout; canonical u128 through
-// the fp2 kernels on avx2 and generic.
+// the fp2 kernels on generic.
 //
 // The only per-lane scalar steps are at the wave's edges: binding each
 // lane's preloads, and resolving each digit or correction select (a gather

@@ -66,69 +66,9 @@ void g_pt_addmix(u128* const* p, const u128* const* q, size_t n) {
   }
 }
 
+// The slot interpreter: canonical u128 state laid out as
+// [slot][re lanes 0..7, im lanes 0..7], one fp2 kernel call per op.
 void g_run_slots(const SlotProgram& prog, const SlotWave& wave) {
-  run_slots_u128(prog, wave, g_fp2_mul, g_fp2_add, g_fp2_sub);
-}
-
-constexpr Kernels kGeneric = {
-    "generic", g_fp2_mul, g_fp2_add, g_fp2_sub, g_pt_addmix, g_run_slots, 1,
-};
-
-// ---------------------------------------------------------------------------
-// Dispatch.
-
-const Kernels* resolve_active() {
-  const char* req = std::getenv("FOURQ_FP_LANES");
-  const bool want_generic = req && std::strcmp(req, "generic") == 0;
-  const bool want_avx2 = req && std::strcmp(req, "avx2") == 0;
-  const bool want_avx512 = req && std::strcmp(req, "avx512") == 0;
-  const bool want_auto = req == nullptr || std::strcmp(req, "auto") == 0;
-  if (want_generic) return &kGeneric;
-  if (avx512_supported() && (want_avx512 || want_auto))
-    return &avx512_kernels();
-  if (avx2_supported() && (want_avx2 || want_auto)) return &avx2_kernels();
-  // Unknown value or unsatisfiable request: portable path, never a crash.
-  return &kGeneric;
-}
-
-}  // namespace
-
-const Kernels& generic_kernels() { return kGeneric; }
-
-bool avx2_supported() {
-#if FOURQ_LANES_AVX2_ENABLED
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-bool avx512_supported() {
-#if FOURQ_LANES_AVX512_ENABLED
-  return __builtin_cpu_supports("avx512f") != 0 &&
-         __builtin_cpu_supports("avx512ifma") != 0;
-#else
-  return false;
-#endif
-}
-
-#if !FOURQ_LANES_AVX2_ENABLED
-// Generic-only build: the specialization is compiled out entirely and the
-// dispatcher above can never select it.
-const Kernels& avx2_kernels() { return kGeneric; }
-#endif
-
-#if !FOURQ_LANES_AVX512_ENABLED
-const Kernels& avx512_kernels() { return kGeneric; }
-#endif
-
-const Kernels& active() {
-  static const Kernels* table = resolve_active();
-  return *table;
-}
-
-void run_slots_u128(const SlotProgram& prog, const SlotWave& wave, Fp2Kernel mul,
-                    Fp2Kernel add, Fp2Kernel sub) {
   constexpr size_t kW = kWaveLanes;
   const size_t n = wave.lanes;
   u128* const st = static_cast<u128*>(wave.state);
@@ -157,21 +97,22 @@ void run_slots_u128(const SlotProgram& prog, const SlotWave& wave, Fp2Kernel mul
   for (size_t i = 0; i < prog.n_ops; ++i) {
     const SlotOp& op = prog.ops[i];
     const Operand a = operand(op.a, op.gather & SlotOp::kGatherA, 0);
+    const bool unary = op.kind == SlotOp::kSqr || op.kind == SlotOp::kConj;
+    const Operand b = unary ? a : operand(op.b, op.gather & SlotOp::kGatherB, 1);
     u128* d = st + 2 * kW * op.dst;  // may be an operand's own slot
     switch (op.kind) {
       case SlotOp::kMul:
-      case SlotOp::kAdd:
-      case SlotOp::kSub: {
-        const Operand b = operand(op.b, op.gather & SlotOp::kGatherB, 1);
-        const Fp2Kernel k = op.kind == SlotOp::kMul ? mul : op.kind == SlotOp::kAdd ? add : sub;
-        k(a.re, a.im, b.re, b.im, d, d + kW, n);
-        break;
-      }
       case SlotOp::kSqr:
-        mul(a.re, a.im, a.re, a.im, d, d + kW, n);
+        g_fp2_mul(a.re, a.im, b.re, b.im, d, d + kW, n);
+        break;
+      case SlotOp::kAdd:
+        g_fp2_add(a.re, a.im, b.re, b.im, d, d + kW, n);
+        break;
+      case SlotOp::kSub:
+        g_fp2_sub(a.re, a.im, b.re, b.im, d, d + kW, n);
         break;
       default:  // kConj: (re, 0 - im), the canonical negation of im
-        sub(a.re, zero, zero, a.im, d, d + kW, n);
+        g_fp2_sub(a.re, zero, zero, a.im, d, d + kW, n);
         break;
     }
   }
@@ -180,6 +121,46 @@ void run_slots_u128(const SlotProgram& prog, const SlotWave& wave, Fp2Kernel mul
     std::copy_n(s, n, wave.out_re + kW * i);
     std::copy_n(s + kW, n, wave.out_im + kW * i);
   }
+}
+
+constexpr Kernels kGeneric = {
+    "generic", g_fp2_mul, g_fp2_add, g_fp2_sub, g_pt_addmix, g_run_slots, 1,
+};
+
+// ---------------------------------------------------------------------------
+// Dispatch.
+
+const Kernels* resolve_active() {
+  const char* req = std::getenv("FOURQ_FP_LANES");
+  const bool want_avx512 =
+      req == nullptr || std::strcmp(req, "auto") == 0 || std::strcmp(req, "avx512") == 0;
+  // "generic", an unknown value or an unsatisfiable request: the portable
+  // path, never a crash.
+  return want_avx512 && avx512_supported() ? &avx512_kernels() : &kGeneric;
+}
+
+}  // namespace
+
+const Kernels& generic_kernels() { return kGeneric; }
+
+bool avx512_supported() {
+#if FOURQ_LANES_AVX512_ENABLED
+  return __builtin_cpu_supports("avx512f") != 0 &&
+         __builtin_cpu_supports("avx512ifma") != 0;
+#else
+  return false;
+#endif
+}
+
+#if !FOURQ_LANES_AVX512_ENABLED
+// Generic-only build: the specialization is compiled out entirely and the
+// dispatcher above can never select it.
+const Kernels& avx512_kernels() { return kGeneric; }
+#endif
+
+const Kernels& active() {
+  static const Kernels* table = resolve_active();
+  return *table;
 }
 
 }  // namespace fourq::field::lanes

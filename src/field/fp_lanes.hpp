@@ -17,25 +17,23 @@
 // length of one call, so a vector table can keep it in its own limb domain
 // from the first preload to the last readout.
 //
-// Three implementations sit behind one dispatch table:
+// Two implementations sit behind one dispatch table:
 //  * generic — portable flat loops that call the inline scalar arithmetic
 //    of fp.hpp / fp2.hpp itself (one software Alg. 2), so the compiler can
 //    software-pipeline W independent carry chains (the ILP the scalar
 //    interpreter's one-value-at-a-time walk never exposes).
-//  * avx2 — 4 lanes per vector on a 32-bit-limbs-in-64-bit-lanes
-//    representation (vpmuludq schoolbook products, branchless carry /
-//    borrow chains). Compiled only when FOURQ_LANES_AVX2 is enabled and
-//    selected at runtime only when the CPU reports AVX2.
 //  * avx512 — 8 lanes per vector on radix-2^52 limbs driven by the IFMA
 //    instructions (vpmadd52luq/huq): a full 128x128 product is 17 fused
 //    multiply-adds across 8 lanes. Compiled only when FOURQ_LANES_AVX512
 //    is enabled and selected only when the CPU reports AVX512F + IFMA.
+// There is no AVX2 table: with 32-bit limbs (16 vpmuludq per 4 lanes) its
+// 8-lane wave ran slower than generic's, and end to end it came within
+// about 1% of generic (EXPERIMENTS.md, "Two lane-kernel tables").
 //
-// Selection: active() probes the CPU once and prefers avx512 > avx2 >
-// generic; $FOURQ_FP_LANES overrides ("generic", "avx2", "avx512",
-// "auto"). Requesting an ISA the build or CPU cannot provide falls back
-// to generic — never a crash — so every build produces identical results
-// on identical inputs.
+// Selection: active() probes the CPU once and prefers avx512 over generic;
+// $FOURQ_FP_LANES overrides ("generic", "avx512", "auto"). Requesting an
+// ISA the build or CPU cannot provide falls back to generic — never a
+// crash — so every build produces identical results on identical inputs.
 #pragma once
 
 #include <cstddef>
@@ -43,17 +41,10 @@
 
 #include "field/fp2.hpp"
 
-// The AVX2 specialization is compiled only when the build enables it
-// (CMake option FOURQ_LANES_AVX2, x86-64 + GCC/Clang only) — the generic
-// path is always present, so a generic-only build differs from an AVX2
-// build only in which table active() can return.
-#if defined(FOURQ_LANES_AVX2) && defined(__x86_64__) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define FOURQ_LANES_AVX2_ENABLED 1
-#else
-#define FOURQ_LANES_AVX2_ENABLED 0
-#endif
-
+// The AVX-512 specialization is compiled only when the build enables it
+// (CMake option FOURQ_LANES_AVX512, x86-64 + GCC/Clang only) — the generic
+// path is always present, so a generic-only build differs only in which
+// table active() can return.
 #if defined(FOURQ_LANES_AVX512) && defined(__x86_64__) && \
     (defined(__GNUC__) || defined(__clang__))
 #define FOURQ_LANES_AVX512_ENABLED 1
@@ -115,7 +106,7 @@ struct SlotWave {
 // In-place calls (r aliasing a or b elementwise) are allowed; partially
 // overlapping arrays are not.
 struct Kernels {
-  const char* name;  // "generic", "avx2" or "avx512"
+  const char* name;  // "generic" or "avx512"
 
   // F_{p^2} lane ops over split re/im arrays, bitwise-equal to the scalar
   // operators: mul is paper Algorithm 2 (Karatsuba + lazy reduction).
@@ -145,19 +136,19 @@ struct Kernels {
   // every op over the table's own state representation, writes the output
   // rows. Each live lane's outputs are bitwise those of the same ops on
   // scalar Fp2 values. avx512 keeps the state in radix-2^52 limbs for the
-  // whole call and squares with two F_p products; generic and avx2 keep
-  // canonical u128 and call their fp2 kernels per op (kSqr through mul).
+  // whole call and squares with two F_p products; generic keeps canonical
+  // u128 and calls its fp2 kernels per op (kSqr through mul).
   void (*run_slots)(const SlotProgram& prog, const SlotWave& wave);
 
   // Padding group: per-op kernel calls whose n is a multiple of this stay
   // entirely on the vector path (a remainder falls back to the per-lane
   // generic loop). The MSM bucket waves (pt_addmix) pad a partial wave to a
   // multiple with copies of lane 0 and discard the padded outputs. 8 for
-  // avx512; 1 means padding buys nothing (generic; avx2, whose pt_addmix
-  // is generic). run_slots needs no padding: it takes the live lane count.
+  // avx512; 1 for generic, where padding buys nothing. run_slots needs no
+  // padding: it takes the live lane count.
   // group > 1 also selects the MSM's lane-parallel bucket fold (composed
   // fp2 kernel calls, padded to a multiple of group) and its lower
-  // Straus/Pippenger crossover: on the group-1 tables the composed fold
+  // Straus/Pippenger crossover: on the group-1 table the composed fold
   // does not beat scalar point additions.
   int group;
 };
@@ -165,29 +156,17 @@ struct Kernels {
 // The portable implementation (always available).
 const Kernels& generic_kernels();
 
-// True when the build carries the AVX2 specialization *and* this CPU
-// supports it; avx2_kernels() may only be called when this returns true.
-bool avx2_supported();
-const Kernels& avx2_kernels();
-
-// Same contract for the AVX-512 IFMA specialization (requires both the
-// FOURQ_LANES_AVX512 build option and avx512f + avx512ifma at runtime).
+// True when the build carries the AVX-512 IFMA specialization (the
+// FOURQ_LANES_AVX512 option) *and* this CPU reports avx512f + avx512ifma;
+// avx512_kernels() may only be called when this returns true.
 bool avx512_supported();
 const Kernels& avx512_kernels();
 
-// Runtime-dispatched table: best available ISA (avx512 > avx2 > generic),
+// Runtime-dispatched table: avx512 when supported, else generic,
 // overridable via the $FOURQ_FP_LANES environment variable
-// ("generic" | "avx2" | "avx512" | "auto"). An unsatisfiable request
-// degrades to generic.
+// ("generic" | "avx512" | "auto"). An unsatisfiable request degrades to
+// generic.
 const Kernels& active();
-
-// The canonical-u128 slot interpreter behind the generic and avx2 tables'
-// run_slots: one fp2 kernel call per op over state slots laid out as
-// [slot][re lanes 0..7, im lanes 0..7].
-using Fp2Kernel = void (*)(const u128*, const u128*, const u128*, const u128*, u128*, u128*,
-                           size_t);
-void run_slots_u128(const SlotProgram& prog, const SlotWave& wave, Fp2Kernel mul,
-                    Fp2Kernel add, Fp2Kernel sub);
 
 // --- Fp2 <-> SoA conversion helpers (boundary use, not hot loops) ---------
 

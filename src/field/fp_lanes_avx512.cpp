@@ -7,9 +7,9 @@
 // product is a 3x3 schoolbook: 9 lo + 8 hi instructions (the top-limb hi
 // term is provably zero) accumulating into 5 columns — ~2 multiply
 // instructions per lane where the scalar path retires ~12 mulx/add pairs.
-// That density, times 8 lanes per instruction, is what pushes the lane
-// executor past the ISSUE's 5x bar; the AVX2 kernel (32-bit limbs, 16
-// vpmuludq per 4 lanes) only breaks even with scalar mulx.
+// That density, times 8 lanes per instruction, is what puts the lane
+// executor ahead of the portable generic table, whose scalar mulx chains
+// the out-of-order core can only overlap across lanes.
 //
 // Column sums stay below 2^55 (at most 5 terms < 2^52 plus a carry), so
 // 64-bit accumulators never overflow before the carry sweep. Conditional

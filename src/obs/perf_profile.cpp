@@ -267,27 +267,4 @@ std::string perf_diff_text(const PerfDiffReport& r) {
   return out;
 }
 
-std::string perf_diff_json(const PerfDiffReport& r) {
-  std::string out = "{\"schema\":\"fourq.perfdiff.v1\",\"metric\":\"" +
-                    json_escape(r.metric) + "\",\"rows\":[";
-  bool first = true;
-  for (const PerfDiffRow& row : r.rows) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"path\":\"" + json_escape(row.path) + "\"";
-    out += ",\"in_base\":" + std::string(row.in_base ? "true" : "false");
-    out += ",\"in_current\":" + std::string(row.in_current ? "true" : "false");
-    if (row.in_base) out += ",\"base_mean\":" + json::format_number(row.base_mean);
-    if (row.in_current) out += ",\"current_mean\":" + json::format_number(row.cur_mean);
-    if (row.in_base && row.in_current) {
-      out += ",\"delta_pct\":" + json::format_number(row.delta_pct);
-      out += ",\"noise\":" + json::format_number(row.noise);
-      out += ",\"significant\":" + std::string(row.significant ? "true" : "false");
-    }
-    out += "}";
-  }
-  out += "]}\n";
-  return out;
-}
-
 }  // namespace fourq::obs

@@ -12,8 +12,8 @@
 //
 // On top of the aggregate:
 //   perf_profile_json / parse_perf_profile  — the artifact itself
-//   perf_diff / perf_diff_text / perf_diff_json — align two artifacts by
-//     span path and report per-phase deltas with standard-error noise bars
+//   perf_diff / perf_diff_text — align two artifacts by span path and
+//     report per-phase deltas with standard-error noise bars
 //     (`fourqc perf diff A B`)
 //   perf_folded — collapsed-stack flamegraph export ("a;b;c value" lines,
 //     self time per path), consumable by flamegraph.pl / speedscope
@@ -107,6 +107,5 @@ struct PerfDiffReport {
 PerfDiffReport perf_diff(const PerfProfile& base, const PerfProfile& current);
 
 std::string perf_diff_text(const PerfDiffReport& r);
-std::string perf_diff_json(const PerfDiffReport& r);
 
 }  // namespace fourq::obs

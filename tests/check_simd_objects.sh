@@ -1,19 +1,19 @@
 #!/bin/sh
-# ODR check for the runtime-dispatched SIMD lane kernels.
+# ODR check for the runtime-dispatched AVX-512 lane kernels.
 #
 #   check_simd_objects.sh NM OBJECT...
 #
 # OBJECT arguments may also be ;-separated lists (CMake's
 # $<TARGET_OBJECTS:...> expands to one).
 #
-# fp_lanes_avx2.cpp and fp_lanes_avx512.cpp are the only translation units
-# compiled with -mavx2 / -mavx512f. Any inline function from a header that
-# one of them emits out of line becomes a weak (COMDAT) symbol, and the
-# linker keeps one arbitrary copy for the whole program — possibly the
-# AVX-compiled one, which the scalar F_p / F_{p^2} / U256 path would then
-# execute on CPUs without that ISA. This fails if either object defines a
-# weak or unique symbol from the fourq namespaces. Objects not named
-# fp_lanes_avx*.o are ignored; at least one must be present.
+# fp_lanes_avx512.cpp is the only translation unit compiled with
+# -mavx512f. Any inline function from a header that it emits out of line
+# becomes a weak (COMDAT) symbol, and the linker keeps one arbitrary copy
+# for the whole program — possibly the AVX-512 one, which the scalar F_p /
+# F_{p^2} / U256 path would then execute on CPUs without that ISA. This
+# fails if the object defines a weak or unique symbol from the fourq
+# namespaces. Objects not named fp_lanes_avx*.o are ignored; at least one
+# must be present.
 set -euf
 nm=$1
 shift

@@ -32,7 +32,6 @@ engine::CompileKey quick_key() {
   // No inversion: the shortest compilable single-SM program, so keying and
   // concurrency tests stay fast.
   engine::CompileKey key;
-  key.kind = engine::ProgramKind::kSingleSm;
   key.trace.endo = trace::EndoVariant::kPaperCost;
   key.trace.include_inversion = false;
   return key;
@@ -40,7 +39,6 @@ engine::CompileKey quick_key() {
 
 engine::CompileKey functional_key() {
   engine::CompileKey key;
-  key.kind = engine::ProgramKind::kSingleSm;
   key.trace.endo = trace::EndoVariant::kFunctional;
   return key;
 }
@@ -385,18 +383,6 @@ TEST(BatchEngineTest, EmptyBatchesAreNoOps) {
   EXPECT_TRUE(eng.run({}).empty());
   EXPECT_TRUE(eng.verify({}).empty());
   EXPECT_EQ(cache.stats().misses, 0u);  // nothing compiled for empty work
-}
-
-TEST(BatchEngineTest, RejectsUnrunnableProgramKinds) {
-  engine::CompileKey key = functional_key();
-  key.kind = engine::ProgramKind::kDualSm;
-  engine::EngineOptions opt;
-  opt.key = key;
-  engine::CompileCache cache;
-  opt.cache = &cache;
-  engine::BatchEngine eng(opt);
-  std::vector<engine::SmJob> jobs(1, engine::SmJob{U256(5), curve::deterministic_point(1)});
-  EXPECT_THROW(eng.run(jobs), std::logic_error);
 }
 
 // Random jobs over five bases with their software golden outputs.

@@ -4,10 +4,11 @@
 // next to 2^128), each table's slot-program runner against the scalar Fp2
 // operators, the lane executor against the reference simulator for every
 // wave width over a MachineConfig grid, and the strip-parallel batch
-// inversion. The executor tests run once more under each portable table
-// (tests/CMakeLists.txt), since active() picks one table per process. The generic table calls the scalar
-// field code itself, so comparing it with the scalar operators would
-// test that code against itself; the reference here shares none of it.
+// inversion. The executor tests run once more under the generic table
+// (tests/CMakeLists.txt), since active() picks one table per process. The
+// generic table calls the scalar field code itself, so comparing it with
+// the scalar operators would test that code against itself; the reference
+// here shares none of it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -67,7 +68,6 @@ std::vector<u128> operand_stream(size_t n, uint64_t seed, size_t phase) {
 
 std::vector<const lk::Kernels*> compiled_tables() {
   std::vector<const lk::Kernels*> t{&lk::generic_kernels()};
-  if (lk::avx2_supported()) t.push_back(&lk::avx2_kernels());
   if (lk::avx512_supported()) t.push_back(&lk::avx512_kernels());
   return t;
 }
@@ -156,13 +156,21 @@ TEST(LaneKernelsTest, RaggedAndAliasedCalls) {
 }
 
 TEST(LaneKernelsTest, DispatchHonorsEnvOverride) {
-  // active() resolves once per process, so spawn nothing: just check the
-  // compiled-in tables expose distinct names and the active one is among
-  // them (the generic-only CI leg sees exactly {"generic"}).
-  std::vector<const lk::Kernels*> tables = compiled_tables();
+  // active() resolves once per process, so this checks the table the
+  // process started with. ctest runs it plain and again as
+  // generic.LaneKernelsTest.DispatchHonorsEnvOverride with
+  // FOURQ_FP_LANES=generic: a table the variable names that the build and
+  // CPU provide must be the active one, and the active table is always
+  // among the compiled-in ones (the generic-only build has just generic).
+  const char* req = std::getenv("FOURQ_FP_LANES");
   bool found = false;
-  for (const lk::Kernels* k : tables)
-    if (std::string(k->name) == lk::active().name) found = true;
+  for (const lk::Kernels* k : compiled_tables()) {
+    const std::string name = k->name;
+    if (name == lk::active().name) found = true;
+    if (req && name == req) {
+      EXPECT_EQ(lk::active().name, name) << "FOURQ_FP_LANES=" << req << " was not honoured";
+    }
+  }
   EXPECT_TRUE(found) << "active table " << lk::active().name
                      << " not in the compiled-in set";
 }
@@ -387,7 +395,6 @@ TEST(LaneSlotProgramTest, SquareMatchesFp2SqrAndProduct) {
 
 engine::CompileKey functional_key() {
   engine::CompileKey key;
-  key.kind = engine::ProgramKind::kSingleSm;
   key.trace.endo = trace::EndoVariant::kFunctional;
   return key;
 }

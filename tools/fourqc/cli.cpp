@@ -151,7 +151,6 @@ const char* Flow::variant_name() const {
 
 engine::CompileKey Flow::key() const {
   engine::CompileKey key;
-  key.kind = engine::ProgramKind::kSingleSm;
   key.trace = topt;
   key.compile = copt;
   return key;

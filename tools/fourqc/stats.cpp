@@ -138,20 +138,18 @@ int run_stats(int argc, char** argv) {
 }
 
 int run_perf(int argc, char** argv) {
-  const char* usage = "usage: fourqc perf diff BASE.json CURRENT.json [--json]";
+  const char* usage = "usage: fourqc perf diff BASE.json CURRENT.json";
   if (argc < 1 || std::string(argv[0]) != "diff") {
     std::fprintf(stderr, "%s\n", usage);
     return 2;
   }
-  bool json = false;
   std::vector<std::string> files;
   parse_flags("fourqc perf diff",
               std::string(usage) +
                   "\nAligns two fourq.perf.v1 artifacts by span path and reports per-phase\n"
                   "deltas with standard-error noise bars (cycles when both artifacts carry\n"
                   "hardware counters, wall time otherwise).",
-              argc - 1, argv + 1,
-              {switch_flag("--json", "fourq.perfdiff.v1 JSON on stdout", &json)}, &files);
+              argc - 1, argv + 1, {}, &files);
   if (files.size() != 2) {
     std::fprintf(stderr, "%s\n", usage);
     return 2;
@@ -166,7 +164,7 @@ int run_perf(int argc, char** argv) {
     }
   }
   obs::PerfDiffReport rep = obs::perf_diff(profs[0], profs[1]);
-  std::printf("%s", (json ? obs::perf_diff_json(rep) : obs::perf_diff_text(rep)).c_str());
+  std::printf("%s", obs::perf_diff_text(rep).c_str());
   return 0;
 }
 
