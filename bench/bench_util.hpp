@@ -15,7 +15,6 @@
 #include "curve/scalarmul.hpp"
 #include "field/fp_lanes.hpp"
 #include "obs/json.hpp"
-#include "obs/span.hpp"
 #include "sched/compile.hpp"
 #include "trace/eval.hpp"
 #include "trace/sm_trace.hpp"

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "analysis/range/internal.hpp"
-#include "obs/obs.hpp"
+#include "obs/json.hpp"
 
 namespace fourq::analysis::range {
 

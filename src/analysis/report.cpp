@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "analysis/internal.hpp"
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 
 namespace fourq::analysis {

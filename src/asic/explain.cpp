@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "obs/span.hpp"  // json_escape
+#include "obs/json.hpp"
 
 namespace fourq::asic {
 

@@ -1,6 +1,7 @@
 #include "field/fp_lanes.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -135,8 +136,13 @@ const Kernels* resolve_active() {
   const bool want_avx512 =
       req == nullptr || std::strcmp(req, "auto") == 0 || std::strcmp(req, "avx512") == 0;
   // "generic", an unknown value or an unsatisfiable request: the portable
-  // path, never a crash.
-  return want_avx512 && avx512_supported() ? &avx512_kernels() : &kGeneric;
+  // path, never a crash. Any value but "auto" that does not get the table
+  // it names says so once on stderr.
+  const Kernels* table = want_avx512 && avx512_supported() ? &avx512_kernels() : &kGeneric;
+  if (req && std::strcmp(req, "auto") != 0 && std::strcmp(req, table->name) != 0)
+    std::fprintf(stderr, "field lanes: FOURQ_FP_LANES=%s is not available here; using %s\n",
+                 req, table->name);
+  return table;
 }
 
 }  // namespace

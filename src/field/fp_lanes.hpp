@@ -32,8 +32,9 @@
 //
 // Selection: active() probes the CPU once and prefers avx512 over generic;
 // $FOURQ_FP_LANES overrides ("generic", "avx512", "auto"). Requesting an
-// ISA the build or CPU cannot provide falls back to generic — never a
-// crash — so every build produces identical results on identical inputs.
+// ISA the build or CPU cannot provide, or a name that is no table, falls
+// back to generic with one line on stderr — never a crash — so every build
+// produces identical results on identical inputs.
 #pragma once
 
 #include <cstddef>

@@ -1,6 +1,6 @@
 // Cycle-level event stream — the telemetry contract between the
 // cycle-accurate datapath simulators and every consumer (SimStats
-// derivation, per-phase energy attribution, event-log export).
+// derivation, per-phase energy attribution, stall explanation).
 //
 // The simulator publishes one kCycle event per executed control word plus
 // one event per micro-architectural action inside it (issues, RF port
@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace fourq::obs {
@@ -33,8 +32,6 @@ struct CycleEvent {
   int32_t arg = 0;
 };
 
-const char* sim_event_kind_name(SimEventKind k);
-
 class CycleEventSink {
  public:
   virtual ~CycleEventSink() = default;
@@ -45,7 +42,10 @@ class CycleEventSink {
 class NullSink final : public CycleEventSink {
  public:
   void on_event(const CycleEvent&) override {}
-  static NullSink& instance();
+  static NullSink& instance() {
+    static NullSink sink;
+    return sink;
+  }
 };
 
 // Buffers the full stream in memory (the flat SM program runs for a few
@@ -55,8 +55,5 @@ class RecordingSink final : public CycleEventSink {
   void on_event(const CycleEvent& e) override { events.push_back(e); }
   std::vector<CycleEvent> events;
 };
-
-// One JSON object per event, one per line.
-std::string events_to_jsonl(const std::vector<CycleEvent>& events);
 
 }  // namespace fourq::obs

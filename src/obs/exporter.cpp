@@ -144,16 +144,9 @@ bool SnapshotExporter::write_snapshot() {
     }
   }
 
-  Provenance prov = make_provenance("fourq.metrics.v1", opt_.machine_hash);
-
-  std::string prom = "# fourq telemetry snapshot\n# provenance: " + provenance_json(prov) +
-                     "\nfourq_build_info{git_sha=\"" + std::string(build_git_sha()) +
-                     "\"} 1\n" + telemetry_->metrics.to_prometheus();
-
-  bool ok = atomic_write(dir / "metrics.prom", prom) &&
-            atomic_write(dir / "metrics.jsonl",
+  bool ok = atomic_write(dir / "metrics.jsonl",
                          metrics_jsonl(telemetry_->metrics, opt_.machine_hash)) &&
-            atomic_write(dir / "flight.json", telemetry_->flight.to_json());
+            atomic_write(dir / "trace.json", telemetry_->flight.chrome_trace_json());
   if (!ok) {
     std::fprintf(stderr, "obs exporter: write to %s failed\n", opt_.dir.c_str());
     return false;

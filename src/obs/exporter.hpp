@@ -1,11 +1,10 @@
 // Snapshot exporter — a background thread that periodically drains the
-// telemetry context into scrape-ready files:
+// telemetry context into two files, one per kind of telemetry:
 //
-//   <dir>/metrics.prom   Prometheus text exposition (labeled series,
-//                        cumulative histogram buckets, quantile gauges)
 //   <dir>/metrics.jsonl  metrics_jsonl() below: the format tools/perf_regress
 //                        gates against and `fourqc stats` validates
-//   <dir>/flight.json    `fourq.flight.v1` tail of the flight recorder
+//   <dir>/trace.json     the flight ring's spans and engine tasks as a
+//                        Chrome trace (FlightRecorder::chrome_trace_json)
 //
 // Every write is atomic (tmp file + rename), so a scraper reading on its
 // own schedule never sees a torn snapshot. `fourqc batch` starts one when
@@ -59,7 +58,7 @@ class SnapshotExporter {
   // leave fresh files behind.
   void stop();
 
-  // Writes all three files once; returns false (with a message on stderr)
+  // Writes both files once; returns false (with a message on stderr)
   // when the directory cannot be created or written. Safe from any thread.
   bool write_snapshot();
 

@@ -1,10 +1,9 @@
 #include "obs/flight.hpp"
 
-#include <cstdio>
-#include <cstdlib>
+#include <algorithm>
+#include <chrono>
 
-#include "common/check.hpp"
-#include "obs/span.hpp"  // json_escape
+#include "obs/json.hpp"
 
 namespace fourq::obs {
 
@@ -15,55 +14,15 @@ namespace {
 // pathological caller cannot grow the recorder past memory_bytes().
 constexpr size_t kMaxNames = 512;
 
-size_t env_size(const char* var, size_t fallback) {
-  const char* s = std::getenv(var);
-  if (!s || !*s) return fallback;
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || v == 0) return fallback;
-  return static_cast<size_t>(v);
-}
-
 }  // namespace
 
-const char* flight_kind_name(FlightKind k) {
-  switch (k) {
-    case FlightKind::kSpan: return "span";
-    case FlightKind::kTask: return "task";
-    case FlightKind::kCycle: return "cycle";
-    case FlightKind::kMark: return "mark";
-  }
-  return "?";
+uint64_t mono_us() {
+  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
+                                   std::chrono::steady_clock::now().time_since_epoch())
+                                   .count());
 }
 
-FlightConfig FlightConfig::from_env() {
-  FlightConfig cfg;
-  cfg.capacity = env_size("FOURQ_OBS_FLIGHT_CAP", cfg.capacity);
-  cfg.sample_every =
-      static_cast<uint32_t>(env_size("FOURQ_OBS_FLIGHT_SAMPLE", cfg.sample_every));
-  return cfg;
-}
-
-FlightRecorder::FlightRecorder(FlightConfig cfg) { configure(cfg); }
-
-void FlightRecorder::configure(const FlightConfig& cfg) {
-  std::lock_guard<std::mutex> lock(mu_);
-  cfg_ = cfg;
-  if (cfg_.capacity == 0) cfg_.capacity = 1;
-  if (cfg_.sample_every == 0) cfg_.sample_every = 1;
-  sample_every_.store(cfg_.sample_every, std::memory_order_relaxed);
-  ring_.assign(cfg_.capacity, Entry{});
-  ring_.shrink_to_fit();
-  head_ = 0;
-  size_ = 0;
-  recorded_ = 0;
-  evicted_ = 0;
-  names_.clear();
-  names_.push_back("(other)");
-  name_ids_.clear();
-  names_bytes_ = names_[0].size();
-  seen_.store(0, std::memory_order_relaxed);
-}
+FlightRecorder::FlightRecorder(size_t capacity) : ring_(std::max<size_t>(capacity, 1)) {}
 
 uint16_t FlightRecorder::intern_locked(std::string_view name) {
   auto it = name_ids_.find(name);
@@ -78,9 +37,6 @@ uint16_t FlightRecorder::intern_locked(std::string_view name) {
 
 void FlightRecorder::record(FlightKind kind, std::string_view name, uint64_t t_us,
                             uint64_t dur_us, int32_t arg) {
-  uint64_t n = seen_.fetch_add(1, std::memory_order_relaxed);
-  uint32_t every = sample_every_.load(std::memory_order_relaxed);
-  if (every > 1 && n % every != 0) return;
   std::lock_guard<std::mutex> lock(mu_);
   Entry e;
   e.t_us = t_us;
@@ -115,11 +71,6 @@ size_t FlightRecorder::capacity() const {
   return ring_.size();
 }
 
-uint32_t FlightRecorder::sample_every() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cfg_.sample_every;
-}
-
 size_t FlightRecorder::memory_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return ring_.capacity() * sizeof(Entry) + names_bytes_ +
@@ -145,46 +96,26 @@ std::vector<FlightRecorder::Event> FlightRecorder::snapshot() const {
   return out;
 }
 
-std::string FlightRecorder::to_json() const {
-  std::vector<Event> events = snapshot();
-  std::string out = "{\"schema\":\"fourq.flight.v1\"";
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out += ",\"capacity\":" + std::to_string(ring_.size()) +
-           ",\"sample_every\":" + std::to_string(cfg_.sample_every) +
-           ",\"seen\":" + std::to_string(seen_.load(std::memory_order_relaxed)) +
-           ",\"recorded\":" + std::to_string(recorded_) +
-           ",\"evicted\":" + std::to_string(evicted_) +
-           ",\"memory_bytes\":" + std::to_string(ring_.capacity() * sizeof(Entry));
-  }
-  out += ",\"events\":[";
-  bool first = true;
-  for (const Event& e : events) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"name\":\"" + json_escape(e.name) + "\",\"kind\":\"" +
-           flight_kind_name(e.kind) + "\",\"t_us\":" + std::to_string(e.t_us) +
-           ",\"dur_us\":" + std::to_string(e.dur_us) +
-           ",\"arg\":" + std::to_string(e.arg) + "}";
-  }
-  out += "]}";
-  return out;
-}
-
 std::string FlightRecorder::chrome_trace_json() const {
+  const std::vector<Event> events = snapshot();
+  // t_us is an event's end; ts counts from the earliest start.
+  auto start_us = [](const Event& e) { return e.t_us - std::min(e.t_us, e.dur_us); };
+  uint64_t origin = UINT64_MAX;
+  for (const Event& e : events) origin = std::min(origin, start_us(e));
   std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  for (const Event& e : snapshot()) {
-    if (e.kind != FlightKind::kSpan) continue;
-    if (!first) out += ",";
-    first = false;
-    uint64_t start_us = e.t_us > e.dur_us ? e.t_us - e.dur_us : 0;  // t_us is the end
-    out += "{\"name\":\"" + json_escape(e.name) +
-           "\",\"cat\":\"fourq\",\"ph\":\"X\",\"pid\":1,\"tid\":" +
-           std::to_string(e.arg + 1) + ",\"ts\":" + std::to_string(start_us) +
+  for (size_t i = 0; i < events.size(); ++i) {
+    const Event& e = events[i];
+    const bool span = e.kind == FlightKind::kSpan;
+    if (i) out += ",";
+    out += "{\"name\":\"" + json_escape(e.name) + "\",\"cat\":\"fourq\",\"ph\":\"X\",\"pid\":" +
+           (span ? "1" : "2") + ",\"tid\":" + std::to_string(span ? e.arg + 1 : e.arg) +
+           ",\"ts\":" + std::to_string(start_us(e) - origin) +
            ",\"dur\":" + std::to_string(e.dur_us) + "}";
   }
-  out += "],\"displayTimeUnit\":\"ms\"}";
+  std::lock_guard<std::mutex> lock(mu_);
+  out += "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"capacity\":" +
+         std::to_string(ring_.size()) + ",\"recorded\":" + std::to_string(recorded_) +
+         ",\"evicted\":" + std::to_string(evicted_) + "}}";
   return out;
 }
 
@@ -194,7 +125,6 @@ void FlightRecorder::reset() {
   size_ = 0;
   recorded_ = 0;
   evicted_ = 0;
-  seen_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace fourq::obs

@@ -1,11 +1,13 @@
 // Flight recorder — a bounded ring buffer of recent telemetry events
-// (completed spans, engine task completions, cycle events, free-form marks)
-// with optional 1-in-N sampling. It is the only store of raw spans (the
-// span tracer keeps per-path aggregates): the recorder holds the *last*
-// `capacity` sampled events in a fixed block of memory, so million-job runs
-// can keep tracing on: when something goes wrong at job 900k, the tail of
-// the flight is still there. chrome_trace_json() renders its span events
-// as the Chrome trace `fourqc profile` writes.
+// (completed spans and engine task completions). It is the only store of
+// raw spans (the span tracer keeps per-path aggregates): the recorder holds
+// the *last* `capacity` events in a fixed block of memory, so million-job
+// runs can keep tracing on: when something goes wrong at job 900k, the tail
+// of the flight is still there. chrome_trace_json() renders the ring as the
+// Chrome trace that `fourqc profile` and the snapshot exporter write.
+//
+// Every entry is stamped with mono_us(), so spans and tasks recorded from
+// any thread line up on one timeline.
 //
 // Event names are interned into a small bounded table (the vocabulary of
 // span/task names is tiny); if an unreasonable number of distinct names
@@ -16,7 +18,6 @@
 // any per-cycle path (it is fed per span / per engine task).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -27,36 +28,27 @@
 
 namespace fourq::obs {
 
-enum class FlightKind : uint8_t { kSpan = 0, kTask = 1, kCycle = 2, kMark = 3 };
+// Microseconds on the monotonic clock: the one time base of every flight
+// record, and of the engine's enqueue/dequeue/complete lifecycle stamps.
+uint64_t mono_us();
 
-const char* flight_kind_name(FlightKind k);
-
-struct FlightConfig {
-  size_t capacity = 8192;     // ring entries (each entry is 24 bytes)
-  uint32_t sample_every = 1;  // keep 1 of every N events offered
-  // Reads FOURQ_OBS_FLIGHT_CAP (entries) and FOURQ_OBS_FLIGHT_SAMPLE.
-  static FlightConfig from_env();
-};
+enum class FlightKind : uint8_t { kSpan = 0, kTask = 1 };
 
 class FlightRecorder {
  public:
-  explicit FlightRecorder(FlightConfig cfg = FlightConfig::from_env());
+  explicit FlightRecorder(size_t capacity = 8192);  // ring entries, 24 bytes each
 
-  // Replaces the configuration and drops all recorded events.
-  void configure(const FlightConfig& cfg);
-
-  // Offers one event; it is kept only when the sampling counter selects it,
-  // evicting the oldest entry once the ring is full.
+  // Records one event ending at `t_us` (a mono_us() stamp), evicting the
+  // oldest entry once the ring is full. `arg` is the span's tracer thread
+  // number or the task's worker id.
   void record(FlightKind kind, std::string_view name, uint64_t t_us, uint64_t dur_us,
               int32_t arg = -1);
 
-  uint64_t seen() const { return seen_.load(std::memory_order_relaxed); }
   uint64_t recorded() const;
-  // Sampled-in events that evicted an older entry (ring was full).
+  // Events that evicted an older entry (ring was full).
   uint64_t evicted() const;
   size_t size() const;
   size_t capacity() const;
-  uint32_t sample_every() const;
   // Upper bound on heap owned by the recorder: ring storage plus the
   // (bounded) interned-name table.
   size_t memory_bytes() const;
@@ -71,14 +63,15 @@ class FlightRecorder {
   // Oldest-to-newest copy of the ring.
   std::vector<Event> snapshot() const;
 
-  // {"schema":"fourq.flight.v1",...,"events":[...]}.
-  std::string to_json() const;
-  // {"traceEvents":[...]} — one Chrome "X" (complete) event per span event
-  // in the ring, oldest first; tid is the tracer's thread number + 1.
-  // Loadable in chrome://tracing or https://ui.perfetto.dev.
+  // {"traceEvents":[...],"otherData":{...}} — one Chrome "X" (complete)
+  // event per ring entry, oldest first. Spans sit on pid 1 with tid = the
+  // tracer's thread number + 1; engine tasks on pid 2 with tid = worker id.
+  // `ts` counts from the earliest start in the ring; otherData carries the
+  // ring's capacity, recorded and evicted counts. Loadable in
+  // chrome://tracing or https://ui.perfetto.dev.
   std::string chrome_trace_json() const;
 
-  // Drops events and resets the sampling/seen counters; keeps config.
+  // Drops events and resets the counters; keeps the capacity.
   void reset();
 
  private:
@@ -92,19 +85,14 @@ class FlightRecorder {
   uint16_t intern_locked(std::string_view name);
 
   mutable std::mutex mu_;
-  FlightConfig cfg_;
-  // Mirror of cfg_.sample_every readable without the mutex: the sampling
-  // decision happens before any locking so skipped events cost two atomics.
-  std::atomic<uint32_t> sample_every_{1};
-  std::vector<Entry> ring_;   // allocated to cfg_.capacity once
+  std::vector<Entry> ring_;   // allocated to capacity once
   size_t head_ = 0;           // next write position
   size_t size_ = 0;
   uint64_t recorded_ = 0;
   uint64_t evicted_ = 0;
-  std::vector<std::string> names_;           // names_[0] == "(other)"
+  std::vector<std::string> names_{"(other)"};
   std::map<std::string, uint16_t, std::less<>> name_ids_;
-  size_t names_bytes_ = 0;
-  std::atomic<uint64_t> seen_{0};
+  size_t names_bytes_ = names_[0].size();
 };
 
 }  // namespace fourq::obs

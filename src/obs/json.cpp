@@ -8,7 +8,6 @@
 #include <ctime>
 
 #include "common/check.hpp"
-#include "obs/span.hpp"  // json_escape
 
 namespace fourq::obs::json {
 
@@ -308,18 +307,43 @@ std::vector<ValuePtr> parse_lines(const std::string& text, std::string* error) {
 
 namespace fourq::obs {
 
-const char* build_git_sha() {
-#ifdef FOURQ_GIT_SHA
-  return FOURQ_GIT_SHA;
-#else
-  return "unknown";
-#endif
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default: {
+        // Escape every control byte AND every non-ASCII byte as \u00XX, so
+        // arbitrary byte strings (span/flight names are not validated
+        // anywhere) always emit pure-ASCII, valid JSON. obs::json decodes
+        // \u00XX back to the single byte, making the round trip exact.
+        unsigned char u = static_cast<unsigned char>(c);
+        if (u < 0x20 || u >= 0x7f) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", u);
+          out += buf;
+        } else {
+          out += c;
+        }
+      }
+    }
+  }
+  return out;
 }
 
 Provenance make_provenance(const std::string& schema, const std::string& machine_hash) {
   Provenance p;
   p.schema = schema;
-  p.git_sha = build_git_sha();
+#ifdef FOURQ_GIT_SHA
+  p.git_sha = FOURQ_GIT_SHA;
+#else
+  p.git_sha = "unknown";
+#endif
   p.machine_hash = machine_hash;
   std::time_t now = std::time(nullptr);
   std::tm tm{};

@@ -57,10 +57,17 @@ std::string format_number(double v);
 
 namespace fourq::obs {
 
-// Shared provenance header stamped on every exported artifact — BENCH_*.json
-// recorders, `fourqc` metrics.jsonl dumps, and snapshot-exporter files all
-// carry one of these so any two numbers being compared can be traced to a
-// schema, a commit, a generation time, and a machine configuration.
+// Escapes a string for embedding in a JSON literal (used by every exporter).
+// Output is pure ASCII: control bytes and non-ASCII bytes become \u00XX
+// escapes, so arbitrary byte strings in span/flight names always produce
+// valid JSON. json::parse inverts this exactly (\u00XX -> one byte).
+std::string json_escape(const std::string& s);
+
+// Shared provenance header stamped on every exported metrics artifact —
+// BENCH_*.json recorders and every metrics.jsonl (the snapshot exporter's
+// included) carry one of these so any two numbers being compared can be
+// traced to a schema, a commit, a generation time, and a machine
+// configuration.
 struct Provenance {
   std::string schema;         // e.g. "fourq.metrics.v1", "fourq.bench.v1"
   int version = 1;
@@ -68,9 +75,6 @@ struct Provenance {
   std::string timestamp_utc;  // ISO-8601 Zulu, generation time
   std::string machine_hash;   // MachineConfig/CompileKey hash hex; may be empty
 };
-
-// The commit the obs library was configured from ("unknown" outside git).
-const char* build_git_sha();
 
 // Provenance for `schema` stamped with the current UTC time.
 Provenance make_provenance(const std::string& schema,

@@ -7,7 +7,6 @@
 
 #include "common/check.hpp"
 #include "obs/json.hpp"
-#include "obs/span.hpp"  // json_escape
 
 namespace fourq::obs {
 
@@ -18,50 +17,6 @@ using json::format_number;
 Labels sorted_labels(const Labels& labels) {
   Labels out = labels;
   std::sort(out.begin(), out.end());
-  return out;
-}
-
-// Prometheus metric-name charset; anything else (the '.' separators in
-// particular) becomes '_'.
-std::string prom_name(const std::string& name) {
-  std::string out = "fourq_";
-  for (char c : name) {
-    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
-              c == '_';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-std::string prom_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '\\') out += "\\\\";
-    else if (c == '"') out += "\\\"";
-    else if (c == '\n') out += "\\n";
-    else out += c;
-  }
-  return out;
-}
-
-// {k1="v1",k2="v2"} with optional extra label appended; empty string when
-// there are no labels at all.
-std::string prom_labels(const Labels& labels, const std::string& extra_key = "",
-                        const std::string& extra_val = "") {
-  if (labels.empty() && extra_key.empty()) return "";
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out += ",";
-    first = false;
-    out += k + "=\"" + prom_escape(v) + "\"";
-  }
-  if (!extra_key.empty()) {
-    if (!first) out += ",";
-    out += extra_key + "=\"" + prom_escape(extra_val) + "\"";
-  }
-  out += "}";
   return out;
 }
 
@@ -79,7 +34,6 @@ std::string labels_json(const Labels& labels) {
 
 constexpr double kQuantiles[4] = {0.5, 0.9, 0.99, 0.999};
 constexpr const char* kQuantileSuffix[4] = {".p50", ".p90", ".p99", ".p999"};
-constexpr const char* kQuantileLabel[4] = {"0.5", "0.9", "0.99", "0.999"};
 
 }  // namespace
 
@@ -354,55 +308,6 @@ std::string Registry::to_table() const {
         break;
     }
     out += line;
-  }
-  return out;
-}
-
-std::string Registry::to_prometheus() const {
-  std::vector<MetricSnapshot> snaps = snapshot();
-  std::string out;
-  // Prometheus requires every series of a family to be contiguous; group by
-  // bare name within each kind (the flattened-key map order can interleave
-  // families whose names share a prefix).
-  auto families = [&](MetricSnapshot::Kind kind) {
-    std::map<std::string, std::vector<const MetricSnapshot*>> fam;
-    for (const MetricSnapshot& s : snaps)
-      if (s.kind == kind) fam[s.name].push_back(&s);
-    return fam;
-  };
-
-  for (const auto& [name, series] : families(MetricSnapshot::Kind::kCounter)) {
-    std::string pn = prom_name(name);
-    out += "# TYPE " + pn + " counter\n";
-    for (const MetricSnapshot* s : series)
-      out += pn + prom_labels(s->labels) + " " + format_number(s->value) + "\n";
-  }
-  for (const auto& [name, series] : families(MetricSnapshot::Kind::kGauge)) {
-    std::string pn = prom_name(name);
-    out += "# TYPE " + pn + " gauge\n";
-    for (const MetricSnapshot* s : series)
-      out += pn + prom_labels(s->labels) + " " + format_number(s->value) + "\n";
-  }
-  for (const auto& [name, series] : families(MetricSnapshot::Kind::kHistogram)) {
-    std::string pn = prom_name(name);
-    out += "# TYPE " + pn + " histogram\n";
-    for (const MetricSnapshot* s : series) {
-      uint64_t cum = 0;
-      for (const auto& [le, c] : s->hist.buckets) {
-        cum += c;
-        std::string le_str = std::isinf(le) ? "+Inf" : format_number(le);
-        out += pn + "_bucket" + prom_labels(s->labels, "le", le_str) + " " +
-               std::to_string(cum) + "\n";
-      }
-      out += pn + "_sum" + prom_labels(s->labels) + " " + format_number(s->hist.sum) + "\n";
-      out += pn + "_count" + prom_labels(s->labels) + " " + std::to_string(s->hist.count) +
-             "\n";
-    }
-    out += "# TYPE " + pn + "_q gauge\n";
-    for (const MetricSnapshot* s : series)
-      for (int qi = 0; qi < 4; ++qi)
-        out += pn + "_q" + prom_labels(s->labels, "quantile", kQuantileLabel[qi]) + " " +
-               format_number(s->hist.quantile(kQuantiles[qi])) + "\n";
   }
   return out;
 }

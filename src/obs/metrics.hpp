@@ -36,8 +36,7 @@ namespace fourq::obs {
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 // `name{k1="v1",k2="v2"}` with keys sorted; `name` unchanged when labels are
-// empty. This string is the registry key, the JSONL "metric" field, and the
-// base of the Prometheus series identity.
+// empty. This string is the registry key and the JSONL "metric" field.
 std::string flatten_name(const std::string& name, const Labels& labels);
 
 class Counter {
@@ -118,8 +117,7 @@ class Histogram {
 };
 
 // One entry of Registry::snapshot(): structured view of a single series,
-// from which every export format (JSONL, table, Prometheus text, JSON v1)
-// is derived.
+// from which both renderings (JSONL and table) are derived.
 struct MetricSnapshot {
   enum class Kind { kCounter, kGauge, kHistogram };
   Kind kind = Kind::kCounter;
@@ -160,11 +158,6 @@ class Registry {
   std::string to_jsonl() const;
   // Fixed-width human-readable listing.
   std::string to_table() const;
-  // Prometheus text exposition: names sanitised to [a-zA-Z0-9_] under a
-  // "fourq_" prefix, families grouped, histograms as cumulative _bucket/
-  // _sum/_count plus a <name>_q gauge family labeled quantile="0.5"/"0.9"/
-  // "0.99"/"0.999".
-  std::string to_prometheus() const;
 
  private:
   template <typename T>

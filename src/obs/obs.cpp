@@ -1,18 +1,10 @@
 #include "obs/obs.hpp"
 
-#include <chrono>
-
 namespace fourq::obs {
 
 Telemetry& global() {
   static Telemetry t;
   return t;
-}
-
-uint64_t mono_us() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
 }
 
 }  // namespace fourq::obs

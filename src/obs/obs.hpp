@@ -35,7 +35,7 @@ struct Telemetry {
 
   // Completed spans mirror into the flight recorder's bounded ring, the
   // only raw-span store (the tracer keeps per-path aggregates); the ring's
-  // span events are what a Chrome trace shows.
+  // spans and engine tasks are what a Chrome trace shows.
   Telemetry() { spans.set_flight(&flight); }
 
   void reset() {
@@ -47,10 +47,6 @@ struct Telemetry {
 
 // The process-global telemetry context.
 Telemetry& global();
-
-// Microseconds on the monotonic clock (process-wide timeline shared by the
-// engine's enqueue/dequeue/complete lifecycle stamps and flight records).
-uint64_t mono_us();
 
 // True when instrumentation macros are compiled in (exposed so tools can
 // report why a bundle is empty).

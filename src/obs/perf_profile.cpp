@@ -8,7 +8,6 @@
 
 #include "common/check.hpp"
 #include "obs/json.hpp"
-#include "obs/span.hpp"  // json_escape
 
 namespace fourq::obs {
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 
 #include "common/check.hpp"
@@ -11,12 +10,6 @@
 namespace fourq::obs {
 
 namespace {
-
-uint64_t steady_ns() {
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now().time_since_epoch())
-                                   .count());
-}
 
 // Registry of live tracers so the thread-exit hook can notify each one.
 // Deliberately leaked (never destroyed): thread_local destructors of late-
@@ -54,7 +47,7 @@ struct SpanThreadToken {
   }
 };
 
-SpanTracer::SpanTracer() : nodes_(1), epoch_ns_(steady_ns()) {
+SpanTracer::SpanTracer() : nodes_(1) {
   std::lock_guard<std::mutex> lock(tracers_mu());
   tracers().push_back(this);
 }
@@ -64,8 +57,6 @@ SpanTracer::~SpanTracer() {
   auto& v = tracers();
   v.erase(std::remove(v.begin(), v.end(), this), v.end());
 }
-
-uint64_t SpanTracer::now_us() const { return (steady_ns() - epoch_ns_) / 1000; }
 
 size_t SpanTracer::child_locked(size_t parent, std::string_view name) {
   auto& kids = nodes_[parent].children;
@@ -97,7 +88,7 @@ void SpanTracer::begin(std::string_view name) {
   // Counter reads touch only the calling thread's group — outside the lock.
   PerfSample perf;
   if (perf_enabled()) perf = perf_read_thread();
-  uint64_t t = now_us();
+  uint64_t t = mono_us();
   std::lock_guard<std::mutex> lock(mu_);
   auto it = threads_.find(token);
   if (it == threads_.end()) it = threads_.emplace(token, Thread{next_tid_++, {}}).first;
@@ -110,7 +101,7 @@ void SpanTracer::end() {
   uint64_t token = SpanThreadToken::current();
   PerfSample perf_end;
   if (perf_enabled()) perf_end = perf_read_thread();
-  uint64_t t = now_us();
+  uint64_t t = mono_us();
   FlightRecorder* flight = nullptr;
   std::string_view name;
   uint64_t dur_us = 0;
@@ -192,7 +183,6 @@ void SpanTracer::reset() {
   next_tid_ = 0;
   abandoned_ = 0;
   best_ = PerfSource::kUnavailable;
-  epoch_ns_ = steady_ns();
 }
 
 std::string SpanTracer::to_table() const {
@@ -218,35 +208,6 @@ std::string SpanTracer::to_table() const {
     }
   };
   walk(walk, 0);
-  return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: {
-        // Escape every control byte AND every non-ASCII byte as \u00XX, so
-        // arbitrary byte strings (span/flight names are not validated
-        // anywhere) always emit pure-ASCII, valid JSON. obs::json decodes
-        // \u00XX back to the single byte, making the round trip exact.
-        unsigned char u = static_cast<unsigned char>(c);
-        if (u < 0x20 || u >= 0x7f) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", u);
-          out += buf;
-        } else {
-          out += c;
-        }
-      }
-    }
-  }
   return out;
 }
 

@@ -49,8 +49,7 @@ class SpanTracer {
   // Open-span nesting depth of the *calling* thread.
   int open_depth() const;
   // Completed spans named `name` (the summed counts of the paths whose
-  // leaf is `name`, any thread). Used by `fourqc batch` to prove a warm
-  // cache ran zero sched.compile spans.
+  // leaf is `name`, any thread).
   size_t count(std::string_view name) const;
 
   // Live threads this tracer currently tracks (drops to the surviving
@@ -62,15 +61,14 @@ class SpanTracer {
   // Spans dropped because their thread exited while they were still open.
   uint64_t abandoned_spans() const;
 
-  // Mirrors every completed span into `f` (subject to the recorder's own
-  // sampling policy); nullptr detaches.
+  // Mirrors every completed span into `f`, stamped with mono_us();
+  // nullptr detaches.
   void set_flight(FlightRecorder* f);
 
   // One line per path, indented by depth: span count, total and mean time.
   std::string to_table() const;
 
-  // Drops all aggregates and restarts the epoch. Spans still open are
-  // abandoned.
+  // Drops all aggregates. Spans still open are abandoned.
   void reset();
 
  private:
@@ -85,7 +83,7 @@ class SpanTracer {
   struct Open {
     size_t node = 0;
     std::string_view name;  // the caller's, valid until end()
-    uint64_t start_us = 0;
+    uint64_t start_us = 0;  // mono_us()
     PerfSample perf_begin;  // source == kUnavailable when sampling was off
   };
   struct Thread {
@@ -93,8 +91,6 @@ class SpanTracer {
     std::vector<Open> stack; // kept allocated until the thread exits
   };
 
-  // Microseconds since the tracer was constructed (or last reset).
-  uint64_t now_us() const;
   size_t child_locked(size_t parent, std::string_view name);
   // Called by the thread-exit hook: abandon the exiting thread's open
   // spans and drop its bookkeeping.
@@ -107,7 +103,6 @@ class SpanTracer {
   FlightRecorder* flight_ = nullptr;
   std::vector<Node> nodes_;
   PerfSource best_ = PerfSource::kUnavailable;  // best counter source seen
-  uint64_t epoch_ns_ = 0;
 };
 
 // RAII guard: FOURQ_SPAN expands to one of these.
@@ -121,11 +116,5 @@ class ScopedSpan {
  private:
   SpanTracer* t_;
 };
-
-// Escapes a string for embedding in a JSON literal (used by every exporter).
-// Output is pure ASCII: control bytes and non-ASCII bytes become \u00XX
-// escapes, so arbitrary byte strings in span/flight names always produce
-// valid JSON. obs::json::parse inverts this exactly (\u00XX -> one byte).
-std::string json_escape(const std::string& s);
 
 }  // namespace fourq::obs

@@ -13,8 +13,8 @@ namespace fourq::sched {
 
 enum class Solver {
   kSequential,  // no-ILP baseline
-  kList,        // critical-path list scheduling
-  kAnneal,      // list + simulated-annealing refinement (default)
+  kList,        // critical-path list scheduling (default)
+  kAnneal,      // list + simulated-annealing refinement
   kBnb,         // exact branch & bound (small programs only)
 };
 

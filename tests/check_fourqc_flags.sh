@@ -57,6 +57,7 @@ expect 2 --looped --verilog /nonexistent-fourqc-dir/v.v       # (0)
 expect 2 batch --rom-cache fourqc_rom_cache_unused           # (0)
 expect 2 batch --chunk 4                                      # (0)
 expect 2 batch --no-check                                     # (0)
+expect 2 profile --events                                     # (0)
 # Backends that lint nothing.
 expect 2 lint --fleet --backends bogus                        # (0, "CLEAN")
 expect 2 lint --fleet --program sm --backends modulo          # (0, "CLEAN")

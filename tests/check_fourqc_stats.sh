@@ -5,7 +5,7 @@
 #
 # A `fourqc batch` run with the exporter on leaves a snapshot in DIR that
 # stats accepts (exit 0). A metrics.jsonl cut mid-line or at a line
-# boundary, or a missing metrics.prom, is malformed (exit 1).
+# boundary is malformed (exit 1).
 set -u
 fourqc=$1
 dir=$2
@@ -36,10 +36,6 @@ stats_exit 1 "metrics.jsonl cut mid-line"
 
 head -n 2 "$dir/metrics.jsonl" > "$dir.bad/metrics.jsonl"
 stats_exit 1 "metrics.jsonl cut at a line boundary"
-
-cp "$dir/metrics.jsonl" "$dir.bad/metrics.jsonl"
-rm "$dir.bad/metrics.prom"
-stats_exit 1 "a snapshot without metrics.prom"
 
 rm -rf "$dir" "$dir.bad"
 exit "$failed"

@@ -229,51 +229,14 @@ TEST(Metrics, QuantileKnownAnswers) {
   }
 }
 
-TEST(Metrics, PrometheusExportShape) {
-  Registry reg;
-  reg.counter("msm.calls", {{"backend", "straus"}}).inc(3);
-  reg.gauge("engine.workers").set(8);
-  reg.latency_histogram("engine.queue.wait_us", {{"kind", "sm"}}).observe(100.0);
-  std::string prom = reg.to_prometheus();
-
-  // Sanitised names under the fourq_ prefix, labels preserved.
-  EXPECT_NE(prom.find("fourq_msm_calls{backend=\"straus\"} 3"), std::string::npos);
-  EXPECT_NE(prom.find("# TYPE fourq_msm_calls counter"), std::string::npos);
-  EXPECT_NE(prom.find("fourq_engine_workers 8"), std::string::npos);
-  // Histograms: cumulative buckets, sum/count, and the quantile gauge family.
-  EXPECT_NE(prom.find("fourq_engine_queue_wait_us_bucket{"), std::string::npos);
-  EXPECT_NE(prom.find("le=\"+Inf\""), std::string::npos);
-  EXPECT_NE(prom.find("fourq_engine_queue_wait_us_count{kind=\"sm\"} 1"),
-            std::string::npos);
-  EXPECT_NE(prom.find("fourq_engine_queue_wait_us_q{kind=\"sm\",quantile=\"0.99\"}"),
-            std::string::npos);
-  // Every non-comment line is `name value` or `name{labels} value`.
-  size_t pos = 0;
-  while (pos < prom.size()) {
-    size_t nl = prom.find('\n', pos);
-    if (nl == std::string::npos) nl = prom.size();
-    std::string line = prom.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty() || line[0] == '#') continue;
-    size_t sp = line.rfind(' ');
-    ASSERT_NE(sp, std::string::npos) << line;
-    char* end = nullptr;
-    std::strtod(line.c_str() + sp + 1, &end);
-    EXPECT_EQ(*end, '\0') << line;
-  }
-}
-
-TEST(Flight, CapacityAndSampling) {
-  obs::FlightConfig cfg;
-  cfg.capacity = 1024;
-  cfg.sample_every = 1;
-  obs::FlightRecorder f(cfg);
+TEST(Flight, CapacityAndEviction) {
+  obs::FlightRecorder f(1024);
   const size_t baseline_mem = f.memory_bytes();
 
   for (int i = 0; i < 10000; ++i)
     f.record(obs::FlightKind::kTask, "engine.task.sm", static_cast<uint64_t>(i), 5, i % 8);
-  EXPECT_EQ(f.seen(), 10000u);
   EXPECT_EQ(f.recorded(), 10000u);
+  EXPECT_EQ(f.capacity(), 1024u);
   EXPECT_EQ(f.size(), 1024u);            // bounded by capacity
   EXPECT_EQ(f.evicted(), 10000u - 1024u);
   // Fixed memory: the ring never grows past its initial allocation (the only
@@ -287,26 +250,50 @@ TEST(Flight, CapacityAndSampling) {
   EXPECT_EQ(ev.back().t_us, 9999u);
   EXPECT_EQ(ev.back().name, "engine.task.sm");
 
-  // to_json round-trips through the reader with the bookkeeping fields.
+  // The Chrome trace carries the ring's bookkeeping in otherData.
   std::string err;
-  obs::json::ValuePtr v = obs::json::parse(f.to_json(), &err);
+  obs::json::ValuePtr v = obs::json::parse(f.chrome_trace_json(), &err);
   ASSERT_TRUE(err.empty()) << err;
-  EXPECT_EQ(v->at("schema").string(), "fourq.flight.v1");
-  EXPECT_DOUBLE_EQ(v->at("seen").number(), 10000.0);
-  EXPECT_EQ(v->at("events").arr.size(), 1024u);
-
-  // 1-in-4 sampling: configure() drops old events, then records ~seen/4.
-  cfg.sample_every = 4;
-  f.configure(cfg);
-  for (int i = 0; i < 1000; ++i)
-    f.record(obs::FlightKind::kSpan, "span", static_cast<uint64_t>(i), 1);
-  EXPECT_EQ(f.seen(), 1000u);
-  EXPECT_EQ(f.recorded(), 250u);
-  EXPECT_EQ(f.size(), 250u);
+  EXPECT_EQ(v->at("traceEvents").arr.size(), 1024u);
+  const obs::json::Value& other = v->at("otherData");
+  EXPECT_DOUBLE_EQ(other.at("capacity").number(), 1024.0);
+  EXPECT_DOUBLE_EQ(other.at("recorded").number(), 10000.0);
+  EXPECT_DOUBLE_EQ(other.at("evicted").number(), 10000.0 - 1024.0);
 
   f.reset();
   EXPECT_EQ(f.size(), 0u);
-  EXPECT_EQ(f.seen(), 0u);
+  EXPECT_EQ(f.recorded(), 0u);
+  EXPECT_EQ(f.capacity(), 1024u);
+}
+
+// Spans and engine tasks are stamped on one clock (mono_us), so a span and
+// a task recorded back to back sit side by side in the Chrome trace, each
+// on its own track.
+TEST(Flight, SpansAndTasksShareOneClock) {
+  obs::Telemetry tel;
+  {
+    obs::ScopedSpan s(tel.spans, "engine.run");
+  }
+  const int worker = 3;
+  tel.flight.record(obs::FlightKind::kTask, "engine.task.verify", obs::mono_us(), 7, worker);
+
+  std::string err;
+  obs::json::ValuePtr v = obs::json::parse(tel.flight.chrome_trace_json(), &err);
+  ASSERT_TRUE(err.empty()) << err;
+  const obs::json::Value& events = v->at("traceEvents");
+  ASSERT_EQ(events.arr.size(), 2u);
+  const obs::json::Value& span = events.at(0);
+  const obs::json::Value& task = events.at(1);
+  EXPECT_EQ(span.at("name").string(), "engine.run");
+  EXPECT_EQ(task.at("name").string(), "engine.task.verify");
+  for (const obs::json::Value* e : {&span, &task}) EXPECT_EQ(e->at("ph").string(), "X");
+  EXPECT_EQ(span.at("pid").number(), 1.0);
+  EXPECT_EQ(span.at("tid").number(), 1.0);  // the tracer's first thread
+  EXPECT_EQ(task.at("pid").number(), 2.0);
+  EXPECT_EQ(task.at("tid").number(), static_cast<double>(worker));
+  EXPECT_EQ(task.at("dur").number(), 7.0);
+  EXPECT_LT(std::fabs(task.at("ts").number() - span.at("ts").number()), 1e6)
+      << "span ts " << span.at("ts").number() << ", task ts " << task.at("ts").number();
 }
 
 TEST(Spans, ThreadChurnReleasesBookkeeping) {
@@ -380,7 +367,7 @@ TEST(Spans, MemoryFlatAcrossAMillionSpans) {
   EXPECT_LE(grown_kb, 8 * 1024) << "max RSS grew " << grown_kb << " KB over " << kSpans
                                 << " spans";
   EXPECT_EQ(t.count("memory.outer.span"), static_cast<size_t>(kSpans) + 1000);
-  EXPECT_EQ(tel.flight.seen(), static_cast<uint64_t>(kSpans) + 1000);
+  EXPECT_EQ(tel.flight.recorded(), static_cast<uint64_t>(kSpans) + 1000);
   EXPECT_LE(tel.flight.size(), tel.flight.capacity());
 }
 
@@ -422,7 +409,7 @@ TEST(Exporter, SnapshotRoundTrip) {
   tel.metrics.counter("engine.worker.tasks", {{"worker", "0"}}).inc(17);
   obs::Histogram& h = tel.metrics.latency_histogram("engine.queue.wait_us", {{"kind", "sm"}});
   for (int i = 1; i <= 100; ++i) h.observe(static_cast<double>(i * 10));
-  tel.flight.record(obs::FlightKind::kMark, "test.mark", 1, 0);
+  tel.flight.record(obs::FlightKind::kTask, "engine.task.sm", obs::mono_us(), 5, 2);
 
   obs::ExporterOptions opt;
   opt.dir = dir.string();
@@ -430,9 +417,10 @@ TEST(Exporter, SnapshotRoundTrip) {
   obs::SnapshotExporter exp(tel, opt);
   ASSERT_TRUE(exp.write_snapshot());
 
-  for (const char* f : {"metrics.prom", "metrics.jsonl", "flight.json"})
-    EXPECT_TRUE(fs::exists(dir / f)) << f;
-  EXPECT_FALSE(fs::exists(dir / "metrics.json"));
+  // One file per kind of telemetry, and none of the retired formats.
+  for (const char* f : {"metrics.jsonl", "trace.json"}) EXPECT_TRUE(fs::exists(dir / f)) << f;
+  for (const char* f : {"metrics.prom", "flight.json", "metrics.json"})
+    EXPECT_FALSE(fs::exists(dir / f)) << f;
 
   // metrics.jsonl: provenance header + labeled series with quantiles.
   std::string err;
@@ -464,15 +452,14 @@ TEST(Exporter, SnapshotRoundTrip) {
   EXPECT_TRUE(saw_counter);
   EXPECT_TRUE(saw_hist);
 
-  // metrics.prom starts with the provenance comment and carries build info.
-  std::ifstream pin(dir / "metrics.prom", std::ios::binary);
-  std::stringstream pss;
-  pss << pin.rdbuf();
-  std::string prom = pss.str();
-  ASSERT_FALSE(prom.empty());
-  EXPECT_EQ(prom[0], '#');
-  EXPECT_NE(prom.find("# provenance: {\"schema\":\"fourq.metrics.v1\""), std::string::npos);
-  EXPECT_NE(prom.find("fourq_build_info{git_sha="), std::string::npos);
+  // trace.json is the flight ring's Chrome trace, holding the recorded task.
+  obs::json::ValuePtr trace = obs::json::parse(read_file(dir / "trace.json"), &err);
+  ASSERT_TRUE(trace) << err;
+  const obs::json::Value& events = trace->at("traceEvents");
+  ASSERT_EQ(events.arr.size(), 1u);
+  EXPECT_EQ(events.at(0).at("name").string(), "engine.task.sm");
+  EXPECT_EQ(events.at(0).at("ph").string(), "X");
+  EXPECT_EQ(events.at(0).at("tid").number(), 2.0);
 
   // A second snapshot replaces the first (atomic rename kept the previous
   // file readable throughout).
@@ -549,11 +536,14 @@ TEST(Spans, ChromeTraceJsonWellFormed) {
   // completion order, so the outer span is last).
   EXPECT_EQ(events.at(1).at("name").string(), "phase \"a\"\n");
 
-  // Only span events become trace events; other flight kinds stay out.
-  tel.flight.record(obs::FlightKind::kTask, "engine.task.sm", 10, 5, 0);
+  // Engine tasks become trace events too, on their own process track.
+  tel.flight.record(obs::FlightKind::kTask, "engine.task.sm", obs::mono_us(), 5, 0);
   v = obs::json::parse(tel.flight.chrome_trace_json(), &err);
   ASSERT_TRUE(err.empty()) << err;
-  EXPECT_EQ(v->at("traceEvents").arr.size(), 2u);
+  ASSERT_EQ(v->at("traceEvents").arr.size(), 3u);
+  EXPECT_EQ(v->at("traceEvents").at(2).at("ph").string(), "X");
+  EXPECT_EQ(v->at("traceEvents").at(2).at("pid").number(), 2.0);
+  EXPECT_EQ(v->at("traceEvents").at(0).at("pid").number(), 1.0);
 }
 
 TEST(Macros, GlobalRegistryWiring) {
@@ -610,12 +600,6 @@ TEST(EventStream, LoopBodyStatsMatchEvents) {
   EXPECT_LE(sim.stats.max_writes_in_cycle, r.sm.cfg.rf_write_ports);
   EXPECT_GE(sim.stats.max_writes_in_cycle, 1);
   EXPECT_EQ(sim.stats.mul_issues, 15);
-
-  // The exported event log parses line-by-line.
-  std::string err;
-  auto lines = obs::json::parse_lines(obs::events_to_jsonl(sink.events), &err);
-  EXPECT_TRUE(err.empty()) << err;
-  EXPECT_EQ(lines.size(), sink.events.size());
 }
 
 TEST(EventStream, UtilisationAndStalls) {
@@ -645,7 +629,7 @@ TEST(EventStream, UtilisationAndStalls) {
 }
 
 TEST(Json, EscapeRoundTripsControlAndHighBytes) {
-  // The exporters embed caller-supplied names (span names, flight names,
+  // The exporters embed caller-supplied names (span names, task names,
   // metric labels) in JSON; json_escape must make any byte string safe and
   // the reader must invert it exactly.
   const std::string nasty = std::string("line\nbreak \"quoted\" ctrl") +
@@ -665,14 +649,14 @@ TEST(Json, EscapeRoundTripsControlAndHighBytes) {
   ASSERT_TRUE(err.empty()) << err;
   EXPECT_EQ(trace->at("traceEvents").at(0).at("name").string(), nasty);
 
-  // ... and as a flight-recorder event name through to_json.
-  obs::FlightRecorder f((obs::FlightConfig()));
-  f.record(obs::FlightKind::kMark, nasty.c_str(), 1, 0);
+  // ... and as an engine task name in a ring of its own.
+  obs::FlightRecorder f;
+  f.record(obs::FlightKind::kTask, nasty, 1, 0);
   err.clear();
-  obs::json::ValuePtr flight = obs::json::parse(f.to_json(), &err);
+  obs::json::ValuePtr flight = obs::json::parse(f.chrome_trace_json(), &err);
   ASSERT_TRUE(err.empty()) << err;
-  ASSERT_EQ(flight->at("events").arr.size(), 1u);
-  EXPECT_EQ(flight->at("events").at(0).at("name").string(), nasty);
+  ASSERT_EQ(flight->at("traceEvents").arr.size(), 1u);
+  EXPECT_EQ(flight->at("traceEvents").at(0).at("name").string(), nasty);
 }
 
 TEST(Exporter, StaleTmpFilesCleanedOnNextExport) {
@@ -684,7 +668,7 @@ TEST(Exporter, StaleTmpFilesCleanedOnNextExport) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   std::ofstream(dir / "metrics.jsonl.tmp") << "{\"partial\":";
-  std::ofstream(dir / "flight.json.tmp") << "garbage";
+  std::ofstream(dir / "trace.json.tmp") << "garbage";
 
   obs::Telemetry tel;
   tel.metrics.counter("engine.jobs.sm").inc(3);
@@ -747,7 +731,7 @@ TEST(Exporter, TruncatedMetricsJsonRejected) {
   // Well-formed JSON with the wrong schema is rejected too.
   err.clear();
   EXPECT_TRUE(
-      obs::validate_metrics_jsonl("{\"schema\":\"fourq.flight.v1\",\"lines\":0}\n", &err)
+      obs::validate_metrics_jsonl("{\"schema\":\"fourq.perf.v1\",\"lines\":0}\n", &err)
           .empty());
   EXPECT_FALSE(err.empty());
 }
@@ -817,7 +801,8 @@ TEST(Json, FuzzedArtifactsReturnAValueOrAnError) {
   // Seeded fuzz loop over every artifact reader (json::parse, parse_lines,
   // parse_perf_profile, validate_metrics_jsonl): each truncation and 3000
   // byte flips of real artifacts (a metrics.jsonl snapshot, a perf.json
-  // profile, the flight trace and its Chrome rendering), plus deep nesting.
+  // profile, and the flight ring's Chrome trace with and without an engine
+  // task), plus deep nesting.
   // Every input yields a value or an error message; none throws or crashes.
   obs::Telemetry tel;
   tel.metrics.counter("engine.jobs.sm").inc(42);
@@ -827,10 +812,11 @@ TEST(Json, FuzzedArtifactsReturnAValueOrAnError) {
     obs::ScopedSpan outer(tel.spans, "engine.run");
     obs::ScopedSpan inner(tel.spans, "engine.wave \"x\"\n");
   }
-  tel.flight.record(obs::FlightKind::kTask, "engine.task.sm", 10, 5, 0);
+  const std::string spans_trace = tel.flight.chrome_trace_json();
+  tel.flight.record(obs::FlightKind::kTask, "engine.task.sm", obs::mono_us(), 5, 0);
   const std::vector<std::string> artifacts = {
       obs::metrics_jsonl(tel.metrics, "0f3a"), obs::perf_profile_json(tel.spans.profile(), "beef"),
-      tel.flight.to_json(), tel.flight.chrome_trace_json()};
+      tel.flight.chrome_trace_json(), spans_trace};
   {
     std::string err;
     EXPECT_FALSE(obs::validate_metrics_jsonl(artifacts[0], &err).empty()) << err;

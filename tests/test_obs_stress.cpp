@@ -93,11 +93,11 @@ TEST(ObsStress, ConcurrentMetricsFlightAndExporter) {
   EXPECT_EQ(hs.count, kTotal);
   EXPECT_GE(hs.quantile(0.99), hs.quantile(0.5));
 
-  // The flight recorder saw every offer (explicit records plus the spans the
-  // tracer mirrors into it) and stayed within its fixed cap.
+  // The flight recorder counted every event (explicit records plus the spans
+  // the tracer mirrors into it) and stayed within its fixed cap.
   constexpr uint64_t kSpans =
       static_cast<uint64_t>(kThreads) * ((kOpsPerThread + 511) / 512);
-  EXPECT_EQ(tel.flight.seen(), kTotal + 2 * kSpans);
+  EXPECT_EQ(tel.flight.recorded(), kTotal + 2 * kSpans);
   EXPECT_LE(tel.flight.size(), tel.flight.capacity());
 
   // Spans balanced across all threads; their bookkeeping died with them.

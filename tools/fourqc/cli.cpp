@@ -173,7 +173,7 @@ void add_flow_flags(std::vector<Flag>& flags, Flow& flow, bool with_solver) {
                                [&flow](const std::string& v) {
                                  return solver_from_name(v, &flow.copt.solver);
                                }));
-  flags.push_back(int_flag("--anneal-iters", "SA iterations (default 400)",
+  flags.push_back(int_flag("--anneal-iters", "SA iterations (default 2000)",
                            &flow.copt.anneal.iterations, 1, kMaxInt));
   const struct {
     const char* name;

@@ -5,7 +5,6 @@
 
 #include "curve/scalarmul.hpp"
 #include "fourqc/cli.hpp"
-#include "obs/events.hpp"
 #include "obs/obs.hpp"
 #include "obs/perf_profile.hpp"
 #include "power/activity_energy.hpp"
@@ -14,28 +13,6 @@
 namespace fourq::cli {
 
 namespace {
-
-std::string phases_json(const std::vector<power::PhaseEnergy>& phases, double vdd) {
-  std::string out = "{\"vdd\":" + std::to_string(vdd) + ",\"phases\":[";
-  for (size_t i = 0; i < phases.size(); ++i) {
-    const power::PhaseEnergy& p = phases[i];
-    if (i) out += ",";
-    char buf[512];
-    std::snprintf(
-        buf, sizeof buf,
-        "{\"name\":\"%s\",\"begin_cycle\":%d,\"end_cycle\":%d,\"cycles\":%d,"
-        "\"mul_issues\":%d,\"addsub_issues\":%d,\"rf_reads\":%d,\"rf_writes\":%d,"
-        "\"energy_uj\":{\"mul\":%.6g,\"addsub\":%.6g,\"rf\":%.6g,\"ctrl\":%.6g,"
-        "\"leak\":%.6g,\"total\":%.6g}}",
-        obs::json_escape(p.window.name).c_str(), p.window.begin_cycle, p.window.end_cycle,
-        p.activity.cycles, p.activity.mul_issues, p.activity.addsub_issues,
-        p.activity.rf_reads, p.activity.rf_writes, p.energy.mul_uj, p.energy.addsub_uj,
-        p.energy.rf_uj, p.energy.ctrl_uj, p.energy.leak_uj, p.energy.total_uj());
-    out += buf;
-  }
-  out += "]}";
-  return out;
-}
 
 std::string hw_counter_table(const obs::PerfProfile& prof, int repeat) {
   std::string out = "\n== hardware counters (" + prof.counters + ", " +
@@ -77,13 +54,12 @@ int run_profile(int argc, char** argv) {
   Flow flow;
   std::string out = "profile_out", flame;
   U256 k = U256::from_hex(kDefaultScalar);
-  bool dump_events = false, hw = false;
+  bool hw = false;
   int repeat = 1;
 
   std::vector<Flag> flags = {
       text_flag("--out", "DIR", "bundle directory (default profile_out)", &out),
       hex_flag("--scalar", "scalar to profile (default fixed)", &k),
-      switch_flag("--events", "also dump the raw cycle event log", &dump_events),
       switch_flag("--hw", "attach perf_event counters to every span (or a fallback)", &hw),
       int_flag("--repeat", "run the pipeline N times for perf.json noise bars", &repeat, 1,
                kMaxInt),
@@ -94,7 +70,7 @@ int run_profile(int argc, char** argv) {
               "usage: fourqc profile [options]\n"
               "Run one SM end to end (software, flat microcode, looped controller) and\n"
               "write the telemetry bundle: trace.json [chrome://tracing], metrics.jsonl,\n"
-              "phases.json, perf.json [fourq.perf.v1], summary.txt, events.jsonl.",
+              "perf.json [fourq.perf.v1] and summary.txt.",
               argc, argv, flags);
 
   std::filesystem::path dir(out);
@@ -106,15 +82,14 @@ int run_profile(int argc, char** argv) {
 
   // Phases 1-3 run --repeat times: every repetition contributes one more
   // sample per span path, which is what gives `fourqc perf diff` its noise
-  // bars. Event sinks are cleared per repetition (energy attribution below
-  // reads the last repetition's stream); the repeat-summed sim counters are
-  // recorded once after the loop from the final repetition's stats.
+  // bars. The looped event sink is cleared per repetition (energy
+  // attribution below reads the last repetition's stream); the sim counters
+  // are recorded once after the loop from the final repetition's stats.
   curve::Affine sw;
-  obs::RecordingSink flat_events, loop_events;
+  obs::RecordingSink loop_events;
   asic::SimResult flat_res, loop_res;
   asic::LoopedSm lsm;
   for (int rep = 0; rep < repeat; ++rep) {
-    flat_events.events.clear();
     loop_events.events.clear();
 
     // 1. Software pipeline: spans for decompose/precompute/loop/normalize.
@@ -132,7 +107,7 @@ int run_profile(int argc, char** argv) {
       in.bind_sm(sm, p, k);
       {
         FOURQ_SPAN("asic.simulate_flat");
-        flat_res = asic::simulate(r.sm, in.bindings, in.ctx, &flat_events);
+        flat_res = asic::simulate(r.sm, in.bindings, in.ctx);
       }
       if (flow.topt.endo == trace::EndoVariant::kFunctional && flow.topt.include_inversion &&
           (flat_res.outputs.at("x") != sw.x || flat_res.outputs.at("y") != sw.y)) {
@@ -190,17 +165,13 @@ int run_profile(int argc, char** argv) {
 
   bool ok = write_file(dir / "trace.json", tel.flight.chrome_trace_json()) &&
             write_metrics(dir, flow) &&
-            write_file(dir / "phases.json", phases_json(phases, vdd)) &&
             write_file(dir / "perf.json", obs::perf_profile_json(prof, flow.key().hash_hex())) &&
             write_file(dir / "summary.txt", summary);
-  if (ok && dump_events)
-    ok = write_file(dir / "events.jsonl", obs::events_to_jsonl(flat_events.events));
   if (ok && !flame.empty()) ok = write_file(flame, obs::perf_folded(prof));
   if (!ok) return 1;
 
   std::printf("%s", summary.c_str());
-  std::printf("\nfourqc profile: bundle written to %s%s\n", dir.string().c_str(),
-              dump_events ? " (with events.jsonl)" : "");
+  std::printf("\nfourqc profile: bundle written to %s\n", dir.string().c_str());
   if (!flame.empty())
     std::printf("fourqc profile: collapsed stacks -> %s (flamegraph.pl / speedscope)\n",
                 flame.c_str());

@@ -1,7 +1,7 @@
 // fourqc stats — read back the snapshot exporter's directory, validate
-// metrics.jsonl (obs::validate_metrics_jsonl) and the Prometheus text in
-// metrics.prom, and pretty-print (or tail) them. Exit 1 on any malformed
-// file, so CI uses it as the smoke check for the export pipeline.
+// metrics.jsonl (obs::validate_metrics_jsonl) and pretty-print (or tail)
+// it. Exit 1 on a malformed file, so CI uses it as the smoke check for the
+// export pipeline.
 //
 // fourqc perf diff — differential profiling over fourq.perf.v1 artifacts.
 #include <chrono>
@@ -9,8 +9,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
-#include <regex>
-#include <sstream>
 #include <thread>
 
 #include "fourqc/cli.hpp"
@@ -29,41 +27,6 @@ bool read_text_file(const std::string& path, std::string* out, std::string* err)
   }
   *out = std::string(std::istreambuf_iterator<char>(in), {});
   return true;
-}
-
-// One Prometheus text-exposition line: `name value`, `name{labels} value`,
-// or a `#` comment.
-bool prom_line_ok(const std::string& line) {
-  static const std::regex kSeries(R"([A-Za-z0-9_:]+(\{[^}]*\})? (\S+))");
-  std::smatch m;
-  if (line.empty() || line[0] == '#') return true;
-  if (!std::regex_match(line, m, kSeries)) return false;
-  const std::string value = m[2];
-  char* end = nullptr;
-  std::strtod(value.c_str(), &end);
-  return *end == '\0';
-}
-
-// Validates DIR/metrics.prom; returns its series count, or -1 after
-// printing what is wrong.
-int prom_series(const std::string& dir) {
-  std::string prom, err;
-  if (!read_text_file(dir + "/metrics.prom", &prom, &err)) {
-    std::fprintf(stderr, "fourqc stats: %s\n", err.c_str());
-    return -1;
-  }
-  int series = 0;
-  std::istringstream lines(prom);
-  std::string line;
-  for (size_t lineno = 1; std::getline(lines, line); ++lineno) {
-    if (!prom_line_ok(line)) {
-      std::fprintf(stderr, "fourqc stats: %s/metrics.prom:%zu: not a text-exposition line: %s\n",
-                   dir.c_str(), lineno, line.c_str());
-      return -1;
-    }
-    if (!line.empty() && line[0] != '#') ++series;
-  }
-  return series;
 }
 
 }  // namespace
@@ -109,8 +72,6 @@ int run_stats(int argc, char** argv) {
       std::fprintf(stderr, "fourqc stats: %s\n", err.c_str());
       return 1;
     }
-    int series = prom_series(dir);
-    if (series < 0) return 1;
     if (json) {
       std::fputs(text.c_str(), stdout);
       continue;
@@ -121,7 +82,7 @@ int run_stats(int argc, char** argv) {
     std::printf("  provenance: git %s, %s, machine %s\n", prov.at("git_sha").string().c_str(),
                 prov.at("timestamp_utc").string().c_str(),
                 prov.has("machine_hash") ? prov.at("machine_hash").string().c_str() : "-");
-    std::printf("  %zu metric(s), %d prometheus series\n", lines.size() - 1, series);
+    std::printf("  %zu metric(s)\n", lines.size() - 1);
     for (size_t i = 1; i < lines.size(); ++i) {
       const obs::json::Value& m = *lines[i];
       const std::string& type = m.at("type").string();

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "obs/json.hpp"
-#include "obs/span.hpp"
 
 namespace {
 
