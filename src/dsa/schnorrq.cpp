@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <map>
 
 #include "common/check.hpp"
@@ -51,8 +52,8 @@ curve::PointR1 sub(const curve::PointR1& a, const curve::PointR1& b) {
 // The weighted residual of a set of signatures, built once: for each item
 // that passes the precheck ("live") its challenge e, a random non-zero
 // 128-bit weight z, z*s and z*e mod N, and the index of its public key
-// among the set's distinct keys. cofactored(lo, hi) is [392] times the
-// residual of live items [lo, hi):
+// among the set's distinct keys. cofactored(lo, hi, false) is [392] times
+// the residual of live items [lo, hi):
 //   [sum z s]G - sum [z]R - sum over distinct keys Q of [sum z e]Q.
 // The scalars are reduced mod N, which moves the residual only by small-
 // order points; [392] removes those, so residuals of disjoint ranges add.
@@ -88,23 +89,45 @@ class Residuals {
   // Item indices (into the constructor's items) that passed the precheck.
   const std::vector<uint32_t>& live() const { return live_; }
 
-  curve::PointR1 cofactored(size_t lo, size_t hi, const curve::MsmOptions& msm) const {
+  // With `indexed`, item k's weight is (k - lo + 1) z: exact in its R
+  // scalar (< 2^135 < N), mod N in its G and key contributions.
+  curve::PointR1 cofactored(size_t lo, size_t hi, bool indexed,
+                            const curve::MsmOptions& msm) const {
     U256 zs;
     std::vector<curve::ScalarPoint> terms;
     std::vector<size_t> q_term(neg_q_.size(), kNone);  // key -> its term
+    const int r_bits = 128 + (indexed ? static_cast<int>(std::bit_width(hi - lo)) : 0);
     for (size_t k = lo; k < hi; ++k) {
       const Weight& w = w_[k];
-      zs = addmod(zs, w.zs, n_);
-      terms.push_back({w.z, w.neg_r, 128});
+      const uint64_t c = indexed ? k - lo + 1 : 1;
+      auto times_c = [&](const U256& x) { return c == 1 ? x : mod(mul_wide(U256(c), x), n_); };
+      zs = addmod(zs, times_c(w.zs), n_);
+      terms.push_back({times_c(w.z), w.neg_r, r_bits});
       size_t& q = q_term[w.key];
       if (q == kNone) {
         q = terms.size();
         terms.push_back({U256(), neg_q_[w.key], 256});
       }
-      terms[q].k = addmod(terms[q].k, w.ze, n_);
+      terms[q].k = addmod(terms[q].k, times_c(w.ze), n_);
     }
     terms.push_back({zs, g_, 256});
     return curve::mul_small(curve::kCofactor, curve::multi_scalar_mul(terms, msm));
+  }
+
+  // If live item j alone fails, f = cofactored(0, n, false) is not O and the
+  // index-weighted residual is [j+1]f (Bernstein, Doumen, Lange and
+  // Oosterwijk, INDOCRYPT 2012). C_j = f confirms j: the other items' sum is
+  // O, and j fails as verify() would. Returns false, setting nothing, else.
+  bool identify(const curve::PointR1& f, std::span<uint8_t> verdicts,
+                const curve::MsmOptions& msm) const {
+    const size_t n = live_.size();
+    const curve::PointR1 fw = cofactored(0, n, true, msm);
+    const curve::PointR2 f2 = curve::to_r2(f);
+    size_t j = 0;  // the first j with [j+1]f = fw
+    for (curve::PointR1 jf = f; j < n && !curve::equal(jf, fw); ++j) jf = curve::add(jf, f2);
+    if (j == n || !curve::equal(cofactored(j, j + 1, false, msm), f)) return false;
+    for (size_t k = 0; k < n; ++k) verdicts[live_[k]] = k != j;
+    return true;
   }
 
   // Sets verdicts[live[k]] for k in [lo, hi), given c = cofactored(lo, hi).
@@ -118,7 +141,7 @@ class Residuals {
     }
     if (hi - lo == 1) return;
     const size_t mid = lo + (hi - lo) / 2;
-    const curve::PointR1 left = cofactored(lo, mid, msm);
+    const curve::PointR1 left = cofactored(lo, mid, false, msm);
     bisect(lo, mid, left, verdicts, msm);
     bisect(mid, hi, sub(c, left), verdicts, msm);
   }
@@ -196,7 +219,7 @@ bool SchnorrQ::verify_batch(const std::vector<BatchItem>& items, Rng& rng,
   if (items.empty()) return true;
   Residuals res(*this, n_, items, rng);
   if (res.live().size() != items.size()) return false;
-  return curve::is_identity(res.cofactored(0, items.size(), msm));
+  return curve::is_identity(res.cofactored(0, items.size(), false, msm));
 }
 
 void SchnorrQ::verify_each(std::span<const BatchItem> items, std::span<uint8_t> verdicts,
@@ -205,7 +228,10 @@ void SchnorrQ::verify_each(std::span<const BatchItem> items, std::span<uint8_t> 
   std::fill(verdicts.begin(), verdicts.end(), uint8_t{0});
   Residuals res(*this, n_, items, rng);
   const size_t n = res.live().size();
-  if (n > 0) res.bisect(0, n, res.cofactored(0, n, msm), verdicts, msm);
+  if (n == 0) return;
+  const curve::PointR1 f = res.cofactored(0, n, false, msm);
+  if (n < 2 || curve::is_identity(f) || !res.identify(f, verdicts, msm))
+    res.bisect(0, n, f, verdicts, msm);
 }
 
 SchnorrQ::EncodedSignature SchnorrQ::encode_signature(const Signature& sig) const {

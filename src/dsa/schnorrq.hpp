@@ -64,10 +64,11 @@ class SchnorrQ {
   // Batch verification (Bellare–Garay–Rabin small-exponent test) with one
   // multi-scalar multiplication of the batch's residual
   //   [sum z_i s_i]G - sum [z_i]R_i - sum [z_i e_i]Q_i
-  // under random non-zero 128-bit weights z_i, the Q terms of a repeated
-  // public key merged into one; true iff [392] times it is O. True whenever
-  // every item verifies; a batch holding an item verify() rejects passes
-  // with probability at most 2^-128. The weight terms [z_i]R_i enter the
+  // under random non-zero 128-bit weights z_i from rng, the Q terms of a
+  // repeated public key merged into one; true iff [392] times it is O.
+  // True whenever every item verifies; if rng is unknown to whoever chose
+  // the items, a batch holding an item verify() rejects passes with
+  // probability at most 1/(2^128 - 1). The weight terms [z_i]R_i enter the
   // MSM at their native 128-bit length; msm selects the backend (Straus
   // for small batches, Pippenger buckets for large ones, optionally
   // parallelised via MsmOptions::parallel).
@@ -77,13 +78,14 @@ class SchnorrQ {
   // Per-item verdicts: verdicts[i] = 1 iff verify() accepts items[i]
   // (verdicts.size() must equal items.size()). Items that are not curve
   // points or carry s >= N get 0 without entering an MSM; the rest are
-  // tested as a set by one MSM of their residual as in verify_batch. A
-  // failing set is split in halves: the left half's residual is a new MSM,
-  // the right half's the parent's minus the left's (the same weights), so
-  // one bad item among n costs log2(n) half-size MSMs. A one-item residual
-  // is z_i times the item's equation, so leaf verdicts equal verify()
-  // exactly; an invalid item is accepted with probability at most 2^-128
-  // per set test that contains it.
+  // tested as a set by one MSM of their residual F as in verify_batch. If
+  // F fails, a second MSM with the k-th item's weight times k+1 equals
+  // [j+1]F when item j alone fails, and j's own residual (a third) confirms
+  // it. Otherwise the set is split in halves: the left half's residual is
+  // a new MSM, the right half's the parent's minus the left's. A rejected
+  // item always fails verify(); with rng unknown to whoever chose the
+  // items, an invalid one passes with probability at most
+  // (n + ceil(log2 n) - 1)/(2^128 - 1) for n live items (docs/API.md).
   void verify_each(std::span<const BatchItem> items, std::span<uint8_t> verdicts, Rng& rng,
                    const curve::MsmOptions& msm = {}) const;
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <random>
 #include <stdexcept>
 #include <string>
 
@@ -79,6 +80,7 @@ struct BatchEngine::Task {
   SmResult* results = nullptr;
   const dsa::SchnorrQ::BatchItem* items = nullptr;
   uint8_t* verdicts = nullptr;
+  uint64_t seed = 0;                    // verify_each weight seed (kVerify)
   BatchCtl* ctl = nullptr;              // batch completion (kSm / kVerify)
   std::shared_ptr<FanCtl> fan;          // fan-out state (kHelp)
   uint64_t enqueue_us = 0;              // lifecycle stamp (set by the queue)
@@ -277,13 +279,9 @@ void BatchEngine::worker_main(int worker_id) {
         case Task::Kind::kSm:
           exec_sm(t, arena);
           break;
-        case Task::Kind::kVerify: {
-          // Re-seeded per task so verdicts don't depend on which worker or
-          // in which order tasks are drained.
-          Rng rng(opt_.verify_seed ^ (0x9e3779b97f4a7c15ull * (t.begin + 1)));
-          exec_verify(t, rng);
+        case Task::Kind::kVerify:
+          exec_verify(t);
           break;
-        }
         case Task::Kind::kHelp:
           t.fan->drain();  // catches per index itself
           break;
@@ -405,13 +403,14 @@ void BatchEngine::exec_sm(const Task& t, SmArena& ar) {
   FOURQ_COUNTER_ADD("engine.jobs.sm", t.end - t.begin);
 }
 
-void BatchEngine::exec_verify(const Task& t, Rng& rng) {
+void BatchEngine::exec_verify(const Task& t) {
   // The MSM inside each chunk fans back out over the same pool. Nested
   // fan-outs cannot deadlock: parallel_for's caller self-drains, so a fully
   // busy pool just degrades to the sequential path.
   curve::MsmOptions msm = opt_.msm;
   if (threads_.size() > 1 && !msm.parallel) msm.parallel = msm_parallel();
   const size_t n = t.end - t.begin;
+  Rng rng(t.seed);
   scheme_->verify_each({t.items + t.begin, n}, {t.verdicts + t.begin, n}, rng, msm);
   FOURQ_COUNTER_ADD("engine.jobs.verify", n);
 }
@@ -485,9 +484,16 @@ std::vector<uint8_t> BatchEngine::verify(const std::vector<dsa::SchnorrQ::BatchI
   FOURQ_SPAN("engine.verify");
   std::vector<uint8_t> verdicts(items.size(), 0);
   if (items.empty()) return verdicts;
+  // Predictable weights would let crafted pairs of invalid items cancel.
+  uint64_t call_seed = 0;
   {
     std::lock_guard<std::mutex> lock(scheme_mu_);
-    if (!scheme_) scheme_ = std::make_unique<dsa::SchnorrQ>();
+    if (!scheme_) {
+      scheme_ = std::make_unique<dsa::SchnorrQ>();
+      std::random_device rd;
+      verify_key_ = (uint64_t{rd()} << 32) | rd();
+    }
+    call_seed = verify_key_ ^ (0xbf58476d1ce4e5b9ull * ++verify_calls_);
   }
 
   // One chunk per worker: each chunk is one residual MSM, and a bigger one
@@ -506,6 +512,7 @@ std::vector<uint8_t> BatchEngine::verify(const std::vector<dsa::SchnorrQ::BatchI
     t.end = std::min(items.size(), b + chunk);
     t.items = items.data();
     t.verdicts = verdicts.data();
+    t.seed = call_seed ^ (0x9e3779b97f4a7c15ull * (b + 1));
     t.ctl = &ctl;
     tasks.push_back(t);
   }

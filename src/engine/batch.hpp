@@ -11,8 +11,8 @@
 //               with per-worker reusable workspaces; the steady-state path
 //               allocates nothing per job.
 //  * verify() — SchnorrQ per-item verification: each chunk is one
-//               SchnorrQ::verify_each call (one residual MSM; a failing
-//               chunk bisects by subtraction), so every verdict equals
+//               SchnorrQ::verify_each call (one residual MSM; two more name
+//               a lone bad item, else it bisects), so every verdict equals
 //               SchnorrQ::verify() on that item.
 //
 // Threading model: N persistent workers created in the constructor, joined
@@ -65,8 +65,6 @@ struct EngineOptions {
                               // amortise over, more repeated keys merged)
   CompileKey key;             // program compiled/decoded for run()
   CompileCache* cache = nullptr;  // nullptr = CompileCache::process_cache()
-  uint64_t verify_seed = 0x5eedf00d;  // BGR small-exponent weight seed
-                                      // (verdicts do not depend on it)
   curve::MsmOptions msm;      // MSM backend policy for verify() (parallel
                               // hook is filled in by the engine itself)
 };
@@ -86,8 +84,9 @@ class BatchEngine {
   std::vector<SmResult> run(const std::vector<SmJob>& jobs);
 
   // Per-item verdicts: verdicts[i] = 1 iff SchnorrQ::verify() accepts
-  // items[i], for any worker count, chunk size and verify_seed (up to the
-  // 2^-128 false-accept bound of SchnorrQ::verify_each).
+  // items[i], for any worker count and chunk size, up to the false-accept
+  // bound of SchnorrQ::verify_each. The weights come from a 64-bit key
+  // drawn from std::random_device on the first verify() (docs/ENGINE.md).
   std::vector<uint8_t> verify(const std::vector<dsa::SchnorrQ::BatchItem>& items);
 
   // Runs fn(i) for every i in [0, n) across the worker pool, returning when
@@ -128,7 +127,7 @@ class BatchEngine {
   void worker_main(int worker_id);
   void ensure_program();
   void exec_sm(const Task& t, SmArena& arena);
-  void exec_verify(const Task& t, Rng& rng);
+  void exec_verify(const Task& t);
   void dispatch(std::vector<Task>& tasks);
 
   EngineOptions opt_;
@@ -141,6 +140,7 @@ class BatchEngine {
 
   std::mutex scheme_mu_;
   std::unique_ptr<dsa::SchnorrQ> scheme_;  // lazily built (verify() only)
+  uint64_t verify_key_ = 0, verify_calls_ = 0;  // verify() weight key, call count
 };
 
 }  // namespace fourq::engine

@@ -13,6 +13,7 @@
 #include "dsa/schnorrq.hpp"
 #include "engine/batch.hpp"
 #include "hash/sha256.hpp"
+#include "obs/obs.hpp"
 
 namespace fourq::dsa {
 namespace {
@@ -429,6 +430,121 @@ TEST_F(VerifyVectors, BatchEngineMatchesTheDefinition) {
         EXPECT_EQ(verdicts[i], (*vectors_)[i].expect ? 1 : 0)
             << (*vectors_)[i].label << " workers " << workers << " chunk " << chunk;
     }
+  }
+}
+
+// --- Forgery identification in verify_each --------------------------------
+
+// n honest items signed under `keys` distinct keys, each item by a random
+// one, so a 64-item set over 28 keys merges repeated keys into one Q term.
+std::vector<SchnorrQ::BatchItem> honest_burst(const SchnorrQ& scheme, size_t n, size_t keys) {
+  Rng rng(0xb0057 + n);
+  std::vector<SchnorrQ::KeyPair> fleet(keys);
+  for (SchnorrQ::KeyPair& kp : fleet) kp = scheme.keygen(rng);
+  std::vector<SchnorrQ::BatchItem> out;
+  for (size_t i = 0; i < n; ++i) {
+    const SchnorrQ::KeyPair& kp = fleet[rng.next_below(keys)];
+    const std::string msg = "burst message " + std::to_string(i);
+    out.push_back({kp.pub, msg, scheme.sign(kp, msg)});
+  }
+  return out;
+}
+
+// A forgery that passes the precheck: a changed message, or s + 1 mod N.
+void tamper(SchnorrQ::BatchItem& it, bool in_s, const SchnorrQ& scheme) {
+  if (in_s)
+    it.sig.s = addmod(it.sig.s, U256(1), scheme.order());
+  else
+    it.msg += " (forged)";
+}
+
+// verify_each's verdicts must be 0 exactly at the indices in `bad`.
+void expect_rejected(const SchnorrQ& scheme, const std::vector<SchnorrQ::BatchItem>& items,
+                     const std::vector<size_t>& bad, Rng& rng, const std::string& what) {
+  std::vector<uint8_t> verdicts(items.size(), 7);
+  scheme.verify_each(items, verdicts, rng);
+  for (size_t i = 0; i < items.size(); ++i) {
+    const bool rejected = std::find(bad.begin(), bad.end(), i) != bad.end();
+    EXPECT_EQ(verdicts[i], rejected ? 0 : 1) << what << ", item " << i;
+  }
+}
+
+TEST_F(SchnorrTest, VerifyEachNamesOneForgeryAtEveryIndex) {
+  const std::vector<SchnorrQ::BatchItem> burst = honest_burst(scheme, 64, 28);
+  for (size_t j = 0; j < burst.size(); ++j)
+    for (bool in_s : {false, true}) {
+      std::vector<SchnorrQ::BatchItem> set = burst;
+      tamper(set[j], in_s, scheme);
+      expect_rejected(scheme, set, {j}, rng,
+                      "forged " + std::string(in_s ? "s" : "message") + " at " + std::to_string(j));
+    }
+}
+
+TEST_F(SchnorrTest, VerifyEachFallsBackToBisectionOnSeveralForgeries) {
+  const std::vector<SchnorrQ::BatchItem> burst = honest_burst(scheme, 64, 28);
+  const std::vector<std::vector<size_t>> cases = {
+      {0, 63}, {17, 18}, {5, 40}, {0, 1, 2}, {3, 17, 40}, {21, 42, 63}};
+  for (const std::vector<size_t>& bad : cases) {
+    std::vector<SchnorrQ::BatchItem> set = burst;
+    std::string what = "forgeries at";
+    for (size_t k = 0; k < bad.size(); ++k) {
+      tamper(set[bad[k]], k % 2 == 1, scheme);
+      what += " " + std::to_string(bad[k]);
+    }
+    expect_rejected(scheme, set, bad, rng, what);
+  }
+}
+
+TEST_F(SchnorrTest, VerifyEachNamesTheForgeryInTwoAndThreeItemSets) {
+  for (size_t n : {2, 3}) {
+    const std::vector<SchnorrQ::BatchItem> burst = honest_burst(scheme, n, 2);
+    for (size_t j = 0; j < n; ++j)
+      for (bool in_s : {false, true}) {
+        std::vector<SchnorrQ::BatchItem> set = burst;
+        tamper(set[j], in_s, scheme);
+        expect_rejected(scheme, set, {j}, rng,
+                        std::to_string(n) + " items, forgery at " + std::to_string(j));
+      }
+  }
+}
+
+TEST_F(SchnorrTest, VerifyEachRunsOneMsmCleanAndThreeForOneForgery) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "curve.msm.calls is compiled out";
+  const obs::Counter& calls = obs::global().metrics.counter("curve.msm.calls");
+  std::vector<SchnorrQ::BatchItem> set = honest_burst(scheme, 64, 28);
+  auto msms = [&] {
+    const uint64_t before = calls.value();
+    std::vector<uint8_t> verdicts(set.size());
+    scheme.verify_each(set, verdicts, rng);
+    return calls.value() - before;
+  };
+  EXPECT_EQ(msms(), 1u);
+  tamper(set[17], false, scheme);
+  EXPECT_EQ(msms(), 3u);  // the set, the index-weighted set, item 17
+}
+
+TEST_F(VerifyVectors, VerifyEachNamesAForgeryBesideTorsionAndPrecheckFailures) {
+  auto by_label = [](const std::string& label) {
+    for (const Vector& x : *vectors_)
+      if (x.label == label) return x;
+    ADD_FAILURE() << "no vector " << label;
+    return Vector{};
+  };
+  // Precheck failures ahead of the forgery make its live index smaller
+  // than its item index; accepted torsion-key items flank it.
+  const Vector off_r = by_label("off-curve R"), s_n = by_label("s = N");
+  const Vector torsion2 = by_label("key Q+T, order 2"), torsion8 = by_label("key Q+T, order 8");
+  ASSERT_TRUE(torsion2.expect && torsion8.expect && !off_r.expect && !s_n.expect);
+  const std::vector<SchnorrQ::BatchItem> burst = honest_burst(scheme, 64, 28);
+  Rng rng(9);
+  for (size_t j : {4, 31, 62}) {
+    std::vector<SchnorrQ::BatchItem> set = burst;
+    set[0] = off_r.item;
+    set[1] = s_n.item;
+    set[j - 1] = torsion2.item;
+    set[j + 1] = torsion8.item;
+    tamper(set[j], j % 2 == 0, scheme);
+    expect_rejected(scheme, set, {0, 1, j}, rng, "forgery at " + std::to_string(j));
   }
 }
 

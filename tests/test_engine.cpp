@@ -345,33 +345,79 @@ TEST(BatchEngineTest, ParallelForCoversEveryIndexOnceIncludingNested) {
 
 TEST(BatchEngineTest, VerifyBisectionHoldsAcrossMsmBackends) {
   // Corrupted-index isolation must survive the backend choice and the
-  // nested MSM fan-out that multi-worker verification triggers.
+  // nested MSM fan-out that multi-worker verification triggers, both for a
+  // lone forgery (named by the index-weighted MSM) and for several
+  // (bisection).
   dsa::SchnorrQ scheme;
   Rng rng(456);
   constexpr int kSigs = 32;
-  const std::vector<size_t> corrupted = {0, 13, 31};
-  std::vector<dsa::SchnorrQ::BatchItem> items;
+  std::vector<dsa::SchnorrQ::BatchItem> honest;
   for (int i = 0; i < kSigs; ++i) {
     dsa::SchnorrQ::KeyPair kp = scheme.keygen(rng);
     std::string msg = "backend bisection " + std::to_string(i);
-    items.push_back({kp.pub, msg, scheme.sign(kp, msg)});
+    honest.push_back({kp.pub, msg, scheme.sign(kp, msg)});
   }
-  for (size_t idx : corrupted) items[idx].msg += " tampered";
 
   using curve::MsmBackend;
-  for (MsmBackend b : {MsmBackend::kAuto, MsmBackend::kStraus, MsmBackend::kPippenger}) {
-    engine::EngineOptions opt;
-    opt.workers = 4;
-    opt.msm.backend = b;
-    engine::BatchEngine eng(opt);
-    std::vector<uint8_t> verdicts = eng.verify(items);
-    ASSERT_EQ(verdicts.size(), items.size());
-    for (size_t i = 0; i < verdicts.size(); ++i) {
-      bool bad = std::find(corrupted.begin(), corrupted.end(), i) != corrupted.end();
-      EXPECT_EQ(verdicts[i], bad ? 0 : 1)
-          << "index " << i << " backend " << curve::msm_backend_name(b);
+  for (const std::vector<size_t>& corrupted : {std::vector<size_t>{0, 13, 31}, {13}}) {
+    std::vector<dsa::SchnorrQ::BatchItem> items = honest;
+    for (size_t idx : corrupted) items[idx].msg += " tampered";
+    for (MsmBackend b : {MsmBackend::kAuto, MsmBackend::kStraus, MsmBackend::kPippenger}) {
+      engine::EngineOptions opt;
+      opt.workers = 4;
+      opt.msm.backend = b;
+      engine::BatchEngine eng(opt);
+      std::vector<uint8_t> verdicts = eng.verify(items);
+      ASSERT_EQ(verdicts.size(), items.size());
+      for (size_t i = 0; i < verdicts.size(); ++i) {
+        bool bad = std::find(corrupted.begin(), corrupted.end(), i) != corrupted.end();
+        EXPECT_EQ(verdicts[i], bad ? 0 : 1) << "index " << i << " of " << corrupted.size()
+                                            << " corrupted, backend "
+                                            << curve::msm_backend_name(b);
+      }
     }
   }
+}
+
+TEST(BatchEngineTest, VerifyRejectsAPairForgedAgainstAKnownWeightSeed) {
+  // s0 + 1 and s1 + b with b = -z0/z1 mod N cancel in the residual under
+  // weights z0, z1 known in advance: here the first two of the stream a
+  // fixed seed gives, which the engine once used for its first chunk.
+  dsa::SchnorrQ scheme;
+  Rng rng(789);
+  std::vector<dsa::SchnorrQ::BatchItem> items;
+  for (int i = 0; i < 8; ++i) {
+    dsa::SchnorrQ::KeyPair kp = scheme.keygen(rng);
+    std::string msg = "crafted pair " + std::to_string(i);
+    items.push_back({kp.pub, msg, scheme.sign(kp, msg)});
+  }
+  const uint64_t known_seed = 0x5eedf00d ^ 0x9e3779b97f4a7c15ull;
+  Rng known(known_seed);
+  auto weight = [&] {
+    U256 z;
+    do {
+      z = U256(known.next_u64(), known.next_u64(), 0, 0);
+    } while (z.is_zero());
+    return z;
+  };
+  const U256 z0 = weight(), z1 = weight();
+  const U256& n = scheme.order();
+  const U256 b = submod(U256(), mod(mul_wide(z0, invmod(z1, n)), n), n);
+  items[0].sig.s = addmod(items[0].sig.s, U256(1), n);
+  items[1].sig.s = addmod(items[1].sig.s, b, n);
+  for (size_t i : {0, 1}) EXPECT_FALSE(scheme.verify(items[i].pub, items[i].msg, items[i].sig));
+
+  // Under the known weights the pair passes: the weights must be secret.
+  std::vector<uint8_t> replayed(items.size());
+  Rng replay(known_seed);
+  scheme.verify_each(items, replayed, replay);
+  EXPECT_EQ(replayed[0], 1);
+  EXPECT_EQ(replayed[1], 1);
+
+  engine::BatchEngine eng;
+  const std::vector<uint8_t> verdicts = eng.verify(items);
+  ASSERT_EQ(verdicts.size(), items.size());
+  for (size_t i = 0; i < verdicts.size(); ++i) EXPECT_EQ(verdicts[i], i < 2 ? 0 : 1) << i;
 }
 
 TEST(BatchEngineTest, EmptyBatchesAreNoOps) {
