@@ -53,7 +53,8 @@ enum class Severity : uint8_t { kInfo = 0, kWarning, kError };
 const char* severity_name(Severity s);  // "info", "warning", "error"
 
 // Diagnostic classes.  Stable names (see rule_name) are part of the
-// fourq.lint.v1 schema; add new rules at the end.
+// fourq.lint.v1 schema; add new rules at the end, and never reuse a retired
+// name (dag-rom-bound-mismatch).
 enum class Rule : uint8_t {
   // -- lifting / structural --
   kRegisterOutOfRange = 0,  // control word names a register >= rf_size
@@ -89,12 +90,11 @@ enum class Rule : uint8_t {
   kReduceMissing,           // unreduced value reaches a canonical-only site
   kReduceRedundant,         // reduction of an already-canonical value
   kBoundWideningLoop,       // carried bound found no finite fixed point
-  kDagRomBoundMismatch,     // ROM-side bound disagrees with the DAG proof
   kSelectBoundDivergence,   // select candidates carry unequal bounds
   kRangeUnbounded,          // Top bound reaches a width-checked site
   kRangeCertInvalid,        // fourq.ranges.v1 certificate fails replay
 };
-inline constexpr int kNumRules = 31;
+inline constexpr int kNumRules = 30;
 
 const char* rule_name(Rule r);     // kebab-case, e.g. "ssa-alien-value"
 const char* rule_meaning(Rule r);  // one-line definition

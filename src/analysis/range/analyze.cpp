@@ -1,6 +1,7 @@
 // DAG-side range analysis: fixed-point propagation with widening over the
-// expanded wide micro-op program, the fourq.ranges.v1 certificate writer
-// and replay checker, and the concrete differential interpreter.
+// expanded wide micro-op program, ROM coverage, the fourq.ranges.v1
+// certificate writer and replay checker, and the concrete differential
+// interpreter.
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -13,6 +14,20 @@
 namespace fourq::analysis::range {
 
 using analysis::detail::FindingSink;
+
+namespace {
+
+// The range_* summary of one proof.
+void summarise(const WideProgram& wp, const RangeResult& res, LintReport& report) {
+  report.ranges_checked = true;
+  report.ranges_proven = res.proven;
+  report.range_nodes = static_cast<int>(wp.ops.size());
+  report.range_reduce_sites = res.stats.reduce_sites;
+  report.range_max_bits = res.max_bits;
+  report.range_widened = res.stats.widened;
+}
+
+}  // namespace
 
 RangeResult analyze_wide(const WideProgram& wp, const RangeOptions& opt,
                          const std::vector<std::pair<int, int>>& carried_nodes,
@@ -63,13 +78,7 @@ RangeResult analyze_wide(const WideProgram& wp, const RangeOptions& opt,
     if (!b.top && b.bits() > res.max_bits) res.max_bits = b.bits();
   res.proven = !sink.any_error();
   sink.finish();
-
-  report.ranges_checked = true;
-  report.ranges_proven = res.proven;
-  report.range_nodes = static_cast<int>(wp.ops.size());
-  report.range_reduce_sites = res.stats.reduce_sites;
-  report.range_max_bits = res.max_bits;
-  report.range_widened = res.stats.widened;
+  summarise(wp, res, report);
   return res;
 }
 
@@ -96,6 +105,11 @@ ProgramRanges analyze_program(const trace::Program& p, const RangeOptions& opt,
   pr.expand = expand_program(p);
   pr.result = analyze_wide(pr.expand.wide, opt, carried_wide_nodes(pr.expand, opt), report);
   return pr;
+}
+
+void cover_rom(const ProgramRanges& dag, LintReport& rom) {
+  summarise(dag.expand.wide, dag.result, rom);
+  rom.ranges_proven = dag.result.proven && rom.equivalent;
 }
 
 // --- certificate -----------------------------------------------------------

@@ -97,7 +97,7 @@ void PropagateCtx::report(Rule rule, int node, const std::string& message) {
   if (!sink) return;
   if (cert_replay && rule != Rule::kSelectBoundDivergence)
     rule = Rule::kRangeCertInvalid;
-  sink->add(rule, cycle, -1, node, message);
+  sink->add(rule, -1, -1, node, message);
 }
 
 namespace {

@@ -1,6 +1,6 @@
 // Internal interfaces of the range verifier: the transfer functions and the
-// forward propagation core shared by the DAG pass (analyze.cpp), the
-// ROM pass (rom_pass.cpp) and certificate replay. Not part of the public API.
+// forward propagation core shared by the DAG pass and certificate replay
+// (analyze.cpp). Not part of the public API.
 #pragma once
 
 #include "analysis/internal.hpp"
@@ -12,11 +12,9 @@ using analysis::detail::FindingSink;
 
 // Reporting context for one propagation run. `sink == nullptr` silences
 // findings (fixed-point iterations report nothing; only the final pass
-// does). `cycle` tags ROM-side findings with the issue cycle; the DAG pass
-// leaves it at -1. `stats` may be null.
+// does). `stats` may be null.
 struct PropagateCtx {
   FindingSink* sink = nullptr;
-  int cycle = -1;
   RangeStats* stats = nullptr;
   // Rule substituted for contract violations during certificate replay:
   // a claimed bound that breaks a contract is a bad certificate, not a

@@ -17,17 +17,15 @@
 //     maximum over all candidates, so the result holds for every digit
 //     value. Loop-carried bounds are iterated to a fixed point with
 //     widening (AnalyzeOptions::carried).
-//  3. The same transfer functions are run *independently* over the emitted
-//     ROM, cycle by cycle (register file, unit pipes and forwarding buses
-//     hold bounds), and the two sides must agree at every value-numbered
-//     correspondence — a semantic equivalence axis beyond value numbering.
+//  3. An emitted ROM inherits the proof of the program it was compiled
+//     from (cover_rom): lint_rom's equivalence says it computes exactly
+//     that program's values through the same shapes (shape.hpp).
 //
 // Violations surface as fourq.lint.v1 findings (overflow-possible,
 // reduce-missing, reduce-redundant, bound-widening-loop,
-// dag-rom-bound-mismatch, select-bound-divergence, range-unbounded,
-// range-cert-invalid); a clean run yields a machine-checkable
-// fourq.ranges.v1 certificate with per-node bound provenance
-// (ranges_json / check_certificate).
+// select-bound-divergence, range-unbounded, range-cert-invalid); a clean
+// run yields a machine-checkable fourq.ranges.v1 certificate with per-node
+// bound provenance (ranges_json / check_certificate).
 #pragma once
 
 #include <string>
@@ -36,7 +34,6 @@
 
 #include "analysis/lint.hpp"
 #include "common/u256.hpp"
-#include "sched/microcode.hpp"
 #include "trace/ir.hpp"
 
 namespace fourq::analysis::range {
@@ -176,12 +173,14 @@ RangeResult analyze_wide(const WideProgram& wp, const RangeOptions& opt,
                          const std::vector<std::pair<int, int>>& carried_nodes,
                          LintReport& report);
 
-// ROM-side analysis: executes the control words symbolically with bounds in
-// place of values (same transfer functions, independent propagation) and
-// checks DAG<->ROM bound agreement at every value-numbered correspondence
-// and at the program outputs. Appends findings to `report`.
-void analyze_rom(const sched::CompiledSm& sm, const trace::Program& reference,
-                 const ProgramRanges& dag, LintReport& report);
+// Gives a linted ROM the verdict of the DAG proof of its reference program.
+// When lint_rom found the ROM equivalent, every issue's value number is in
+// the DAG, every select candidate and output register holds the DAG's
+// value, and each issue runs the DAG's shape on equal operand bounds; so by
+// induction over issue order every ROM-side bound is the DAG bound of the
+// same value. Sets rom's range_* summary from `dag`, with ranges_proven iff
+// the DAG proof is proven and rom.equivalent.
+void cover_rom(const ProgramRanges& dag, LintReport& rom);
 
 // --- certificate -----------------------------------------------------------
 

@@ -1,9 +1,9 @@
 // Datapath shapes: the wide micro-op expansion of each F_{p^2} operation,
-// mirroring field/fp2.hpp (paper Alg. 2) stage for stage. Defined once and
-// used by both sides of the verifier — expand.cpp unrolls the whole traced
-// DAG through these emitters, and rom_pass.cpp re-runs the same shapes per
-// ROM issue with machine-state operand bounds — so any drift between the
-// two proofs is impossible by construction.
+// mirroring field/fp2.hpp (paper Alg. 2) stage for stage. expand.cpp unrolls
+// the whole traced DAG through these emitters. An emitted ROM issues each
+// operation on the same datapath, so a ROM that lint proves equivalent runs
+// exactly these shapes on the DAG's values and inherits the DAG proof
+// (cover_rom).
 #pragma once
 
 #include "analysis/range/range.hpp"

@@ -29,7 +29,7 @@ struct RuleMeta {
 };
 
 // Indexed by Rule. Names are stable identifiers in the fourq.lint.v1
-// schema — never rename, only append.
+// schema — never rename or reuse a retired one, only append.
 constexpr RuleMeta kRuleMeta[kNumRules] = {
     {"register-out-of-range", "control word addresses a register outside the register file",
      Severity::kError},
@@ -89,9 +89,6 @@ constexpr RuleMeta kRuleMeta[kNumRules] = {
      Severity::kWarning},
     {"bound-widening-loop",
      "a loop-carried bound kept growing and was widened to Top (no finite fixed point)",
-     Severity::kError},
-    {"dag-rom-bound-mismatch",
-     "independently propagated ROM-side bound disagrees with the DAG-side proof",
      Severity::kError},
     {"select-bound-divergence",
      "candidates of a digit-addressed read carry unequal bounds (digit-dependent magnitude)",

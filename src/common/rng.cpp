@@ -26,6 +26,10 @@ Rng::Rng(uint64_t seed) {
   for (auto& s : s_) s = splitmix64(x);
 }
 
+Rng::Rng(uint64_t s0, uint64_t s1, uint64_t s2, uint64_t s3) : s_{s0, s1, s2, s3} {
+  FOURQ_CHECK_MSG((s0 | s1 | s2 | s3) != 0, "Rng: the all-zero state is a fixed point");
+}
+
 FOURQ_NO_SANITIZE_UNSIGNED_WRAP
 uint64_t Rng::next_u64() {
   uint64_t result = rotl(s_[1] * 5, 7) * 9;

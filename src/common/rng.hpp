@@ -15,6 +15,8 @@ namespace fourq {
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ull);
+  // The xoshiro256** state itself, e.g. a 256-bit key; not all zero.
+  Rng(uint64_t s0, uint64_t s1, uint64_t s2, uint64_t s3);
 
   uint64_t next_u64();
   // Uniform in [0, bound) for bound > 0.

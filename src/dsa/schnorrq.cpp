@@ -230,7 +230,10 @@ void SchnorrQ::verify_each(std::span<const BatchItem> items, std::span<uint8_t> 
   const size_t n = res.live().size();
   if (n == 0) return;
   const curve::PointR1 f = res.cofactored(0, n, false, msm);
-  if (n < 2 || curve::is_identity(f) || !res.identify(f, verdicts, msm))
+  // Identification names a lone forgery in 2 MSMs after f; bisection in at
+  // most ceil(log2 n), each over fewer terms. So identify only where
+  // bisection can take more: ceil(log2 n) > 2, that is n >= 5.
+  if (n < 5 || curve::is_identity(f) || !res.identify(f, verdicts, msm))
     res.bisect(0, n, f, verdicts, msm);
 }
 

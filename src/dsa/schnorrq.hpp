@@ -79,10 +79,11 @@ class SchnorrQ {
   // (verdicts.size() must equal items.size()). Items that are not curve
   // points or carry s >= N get 0 without entering an MSM; the rest are
   // tested as a set by one MSM of their residual F as in verify_batch. If
-  // F fails, a second MSM with the k-th item's weight times k+1 equals
-  // [j+1]F when item j alone fails, and j's own residual (a third) confirms
-  // it. Otherwise the set is split in halves: the left half's residual is
-  // a new MSM, the right half's the parent's minus the left's. A rejected
+  // F fails and n >= 5, a second MSM with the k-th item's weight times k+1
+  // equals [j+1]F when item j alone fails, and j's own residual (a third)
+  // confirms it; below 5 items bisection is never slower. Otherwise the
+  // set is split in halves: the left half's residual is a new MSM, the
+  // right half's the parent's minus the left's. A rejected
   // item always fails verify(); with rng unknown to whoever chose the
   // items, an invalid one passes with probability at most
   // (n + ceil(log2 n) - 1)/(2^128 - 1) for n live items (docs/API.md).

@@ -80,7 +80,7 @@ struct BatchEngine::Task {
   SmResult* results = nullptr;
   const dsa::SchnorrQ::BatchItem* items = nullptr;
   uint8_t* verdicts = nullptr;
-  uint64_t seed = 0;                    // verify_each weight seed (kVerify)
+  std::array<uint64_t, 4> seed{};       // verify_each Rng state (kVerify)
   BatchCtl* ctl = nullptr;              // batch completion (kSm / kVerify)
   std::shared_ptr<FanCtl> fan;          // fan-out state (kHelp)
   uint64_t enqueue_us = 0;              // lifecycle stamp (set by the queue)
@@ -410,7 +410,7 @@ void BatchEngine::exec_verify(const Task& t) {
   curve::MsmOptions msm = opt_.msm;
   if (threads_.size() > 1 && !msm.parallel) msm.parallel = msm_parallel();
   const size_t n = t.end - t.begin;
-  Rng rng(t.seed);
+  Rng rng(t.seed[0], t.seed[1], t.seed[2], t.seed[3]);
   scheme_->verify_each({t.items + t.begin, n}, {t.verdicts + t.begin, n}, rng, msm);
   FOURQ_COUNTER_ADD("engine.jobs.verify", n);
 }
@@ -485,15 +485,17 @@ std::vector<uint8_t> BatchEngine::verify(const std::vector<dsa::SchnorrQ::BatchI
   std::vector<uint8_t> verdicts(items.size(), 0);
   if (items.empty()) return verdicts;
   // Predictable weights would let crafted pairs of invalid items cancel.
-  uint64_t call_seed = 0;
+  std::array<uint64_t, 4> key{};
+  uint64_t call = 0;
   {
     std::lock_guard<std::mutex> lock(scheme_mu_);
     if (!scheme_) {
       scheme_ = std::make_unique<dsa::SchnorrQ>();
       std::random_device rd;
-      verify_key_ = (uint64_t{rd()} << 32) | rd();
+      for (uint64_t& w : verify_key_) w = (uint64_t{rd()} << 32) | rd();
     }
-    call_seed = verify_key_ ^ (0xbf58476d1ce4e5b9ull * ++verify_calls_);
+    key = verify_key_;
+    call = ++verify_calls_;
   }
 
   // One chunk per worker: each chunk is one residual MSM, and a bigger one
@@ -512,7 +514,9 @@ std::vector<uint8_t> BatchEngine::verify(const std::vector<dsa::SchnorrQ::BatchI
     t.end = std::min(items.size(), b + chunk);
     t.items = items.data();
     t.verdicts = verdicts.data();
-    t.seed = call_seed ^ (0x9e3779b97f4a7c15ull * (b + 1));
+    // The key, with the call count and first index mixed into each word.
+    const uint64_t tweak = (0xbf58476d1ce4e5b9ull * call) ^ (0x9e3779b97f4a7c15ull * (b + 1));
+    for (size_t w = 0; w < key.size(); ++w) t.seed[w] = key[w] ^ tweak;
     t.ctl = &ctl;
     tasks.push_back(t);
   }

@@ -85,7 +85,7 @@ class BatchEngine {
 
   // Per-item verdicts: verdicts[i] = 1 iff SchnorrQ::verify() accepts
   // items[i], for any worker count and chunk size, up to the false-accept
-  // bound of SchnorrQ::verify_each. The weights come from a 64-bit key
+  // bound of SchnorrQ::verify_each. The weights come from a 256-bit key
   // drawn from std::random_device on the first verify() (docs/ENGINE.md).
   std::vector<uint8_t> verify(const std::vector<dsa::SchnorrQ::BatchItem>& items);
 
@@ -140,7 +140,8 @@ class BatchEngine {
 
   std::mutex scheme_mu_;
   std::unique_ptr<dsa::SchnorrQ> scheme_;  // lazily built (verify() only)
-  uint64_t verify_key_ = 0, verify_calls_ = 0;  // verify() weight key, call count
+  std::array<uint64_t, 4> verify_key_{};  // verify() weight key
+  uint64_t verify_calls_ = 0;             // verify() calls so far
 };
 
 }  // namespace fourq::engine

@@ -12,13 +12,13 @@
 //
 // Disk format reuses asic/romfile's text serialisation ("fourq-rom 3"),
 // which round-trips CompiledSm exactly; a disk hit rebuilds only the cheap
-// trace (for input-op ids) and skips the scheduler entirely — no
-// sched.compile / sched.solve spans are emitted on that path, which is how
-// `fourqc batch` proves a warm start. The file's header carries a
-// fingerprint of the key and of the rebuilt trace, and its trailer a
-// content checksum. A file of another format version or fingerprint
-// (stale), without its trailer (truncated) or failing its checksum or
-// parse (corrupt) is never used: it counts as
+// trace (for input-op ids) and skips the scheduler entirely. Only a miss
+// runs the scheduler, so `fourqc batch` reports its solves as
+// Stats::misses, in every build (FOURQ_OBS=OFF included). The file's
+// header carries a fingerprint of the key and of the rebuilt trace, and
+// its trailer a content checksum. A file of another format version or
+// fingerprint (stale), without its trailer (truncated) or failing its
+// checksum or parse (corrupt) is never used: it counts as
 // engine.cache.disk.reject{reason} and the program is compiled again and
 // written over it.
 //

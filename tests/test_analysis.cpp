@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <stdexcept>
 
+#include "analysis/range/range.hpp"
 #include "asic/looped.hpp"
 #include "obs/obs.hpp"
 #include "sched/compile.hpp"
@@ -216,6 +219,78 @@ TEST(AnalysisDefects, WritePortOverflow) {
   LintReport rep = lint_rom(sm, r.body.program);
   EXPECT_FALSE(rep.ok());
   EXPECT_TRUE(has_rule(rep, Rule::kWritePortOverflow)) << lint_text({{"ports", rep}});
+}
+
+// A ROM's range verdict rests on `equivalent` (range::cover_rom), so each
+// lifting rule that decides it must fail equivalence and leave the ROM
+// without an overflow proof.
+TEST(AnalysisDefects, LiftRulesFailEquivalenceAndRangeCover) {
+  BodyRom r;
+  LintReport dag_rep;
+  const range::ProgramRanges dag = range::analyze_program(r.body.program, {}, dag_rep);
+  ASSERT_TRUE(dag.result.proven) << lint_text({{"dag", dag_rep}});
+
+  auto first_writeback = [](sched::CompiledSm& sm) -> sched::WbCtrl& {
+    for (auto& w : sm.rom)
+      if (!w.writebacks.empty()) return w.writebacks.front();
+    throw std::logic_error("no writeback");
+  };
+  auto first_issue = [](sched::CompiledSm& sm, bool mul) -> std::pair<int, sched::UnitCtrl*> {
+    for (int t = 0; t < sm.cycles(); ++t) {
+      sched::CtrlWord& w = sm.rom[static_cast<size_t>(t)];
+      auto& units = mul ? w.mul : w.addsub;
+      if (!units.empty()) return {t, &units.front()};
+    }
+    throw std::logic_error("no issue");
+  };
+  const struct {
+    Rule rule;
+    std::function<void(sched::CompiledSm&)> mutate;
+  } cases[] = {
+      {Rule::kRegisterOutOfRange,
+       [&](sched::CompiledSm& sm) {
+         first_writeback(sm).reg = std::max(sm.cfg.rf_size, sm.rf_slots);
+       }},
+      {Rule::kInstanceOutOfRange,
+       [&](sched::CompiledSm& sm) { first_issue(sm, true).second->unit = sm.cfg.num_multipliers; }},
+      {Rule::kForwardingBusEmpty,
+       [&](sched::CompiledSm& sm) {
+         // Nothing has been issued on an adder yet, so its bus is empty.
+         sched::UnitCtrl* u = first_issue(sm, false).second;
+         u->a.kind = sched::SrcSel::Kind::kAddBus;
+         u->a.unit = 0;
+       }},
+      {Rule::kPipelineCollision,
+       [&](sched::CompiledSm& sm) {
+         auto [t, u] = first_issue(sm, true);
+         const sched::UnitCtrl twin = *u;  // a second result due on the same instance
+         sm.rom[static_cast<size_t>(t)].mul.push_back(twin);
+       }},
+      {Rule::kWritebackNoResult,
+       [&](sched::CompiledSm& sm) {
+         sm.rom.front().writebacks.push_back(sched::WbCtrl{0, true, 0});
+       }},
+      {Rule::kPreloadConflict,
+       [&](sched::CompiledSm& sm) {
+         const std::pair<int, int> clash{sm.preload[1].first, sm.preload[0].second};
+         sm.preload.push_back(clash);
+       }},
+      {Rule::kMissingValue,
+       [&](sched::CompiledSm& sm) { sm.preload.erase(sm.preload.begin()); }},
+      {Rule::kOutputMissing,
+       [&](sched::CompiledSm& sm) { sm.outputs.erase(sm.outputs.begin()); }},
+  };
+  for (const auto& c : cases) {
+    sched::CompiledSm sm = r.res.sm;
+    c.mutate(sm);
+    LintReport rep = lint_rom(sm, r.body.program);
+    EXPECT_TRUE(has_rule(rep, c.rule)) << rule_name(c.rule) << "\n"
+                                       << lint_text({{rule_name(c.rule), rep}});
+    EXPECT_FALSE(rep.equivalent) << rule_name(c.rule);
+    range::cover_rom(dag, rep);
+    EXPECT_TRUE(rep.ranges_checked) << rule_name(c.rule);
+    EXPECT_FALSE(rep.ranges_proven) << rule_name(c.rule);
+  }
 }
 
 // The constant-time property: any per-digit difference in what an indexed

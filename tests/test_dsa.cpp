@@ -523,6 +523,30 @@ TEST_F(SchnorrTest, VerifyEachRunsOneMsmCleanAndThreeForOneForgery) {
   EXPECT_EQ(msms(), 3u);  // the set, the index-weighted set, item 17
 }
 
+TEST_F(SchnorrTest, VerifyEachIdentifiesFromFiveItemsAndBisectsBelow) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "curve.msm.calls is compiled out";
+  const obs::Counter& calls = obs::global().metrics.counter("curve.msm.calls");
+  for (size_t n = 2; n <= 8; ++n) {
+    const std::vector<SchnorrQ::BatchItem> burst = honest_burst(scheme, n, 3);
+    for (size_t j = 0; j < n; ++j) {
+      std::vector<SchnorrQ::BatchItem> set = burst;
+      tamper(set[j], j % 2 == 1, scheme);
+      std::vector<uint8_t> verdicts(n, 7);
+      const uint64_t before = calls.value();
+      scheme.verify_each(set, verdicts, rng);
+      // Bisection alone runs the set and one left half per level down to
+      // the forgery: 2 at n = 2, 2 (j = 0) or 3 at n = 3, 3 at n = 4.
+      // Identification runs the set, the index-weighted set and item j.
+      const uint64_t bisection = n == 2 || (n == 3 && j == 0) ? 2 : 3;
+      const std::string what = std::to_string(n) + " items, forgery at " + std::to_string(j);
+      EXPECT_EQ(calls.value() - before, n >= 5 ? 3u : bisection) << what;
+      for (size_t i = 0; i < n; ++i)
+        EXPECT_EQ(verdicts[i], scheme.verify(set[i].pub, set[i].msg, set[i].sig) ? 1 : 0)
+            << what << ", item " << i;
+    }
+  }
+}
+
 TEST_F(VerifyVectors, VerifyEachNamesAForgeryBesideTorsionAndPrecheckFailures) {
   auto by_label = [](const std::string& label) {
     for (const Vector& x : *vectors_)

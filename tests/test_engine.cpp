@@ -420,6 +420,20 @@ TEST(BatchEngineTest, VerifyRejectsAPairForgedAgainstAKnownWeightSeed) {
   for (size_t i = 0; i < verdicts.size(); ++i) EXPECT_EQ(verdicts[i], i < 2 ? 0 : 1) << i;
 }
 
+TEST(BatchEngineTest, VerifyWeightStreamsDependOnEveryKeyWord) {
+  // The engine's verify tasks take their Rng state from a 256-bit key, so
+  // each word must reach the weights; the first two outputs of xoshiro256**
+  // never read the last word, the next ones do.
+  auto stream = [](uint64_t last) {
+    Rng rng(0x243f6a8885a308d3ull, 0x13198a2e03707344ull, 0xa4093822299f31d0ull, last);
+    std::vector<uint64_t> out(4);
+    for (uint64_t& v : out) v = rng.next_u64();
+    return out;
+  };
+  EXPECT_NE(stream(1), stream(2));
+  EXPECT_THROW(Rng(0, 0, 0, 0), std::logic_error);
+}
+
 TEST(BatchEngineTest, EmptyBatchesAreNoOps) {
   engine::EngineOptions opt;
   opt.key = functional_key();

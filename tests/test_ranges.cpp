@@ -1,7 +1,7 @@
 // Tests for the abstract-interpretation range verifier: known-answer
 // tightest bounds on the Karatsuba datapath expansion, a seeded-defect
 // matrix (every range rule fires on its counterexample), certificate
-// tamper detection, ROM-side agreement, randomized soundness of the proven
+// tamper detection, ROM coverage, randomized soundness of the proven
 // bounds against the concrete interpreter, and a differential check of the
 // micro-op semantics against field::Fp2.
 #include "analysis/range/range.hpp"
@@ -281,6 +281,23 @@ TEST(RangeCertificate, TamperedBoundIsRejected) {
   pr.result.bounds[static_cast<size_t>(t8)] = Bound::exact(bits_max(256));
   LintReport loose;
   EXPECT_TRUE(check_certificate(pr, {}, loose));
+
+  // Understating the loop body's first multiplication result (its folded
+  // real component) is caught the same way.
+  trace::LoopBodyTrace body = trace::build_loop_body_trace();
+  LintReport body_rep;
+  ProgramRanges body_pr = analyze_program(body.program, {}, body_rep);
+  ASSERT_TRUE(body_pr.result.proven);
+  for (size_t i = 0; i < body.program.ops.size(); ++i) {
+    if (body.program.ops[i].kind != trace::OpKind::kMul) continue;
+    body_pr.result.bounds[static_cast<size_t>(body_pr.expand.op_nodes[i].first)] =
+        Bound::of_u64(1);
+    break;
+  }
+  LintReport understated;
+  EXPECT_FALSE(check_certificate(body_pr, {}, understated));
+  EXPECT_TRUE(has_rule(understated, Rule::kRangeCertInvalid))
+      << lint_text({{"understated", understated}});
 }
 
 TEST(RangeCertificate, BrokenFixedPointIsRejected) {
@@ -311,7 +328,7 @@ TEST(RangeCertificate, BrokenFixedPointIsRejected) {
   EXPECT_FALSE(check_certificate(pr, {}, truncated));
 }
 
-// ---- ROM-side pass --------------------------------------------------------
+// ---- ROM coverage ---------------------------------------------------------
 
 TEST(RangeRom, LoopBodyAgreesWithDagProof) {
   trace::LoopBodyTrace body = trace::build_loop_body_trace();
@@ -323,38 +340,15 @@ TEST(RangeRom, LoopBodyAgreesWithDagProof) {
   ProgramRanges dag = analyze_program(body.program, {}, dag_rep);
   ASSERT_TRUE(dag.result.proven) << lint_text({{"dag", dag_rep}});
 
-  LintReport rep;
-  analyze_rom(res.sm, body.program, dag, rep);
+  LintReport rep = lint_rom(res.sm, body.program);
+  ASSERT_TRUE(rep.equivalent) << lint_text({{"rom", rep}});
+  cover_rom(dag, rep);
   EXPECT_TRUE(rep.ranges_checked);
-  EXPECT_TRUE(rep.ranges_proven) << lint_text({{"rom", rep}});
+  EXPECT_TRUE(rep.ranges_proven);
   EXPECT_EQ(rep.errors(), 0);
-  EXPECT_GT(rep.range_nodes, 0);
-  EXPECT_GT(rep.range_reduce_sites, 0);
-}
-
-TEST(RangeRom, TamperedDagBoundFiresMismatch) {
-  trace::LoopBodyTrace body = trace::build_loop_body_trace();
-  sched::CompileOptions copt;
-  copt.solver = sched::Solver::kSequential;
-  sched::CompileResult res = sched::compile_program(body.program, copt);
-
-  LintReport dag_rep;
-  ProgramRanges dag = analyze_program(body.program, {}, dag_rep);
-  ASSERT_TRUE(dag.result.proven);
-
-  // Understate the DAG-side bound of the first multiplication's real
-  // component: the ROM recomputes the honest (larger) bound and the
-  // dominance check must catch the disagreement.
-  for (size_t i = 0; i < body.program.ops.size(); ++i) {
-    if (body.program.ops[i].kind != trace::OpKind::kMul) continue;
-    dag.result.bounds[static_cast<size_t>(dag.expand.op_nodes[i].first)] =
-        Bound::of_u64(1);
-    break;
-  }
-  LintReport rep;
-  analyze_rom(res.sm, body.program, dag, rep);
-  EXPECT_FALSE(rep.ranges_proven);
-  EXPECT_TRUE(has_rule(rep, Rule::kDagRomBoundMismatch)) << lint_text({{"rom", rep}});
+  EXPECT_EQ(rep.range_nodes, static_cast<int>(dag.expand.wide.ops.size()));
+  EXPECT_EQ(rep.range_reduce_sites, dag.result.stats.reduce_sites);
+  EXPECT_EQ(rep.range_max_bits, dag.result.max_bits);
 }
 
 // ---- Concrete interpreter: soundness + differential vs field::Fp2 ---------

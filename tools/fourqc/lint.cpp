@@ -139,7 +139,7 @@ int run_lint(int argc, char** argv) {
   auto start = std::chrono::steady_clock::now();
 
   // The DAG-side proof is backend- and machine-independent: it runs once,
-  // and every ROM is cross-checked against it.
+  // and covers every ROM that lint proves equivalent (range::cover_rom).
   const range::RangeOptions ropt = range_options_for(put);
   analysis::LintReport dag_rep;
   range::ProgramRanges dag_ranges;
@@ -164,23 +164,18 @@ int run_lint(int argc, char** argv) {
     sched::CompileOptions copt = flow.copt;
     copt.cfg = cfg;
     sched::Problem pr = sched::build_problem(put.program, cfg);
-    auto timed = [&](auto&& fn) {
-      auto t0 = std::chrono::steady_clock::now();
-      fn();
-      out.ranges_ms += ms_since(t0);
-    };
-    // Each controller segment is its own program: DAG proof, replay check
-    // and ROM cross-check all land in the segment's report.
+    // Each controller segment is its own program: its DAG proof and replay
+    // check land in the segment's report, and the proof covers the ROM.
     auto segment = [&](const std::string& label, const sched::CompiledSm& ssm,
                        const trace::Program& sp) {
       analysis::LintReport rep = analysis::lint_rom(ssm, sp);
       if (ranges) {
-        timed([&] {
-          range::RangeOptions seg_opt;
-          out.segment_ranges.push_back(range::analyze_program(sp, seg_opt, rep));
-          range::check_certificate(out.segment_ranges.back(), seg_opt, rep);
-          range::analyze_rom(ssm, sp, out.segment_ranges.back(), rep);
-        });
+        auto t0 = std::chrono::steady_clock::now();
+        range::RangeOptions seg_opt;
+        out.segment_ranges.push_back(range::analyze_program(sp, seg_opt, rep));
+        range::check_certificate(out.segment_ranges.back(), seg_opt, rep);
+        out.ranges_ms += ms_since(t0);
+        range::cover_rom(out.segment_ranges.back(), rep);
         out.cert.push_back({label + "/ranges", &out.segment_ranges.back()});
       }
       out.linted.push_back({label, std::move(rep)});
@@ -189,7 +184,7 @@ int run_lint(int argc, char** argv) {
         "lint", backends, put.program, pr, copt, tag,
         [&](const std::string& name, const sched::CompileResult& r) {
           analysis::LintReport rep = analysis::lint_rom(r.sm, put.program);
-          if (ranges) timed([&] { range::analyze_rom(r.sm, put.program, dag_ranges, rep); });
+          if (ranges) range::cover_rom(dag_ranges, rep);
           out.linted.push_back({program + "/" + name + tag, std::move(rep)});
           return true;
         },
