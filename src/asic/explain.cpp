@@ -1,9 +1,9 @@
 #include "asic/explain.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/check.hpp"
-#include "obs/json.hpp"
 
 namespace fourq::asic {
 
@@ -297,80 +297,6 @@ std::string render_gantt(const sched::CompiledSm& sm, const StallAttribution& at
     out += head;
     out += ruler + "\n" + mul + "\n" + add + "\n" + wb + "\n" + stall + "\n\n";
   }
-  return out;
-}
-
-namespace {
-
-std::string breakdown_json(const StallBreakdown& b) {
-  std::string out = "{";
-  for (int c = 0; c < kNumStallClasses; ++c) {
-    if (c) out += ",";
-    out += "\"" + std::string(stall_class_name(static_cast<StallClass>(c))) +
-           "\":" + std::to_string(b.by_class[static_cast<size_t>(c)]);
-  }
-  out += ",\"total\":" + std::to_string(b.total()) + "}";
-  return out;
-}
-
-std::string num_json(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
-}  // namespace
-
-std::string explain_json(const sched::LowerBounds& bounds,
-                         const std::vector<BackendExplain>& backends) {
-  std::string out = "{\"report\":\"fourq.explain.v1\",";
-
-  out += "\"bounds\":{";
-  out += "\"dep_height\":" + std::to_string(bounds.dep_height) + ",";
-  out += "\"mul_issue\":" + std::to_string(bounds.mul_issue) + ",";
-  out += "\"addsub_issue\":" + std::to_string(bounds.addsub_issue) + ",";
-  out += "\"rf_port\":" + std::to_string(bounds.rf_port()) + ",";
-  out += "\"rf_write_port\":" + std::to_string(bounds.rf_write_port) + ",";
-  out += "\"rf_read_port\":" + std::to_string(bounds.rf_read_port) + ",";
-  out += "\"tightest\":" + std::to_string(bounds.tightest()) + ",";
-  out += "\"tightest_name\":\"" + std::string(bounds.tightest_name()) + "\",";
-  out +=
-      "\"definitions\":{"
-      "\"dep_height\":\"longest latency chain through the dependency DAG, "
-      "issue to last writeback\","
-      "\"mul_issue\":\"multiplier capacity: (ceil(muls/instances)-1)*II + "
-      "latency + 1\","
-      "\"addsub_issue\":\"adder/subtractor capacity, same construction\","
-      "\"rf_port\":\"register-file ports: every result takes a write port; "
-      "indexed and preloaded operands take read ports\"}},";
-
-  out += "\"stall_classes\":{";
-  for (int c = 0; c < kNumStallClasses; ++c) {
-    if (c) out += ",";
-    out += "\"" + std::string(stall_class_name(static_cast<StallClass>(c))) + "\":\"" +
-           obs::json_escape(stall_class_meaning(static_cast<StallClass>(c))) + "\"";
-  }
-  out += "},";
-
-  out += "\"backends\":[";
-  for (size_t i = 0; i < backends.size(); ++i) {
-    const BackendExplain& b = backends[i];
-    if (i) out += ",";
-    out += "{\"name\":\"" + obs::json_escape(b.name) + "\",";
-    out += "\"cycles\":" + std::to_string(b.gap.makespan) + ",";
-    out += "\"tightest_bound\":" + std::to_string(b.gap.tightest) + ",";
-    out += "\"gap\":" + std::to_string(b.gap.gap) + ",";
-    out += "\"efficiency\":" + num_json(b.gap.efficiency) + ",";
-    out += "\"mul_utilisation\":" + num_json(b.stats.mul_utilisation()) + ",";
-    out += "\"addsub_utilisation\":" + num_json(b.stats.addsub_utilisation()) + ",";
-    out += "\"stall_cycles\":" + std::to_string(b.stats.stall_cycles) + ",";
-    out += "\"stalls\":" + breakdown_json(b.attribution.stalls) + ",";
-    out += "\"mul_idle\":" + breakdown_json(b.attribution.mul_idle) + ",";
-    out += "\"addsub_idle\":" + breakdown_json(b.attribution.addsub_idle) + ",";
-    out += std::string("\"conservation_ok\":") +
-           (b.attribution.conservation_ok ? "true" : "false") + "}";
-  }
-  out += "]}";
   return out;
 }
 

@@ -1,5 +1,5 @@
 // Schedule explainability, part 2: stall root-cause attribution and
-// self-describing performance reports (docs/OBSERVABILITY.md).
+// the text timeline `fourqc explain` prints (docs/OBSERVABILITY.md).
 //
 // The cycle-accurate simulator publishes one kStall event per control word
 // that issues nothing; this pass replays the ROM alongside the recorded
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "asic/simulator.hpp"
-#include "sched/critical_path.hpp"
 #include "sched/microcode.hpp"
 
 namespace fourq::asic {
@@ -85,19 +84,5 @@ std::string render_gantt(const sched::CompiledSm& sm, const StallAttribution& at
 // (used for per-phase occupancy breakdowns of the looped controller).
 SimStats stats_in_window(const std::vector<obs::CycleEvent>& events, int begin_cycle,
                          int end_cycle);
-
-// One scheduler backend's explainability record, as assembled by `fourqc
-// explain` and the tests.
-struct BackendExplain {
-  std::string name;
-  sched::BoundGap gap;          // achieved makespan vs tightest lower bound
-  SimStats stats;               // simulator-derived occupancy counters
-  StallAttribution attribution;
-};
-
-// Machine-readable section of the report. Self-describing: embeds the
-// bound and stall-class definitions next to the numbers.
-std::string explain_json(const sched::LowerBounds& bounds,
-                         const std::vector<BackendExplain>& backends);
 
 }  // namespace fourq::asic

@@ -1,5 +1,6 @@
 #include "asic/looped.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 #include "asic/machine_state.hpp"
@@ -52,13 +53,10 @@ constexpr TableColumn kTableColumns[] = {
 
 LoopedSm build_looped_sm(const LoopedSmOptions& opt) {
   using L = ArchLayout;
-  FOURQ_CHECK_MSG(opt.cfg.rf_size >= L::kTempBase + 8,
-                  "looped controller needs a larger register file");
   FOURQ_CHECK_MSG(opt.body_unroll >= 1 && kDigits % opt.body_unroll == 0,
                   "body_unroll must divide the digit count (1, 5 or 13)");
   FOURQ_CHECK(opt.body_unroll - 1 <= trace::kMaxCounterOffset);
   LoopedSm out;
-  out.rf_size = opt.cfg.rf_size;
   out.iterations = kDigits / opt.body_unroll;  // replays; the first replay's
                                                // leading doubling hits the identity
   out.body_unroll = opt.body_unroll;
@@ -218,6 +216,10 @@ LoopedSm build_looped_sm(const LoopedSmOptions& opt) {
     out.epilogue = sched::compile_block(out.epilogue_program, copt, pins).sm;
   }
 
+  // One register file for the three segments: the largest one's demand.
+  out.rf_size = std::max({out.prologue.rf_slots, out.body.rf_slots, out.epilogue.rf_slots});
+  for (sched::CompiledSm* seg : {&out.prologue, &out.body, &out.epilogue})
+    seg->cfg.rf_size = out.rf_size;
   return out;
 }
 

@@ -22,6 +22,15 @@
 // against more cycles (no cross-iteration overlap — the pipeline drains at
 // every block boundary) and a slightly larger register file. The
 // global-vs-blocked bench (E7) quantifies exactly this.
+//
+// The register file is sized from the allocation, not configured. Slots
+// below 72 hold the architectural state (constants, P, the table, the
+// correction candidates and both accumulator banks); each segment's
+// temporaries sit above them. Every segment is allocated with no capacity
+// check, LoopedSm::rf_size is the largest segment's rf_slots, and that size
+// is written into each segment's cfg.rf_size, so the ROM images, lint and
+// rom_stats agree. The default shape needs 96 slots; mul_latency 2 or no
+// forwarding needs up to 98.
 #pragma once
 
 #include "asic/simulator.hpp"
@@ -31,11 +40,7 @@
 namespace fourq::asic {
 
 struct LoopedSmOptions {
-  sched::MachineConfig cfg = [] {
-    sched::MachineConfig c;
-    c.rf_size = 96;  // architectural slots + temporaries
-    return c;
-  }();
+  sched::MachineConfig cfg;  // cfg.rf_size is derived (see above), not read
   trace::EndoVariant endo = trace::EndoVariant::kPaperCost;
   sched::Solver solver = sched::Solver::kList;
   // Digits consumed per body replay (software-pipelining-lite: the solver
@@ -52,7 +57,7 @@ struct LoopedSm {
   std::array<int, 5> bank_a{}, bank_b{};  // accumulator slots (X,Y,Z,Ta,Tb)
   int iterations = 0;                     // body replays
   int body_unroll = 1;                    // digits per replay
-  int rf_size = 0;
+  int rf_size = 0;                        // largest segment's rf_slots
 
   // Prologue input-binding ids (same contract as trace::SmTrace).
   int in_px = -1, in_py = -1, in_zero = -1, in_one = -1, in_two_d = -1;

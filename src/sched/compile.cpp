@@ -22,10 +22,10 @@ Schedule run_solver(const Problem& pr, const CompileOptions& opt) {
   return list_schedule(pr);
 }
 
-// Shared stage pipeline; `pinned_alloc` selects the register allocator.
-template <typename AllocFn>
+// Shared stage pipeline: the flat controller checks its register file's
+// size, the looped controller's segments pin their shared slots.
 CompileResult compile_stages(const trace::Program& p, const CompileOptions& opt,
-                             AllocFn alloc) {
+                             std::optional<int> capacity, const PinSpec& spec) {
   FOURQ_SPAN("sched.compile");
   CompileResult res;
   {
@@ -40,7 +40,7 @@ CompileResult compile_stages(const trace::Program& p, const CompileOptions& opt,
   res.register_pressure = register_pressure(res.problem, res.schedule);
   {
     FOURQ_SPAN("sched.regalloc");
-    res.alloc = alloc(res.problem, res.schedule);
+    res.alloc = allocate_registers(res.problem, res.schedule, capacity, spec);
   }
   {
     FOURQ_SPAN("sched.emit_microcode");
@@ -55,16 +55,12 @@ CompileResult compile_stages(const trace::Program& p, const CompileOptions& opt,
 }  // namespace
 
 CompileResult compile_program(const trace::Program& p, const CompileOptions& opt) {
-  return compile_stages(p, opt, [](const Problem& pr, const Schedule& s) {
-    return allocate_registers(pr, s);
-  });
+  return compile_stages(p, opt, opt.cfg.rf_size, {});
 }
 
 CompileResult compile_block(const trace::Program& p, const CompileOptions& opt,
                             const PinSpec& spec) {
-  return compile_stages(p, opt, [&spec](const Problem& pr, const Schedule& s) {
-    return allocate_registers_pinned(pr, s, spec);
-  });
+  return compile_stages(p, opt, std::nullopt, spec);
 }
 
 }  // namespace fourq::sched

@@ -37,7 +37,8 @@ CompileResult compile_program(const trace::Program& p, const CompileOptions& opt
 
 // Variant for the blocked/looped controller: block inputs/outputs live in
 // architecturally fixed register-file slots shared across segments
-// (PinSpec), temporaries above spec.temp_base.
+// (PinSpec), temporaries above spec.temp_base. opt.cfg.rf_size is not
+// checked: the result's sm.rf_slots is the size the block needs.
 CompileResult compile_block(const trace::Program& p, const CompileOptions& opt,
                             const PinSpec& spec);
 

@@ -74,55 +74,10 @@ std::vector<Interval> build_intervals(const Problem& pr, const Schedule& s) {
   return iv;
 }
 
-Allocation run_linear_scan(const Problem& pr, const Schedule& s, int capacity, int* peak) {
-  std::vector<Interval> iv = build_intervals(pr, s);
-  Allocation alloc;
-  alloc.slot_of_op.assign(pr.program->ops.size(), -1);
-
-  // Min-heap of (end, slot) for busy slots; free list of released slots.
-  using EndSlot = std::pair<int, int>;
-  std::priority_queue<EndSlot, std::vector<EndSlot>, std::greater<>> busy;
-  std::vector<int> free_slots;
-  int next_fresh = 0;
-
-  for (const Interval& v : iv) {
-    // A slot whose last read is before this value's write can be reused.
-    while (!busy.empty() && busy.top().first < v.start) {
-      free_slots.push_back(busy.top().second);
-      busy.pop();
-    }
-    int slot;
-    if (!free_slots.empty()) {
-      slot = free_slots.back();
-      free_slots.pop_back();
-    } else {
-      slot = next_fresh++;
-      if (capacity >= 0)
-        FOURQ_CHECK_MSG(next_fresh <= capacity,
-                        "register file too small: need > " + std::to_string(capacity));
-    }
-    alloc.slot_of_op[static_cast<size_t>(v.op_id)] = slot;
-    busy.emplace(v.end, slot);
-  }
-  alloc.slots_used = next_fresh;
-  if (peak != nullptr) *peak = next_fresh;
-  return alloc;
-}
-
 }  // namespace
 
-Allocation allocate_registers(const Problem& pr, const Schedule& s) {
-  return run_linear_scan(pr, s, pr.cfg.rf_size, nullptr);
-}
-
-int register_pressure(const Problem& pr, const Schedule& s) {
-  int peak = 0;
-  run_linear_scan(pr, s, -1, &peak);
-  return peak;
-}
-
-Allocation allocate_registers_pinned(const Problem& pr, const Schedule& s,
-                                     const PinSpec& spec) {
+Allocation allocate_registers(const Problem& pr, const Schedule& s, std::optional<int> capacity,
+                              const PinSpec& spec) {
   std::vector<int> pinned_slot(pr.program->ops.size(), -1);
   std::vector<bool> slot_taken(static_cast<size_t>(spec.temp_base), false);
   for (const auto& [op, slot] : spec.pins) {
@@ -134,39 +89,41 @@ Allocation allocate_registers_pinned(const Problem& pr, const Schedule& s,
     pinned_slot[static_cast<size_t>(op)] = slot;
   }
 
-  std::vector<Interval> iv = build_intervals(pr, s);
   Allocation alloc;
   alloc.slot_of_op.assign(pr.program->ops.size(), -1);
 
+  // Min-heap of (end, slot) for busy temporaries; free list of released slots.
   using EndSlot = std::pair<int, int>;
   std::priority_queue<EndSlot, std::vector<EndSlot>, std::greater<>> busy;
   std::vector<int> free_slots;
   int next_fresh = spec.temp_base;
 
-  for (const Interval& v : iv) {
-    int forced = pinned_slot[static_cast<size_t>(v.op_id)];
-    if (forced >= 0) {
-      alloc.slot_of_op[static_cast<size_t>(v.op_id)] = forced;
-      continue;  // reserved slots never enter the temp free list
-    }
+  for (const Interval& v : build_intervals(pr, s)) {
+    int& slot = alloc.slot_of_op[static_cast<size_t>(v.op_id)];
+    slot = pinned_slot[static_cast<size_t>(v.op_id)];
+    if (slot >= 0) continue;  // pinned slots never enter the free list
+    // A slot whose last read is before this value's write can be reused.
     while (!busy.empty() && busy.top().first < v.start) {
       free_slots.push_back(busy.top().second);
       busy.pop();
     }
-    int slot;
     if (!free_slots.empty()) {
       slot = free_slots.back();
       free_slots.pop_back();
     } else {
       slot = next_fresh++;
-      FOURQ_CHECK_MSG(next_fresh <= pr.cfg.rf_size,
-                      "register file too small for pinned allocation");
+      if (capacity)
+        FOURQ_CHECK_MSG(next_fresh <= *capacity,
+                        "register file too small: need > " + std::to_string(*capacity));
     }
-    alloc.slot_of_op[static_cast<size_t>(v.op_id)] = slot;
     busy.emplace(v.end, slot);
   }
   alloc.slots_used = next_fresh;
   return alloc;
+}
+
+int register_pressure(const Problem& pr, const Schedule& s) {
+  return allocate_registers(pr, s, std::nullopt).slots_used;
 }
 
 }  // namespace fourq::sched

@@ -1,9 +1,12 @@
 // Register allocation: maps every stored value (program inputs and compute
 // results) onto the register file, from the lifetimes implied by the final
-// schedule. Greedy linear scan; fails loudly if the configured register
-// file cannot hold the working set (paper Fig. 1: the RF is dimensioned so
-// the whole SM runs without spills — there is no memory hierarchy).
+// schedule. Greedy linear scan; the flat controller's compile fails loudly
+// if the configured register file cannot hold the working set (paper
+// Fig. 1: the RF is dimensioned so the whole SM runs without spills — there
+// is no memory hierarchy).
 #pragma once
+
+#include <optional>
 
 #include "sched/problem.hpp"
 
@@ -16,23 +19,24 @@ struct Allocation {
   int slot(int op_id) const { return slot_of_op[static_cast<size_t>(op_id)]; }
 };
 
-// Throws if more than pr.cfg.rf_size slots are needed.
-Allocation allocate_registers(const Problem& pr, const Schedule& s);
-
-// Peak register demand without enforcing the configured limit (for the
-// register-file sizing ablation).
-int register_pressure(const Problem& pr, const Schedule& s);
-
-// Pinned variant for the blocked/looped controller: the listed ops (block
-// inputs/outputs that are architecturally shared across segments) are
-// forced onto fixed register-file slots; every temporary is allocated from
-// `temp_base` upwards so it can never collide with an architectural slot.
-// Pin slots must be unique and < temp_base.
+// Fixed register-file slots for values shared across the looped
+// controller's segments (block inputs and outputs), and the first slot
+// left to temporaries. Pin slots must be unique and < temp_base. The
+// default pins nothing.
 struct PinSpec {
   std::vector<std::pair<int, int>> pins;  // (op id, slot)
   int temp_base = 0;
 };
-Allocation allocate_registers_pinned(const Problem& pr, const Schedule& s,
-                                     const PinSpec& spec);
+
+// Linear scan over the lifetimes the schedule implies. Pinned ops sit on
+// their slot; every other value gets a slot from `spec.temp_base` upwards,
+// so it never collides with an architectural one. Throws if more than
+// `capacity` slots are needed; std::nullopt checks nothing.
+Allocation allocate_registers(const Problem& pr, const Schedule& s, std::optional<int> capacity,
+                              const PinSpec& spec = {});
+
+// Peak register demand without pins or a limit (for the register-file
+// sizing ablation).
+int register_pressure(const Problem& pr, const Schedule& s);
 
 }  // namespace fourq::sched

@@ -52,8 +52,11 @@ expect 2 lint --fleet --mul-latency 4                         # (0)
 expect 2 lint --fleet-grid full                               # (0)
 expect 2 stats --dir /nonexistent-fourqc-dir --multipliers 2  # (1)
 expect 2 --looped --multipliers 2                             # (0)
-expect 2 --looped --verilog /nonexistent-fourqc-dir/v.v       # (0)
+expect 2 --looped --save-rom /nonexistent-fourqc-dir/x.rom    # (0)
 # Removed flags.
+expect 2 --vcd /nonexistent-fourqc-dir/x.vcd                  # (1)
+expect 2 --dot /nonexistent-fourqc-dir/x.dot                  # (1)
+expect 2 --verilog /nonexistent-fourqc-dir/x.v                # (1)
 expect 2 batch --rom-cache fourqc_rom_cache_unused           # (0)
 expect 2 batch --chunk 4                                      # (0)
 expect 2 batch --no-check                                     # (0)

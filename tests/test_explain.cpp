@@ -13,7 +13,6 @@
 #include "asic/simulator.hpp"
 #include "curve/point.hpp"
 #include "obs/events.hpp"
-#include "obs/json.hpp"
 #include "sched/compile.hpp"
 #include "sched/critical_path.hpp"
 #include "trace/sm_trace.hpp"
@@ -236,40 +235,6 @@ TEST(StallAttribution, RandomProgramsConserveStallCycles) {
           << "seed " << seed << " solver " << static_cast<int>(s);
     }
   }
-}
-
-TEST(ExplainReport, JsonIsSelfDescribingAndParses) {
-  trace::LoopBodyTrace body = trace::build_loop_body_trace();
-  trace::InputBindings bindings = loop_body_bindings(body);
-  sched::CompileResult r = sched::compile_program(body.program, {});
-  sched::CriticalPathInfo info = sched::analyze_critical_path(r.problem);
-
-  obs::RecordingSink sink;
-  asic::SimResult res = asic::simulate(r.sm, bindings, trace::EvalContext{}, &sink);
-
-  asic::BackendExplain be;
-  be.name = "anneal";
-  be.gap = sched::gap_to_bounds(info.bounds, r.schedule.makespan);
-  be.stats = res.stats;
-  be.attribution = asic::attribute_stalls(r.sm, sink.events);
-
-  std::string json = asic::explain_json(info.bounds, {be});
-  std::string err;
-  obs::json::ValuePtr v = obs::json::parse(json, &err);
-  ASSERT_TRUE(err.empty()) << err;
-  EXPECT_EQ(v->at("report").string(), "fourq.explain.v1");
-  EXPECT_TRUE(v->at("bounds").has("definitions"));
-  EXPECT_TRUE(v->has("stall_classes"));
-  const obs::json::Value& backend = v->at("backends").at(0);
-  EXPECT_EQ(backend.at("name").string(), "anneal");
-  EXPECT_EQ(static_cast<int>(backend.at("stall_cycles").number()), res.stats.stall_cycles);
-  double sum = 0;
-  const obs::json::Value& stalls = backend.at("stalls");
-  for (const char* cls : {"raw-hazard", "rf-port", "issue-width", "drain", "unforced"})
-    sum += stalls.at(cls).number();
-  EXPECT_EQ(static_cast<int>(sum), res.stats.stall_cycles);
-  ASSERT_EQ(backend.at("conservation_ok").type, obs::json::Type::kBool);
-  EXPECT_TRUE(backend.at("conservation_ok").b);
 }
 
 }  // namespace

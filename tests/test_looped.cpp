@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <tuple>
 
 #include "common/rng.hpp"
@@ -164,7 +166,6 @@ TEST_P(LoopedConfigMatrix, FunctionalAcrossConfigs) {
   opt.endo = trace::EndoVariant::kFunctional;
   opt.cfg.mul_latency = lat;
   opt.cfg.forwarding = fwd;
-  opt.cfg.rf_size = 128;  // no-forwarding configs keep more temporaries live
   opt.body_unroll = unroll;
   LoopedSm sm = build_looped_sm(opt);
 
@@ -188,6 +189,47 @@ INSTANTIATE_TEST_SUITE_P(Sweep, LoopedConfigMatrix,
                            return "lat" + std::to_string(std::get<0>(info.param)) +
                                   (std::get<1>(info.param) ? "_fwd" : "_nofwd") + "_u" +
                                   std::to_string(std::get<2>(info.param));
+                         });
+
+// The register file is sized from the allocation, so every machine shape
+// builds (mul_latency 2 and no-forwarding shapes need up to 98 slots), and
+// the paper-cost controller computes what the flat paper-cost program does.
+using LoopedShape = std::tuple<int, bool>;  // mul_latency, forwarding
+
+class LoopedRegisterFile : public ::testing::TestWithParam<LoopedShape> {};
+
+TEST_P(LoopedRegisterFile, SizedFromTheLargestSegment) {
+  auto [lat, fwd] = GetParam();
+  LoopedSmOptions opt;  // paper-cost
+  opt.cfg.mul_latency = lat;
+  opt.cfg.forwarding = fwd;
+  LoopedSm sm = build_looped_sm(opt);
+  EXPECT_EQ(sm.rf_size, std::max({sm.prologue.rf_slots, sm.body.rf_slots, sm.epilogue.rf_slots}));
+  for (const sched::CompiledSm* seg : {&sm.prologue, &sm.body, &sm.epilogue})
+    EXPECT_EQ(seg->cfg.rf_size, sm.rf_size);
+
+  trace::SmTraceOptions topt;
+  topt.endo = trace::EndoVariant::kPaperCost;
+  trace::SmTrace flat = trace::build_sm_trace(topt);
+  curve::Affine p = curve::deterministic_point(121);
+  trace::InputBindings b, flat_b;
+  trace::bind_sm_inputs(sm, p, b);
+  trace::bind_sm_inputs(flat, p, flat_b);
+  U256 k = Rng(907).next_u256();
+  curve::Decomposition dec = curve::decompose(k);
+  curve::RecodedScalar rec = curve::recode(dec.a);
+  trace::EvalContext ctx{&rec, dec.k_was_even};
+  SimResult res = simulate_looped(sm, b, ctx);
+  std::map<std::string, Fp2> want = trace::evaluate(flat.program, flat_b, ctx);
+  EXPECT_EQ(res.outputs.at("x"), want.at("x"));
+  EXPECT_EQ(res.outputs.at("y"), want.at("y"));
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, LoopedRegisterFile,
+                         ::testing::Combine(::testing::Values(2, 3, 4), ::testing::Bool()),
+                         [](const ::testing::TestParamInfo<LoopedShape>& info) {
+                           return "lat" + std::to_string(std::get<0>(info.param)) +
+                                  (std::get<1>(info.param) ? "_fwd" : "_nofwd");
                          });
 
 TEST(Looped, FixedCycleCountAcrossScalars) {

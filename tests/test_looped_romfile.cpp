@@ -1,24 +1,44 @@
 // Cross-feature tests: the looped controller's segments through the ROM
-// serialisation and disassembly tooling, and counter-indexed reads through
-// the packed-word format.
+// serialisation and disassembly tooling, counter-indexed reads included.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "asic/looped.hpp"
 #include "asic/romfile.hpp"
-#include "asic/verilog.hpp"
 
 namespace fourq::asic {
 namespace {
 
+int counter_reads(const sched::CompiledSm& sm) {
+  int n = 0;
+  for (const sched::CtrlWord& w : sm.rom) {
+    for (const auto& u : w.mul)
+      n += trace::is_counter_iter(u.a.iter) + trace::is_counter_iter(u.b.iter);
+    for (const auto& u : w.addsub)
+      n += trace::is_counter_iter(u.a.iter) + trace::is_counter_iter(u.b.iter);
+  }
+  return n;
+}
+
+// The default body and the unroll-5 body, whose counter-relative digit
+// reads (counter - 0 .. counter - 4) must survive save_rom / load_rom.
 TEST(LoopedRomFile, BodySegmentSerialises) {
-  LoopedSm sm = build_looped_sm({});
-  std::stringstream ss;
-  save_rom(sm.body, ss);
-  sched::CompiledSm back = load_rom(ss);
-  EXPECT_EQ(back.cycles(), sm.body.cycles());
-  EXPECT_EQ(disassemble(back), disassemble(sm.body));
+  LoopedSmOptions unrolled;
+  unrolled.body_unroll = 5;
+  for (const LoopedSmOptions& opt : {LoopedSmOptions{}, unrolled}) {
+    SCOPED_TRACE("unroll " + std::to_string(opt.body_unroll));
+    LoopedSm sm = build_looped_sm(opt);
+    std::stringstream ss;
+    save_rom(sm.body, ss);
+    sched::CompiledSm back = load_rom(ss);
+    EXPECT_EQ(back.cycles(), sm.body.cycles());
+    EXPECT_EQ(disassemble(back), disassemble(sm.body));
+    EXPECT_GT(counter_reads(back), 0);
+    // The deepest offset, counter - (unroll - 1), is among them.
+    const int deepest = trace::counter_iter_with_offset(opt.body_unroll - 1);
+    EXPECT_NE(disassemble(back).find("]@" + std::to_string(deepest)), std::string::npos);
+  }
 }
 
 TEST(LoopedRomFile, BodyDisassemblyShowsIndexedReads) {
@@ -28,41 +48,6 @@ TEST(LoopedRomFile, BodyDisassemblyShowsIndexedReads) {
   // sentinel (-2).
   EXPECT_NE(listing.find("T["), std::string::npos);
   EXPECT_NE(listing.find("@-2"), std::string::npos);
-}
-
-TEST(LoopedRomFile, CounterReadsSurvivePacking) {
-  LoopedSmOptions opt;
-  opt.body_unroll = 5;
-  LoopedSm sm = build_looped_sm(opt);
-  PackedRom rom = pack_rom(sm.body);
-  int counter_reads = 0;
-  for (int t = 0; t < sm.body.cycles(); ++t) {
-    sched::CtrlWord back = unpack_word(rom, sm.body.cfg, t);
-    const sched::CtrlWord& orig = sm.body.rom[static_cast<size_t>(t)];
-    ASSERT_EQ(back.mul.size(), orig.mul.size());
-    for (size_t i = 0; i < back.mul.size(); ++i) {
-      EXPECT_EQ(back.mul[i].a.iter, orig.mul[i].a.iter);
-      EXPECT_EQ(back.mul[i].b.iter, orig.mul[i].b.iter);
-      if (trace::is_counter_iter(back.mul[i].a.iter)) ++counter_reads;
-      if (trace::is_counter_iter(back.mul[i].b.iter)) ++counter_reads;
-    }
-    ASSERT_EQ(back.addsub.size(), orig.addsub.size());
-    for (size_t i = 0; i < back.addsub.size(); ++i) {
-      EXPECT_EQ(back.addsub[i].a.iter, orig.addsub[i].a.iter);
-      EXPECT_EQ(back.addsub[i].b.iter, orig.addsub[i].b.iter);
-    }
-  }
-  // The unrolled body reads several digit offsets.
-  EXPECT_GT(counter_reads, 0);
-}
-
-TEST(LoopedRomFile, AllSegmentsEmitVerilog) {
-  LoopedSm sm = build_looped_sm({});
-  for (const sched::CompiledSm* seg : {&sm.prologue, &sm.body, &sm.epilogue}) {
-    std::string v = emit_verilog(*seg, "seg");
-    EXPECT_NE(v.find("module seg"), std::string::npos);
-    EXPECT_NE(v.find("endmodule"), std::string::npos);
-  }
 }
 
 }  // namespace

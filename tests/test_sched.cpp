@@ -178,7 +178,7 @@ TEST(RegAlloc, NoOverlappingLifetimesShareASlot) {
   auto b = body();
   Problem pr = build_problem(b.program, MachineConfig{});
   Schedule s = list_schedule(pr);
-  Allocation a = allocate_registers(pr, s);
+  Allocation a = allocate_registers(pr, s, pr.cfg.rf_size);
   // Brute-force overlap check: for every pair sharing a slot, their
   // [write, last-read] windows must not overlap.
   const trace::Program& p = b.program;
@@ -224,7 +224,7 @@ TEST(RegAlloc, RejectsTooSmallFile) {
   cfg.rf_size = 4;
   Problem pr = build_problem(b.program, cfg);
   Schedule s = list_schedule(pr);
-  EXPECT_THROW(allocate_registers(pr, s), std::logic_error);
+  EXPECT_THROW(allocate_registers(pr, s, pr.cfg.rf_size), std::logic_error);
 }
 
 TEST(Microcode, RomLengthEqualsMakespan) {

@@ -13,17 +13,30 @@ namespace fourq::cli {
 
 namespace {
 
-void record_explain_metrics(const std::string& backend, const sched::BoundGap& gap,
-                            const asic::StallAttribution& attr) {
+// One scheduler backend's row of the report.
+struct BackendExplain {
+  std::string name;
+  sched::BoundGap gap;  // achieved makespan vs tightest lower bound
+  asic::SimStats stats;
+  asic::StallAttribution attribution;
+};
+
+void record_explain_metrics(const BackendExplain& be) {
   obs::Registry& m = obs::global().metrics;
-  m.gauge("explain." + backend + ".cycles").set(gap.makespan);
-  m.gauge("explain." + backend + ".bound_gap").set(gap.gap);
-  m.gauge("explain." + backend + ".efficiency").set(gap.efficiency);
-  for (int c = 0; c < asic::kNumStallClasses; ++c) {
-    auto cls = static_cast<asic::StallClass>(c);
-    m.counter("explain." + backend + ".stall." + asic::stall_class_name(cls))
-        .inc(static_cast<uint64_t>(attr.stalls.by_class[static_cast<size_t>(c)]));
-  }
+  const std::string prefix = "explain." + be.name + ".";
+  m.gauge(prefix + "cycles").set(be.gap.makespan);
+  m.gauge(prefix + "bound_gap").set(be.gap.gap);
+  m.gauge(prefix + "efficiency").set(be.gap.efficiency);
+  m.gauge(prefix + "mul_utilisation").set(be.stats.mul_utilisation());
+  m.gauge(prefix + "addsub_utilisation").set(be.stats.addsub_utilisation());
+  const std::pair<const char*, const asic::StallBreakdown*> kinds[] = {
+      {"stall.", &be.attribution.stalls},
+      {"mul_idle.", &be.attribution.mul_idle},
+      {"addsub_idle.", &be.attribution.addsub_idle}};
+  for (const auto& [kind, breakdown] : kinds)
+    for (int c = 0; c < asic::kNumStallClasses; ++c)
+      m.counter(prefix + kind + asic::stall_class_name(static_cast<asic::StallClass>(c)))
+          .inc(static_cast<uint64_t>(breakdown->by_class[static_cast<size_t>(c)]));
 }
 
 }  // namespace
@@ -38,7 +51,7 @@ int run_explain(int argc, char** argv) {
       text_flag("--backends", "a,b,...", "subset of seq,list,anneal,bnb", &backend_list),
       switch_flag("--gantt", "occupancy timeline (default: on for loop)", &gantt),
       switch_flag("--no-gantt", "no occupancy timeline", &no_gantt),
-      text_flag("--out", "DIR", "also write report.txt, explain.json, metrics.jsonl", &out_dir)};
+      text_flag("--out", "DIR", "also write report.txt and metrics.jsonl", &out_dir)};
   add_flow_flags(flags, flow, /*with_solver=*/false);
   parse_flags("fourqc explain",
               "usage: fourqc explain [options]\n"
@@ -112,11 +125,12 @@ int run_explain(int argc, char** argv) {
   }
   tel.metrics.gauge("explain.bound.dep_height").set(lb.dep_height);
   tel.metrics.gauge("explain.bound.mul_issue").set(lb.mul_issue);
+  tel.metrics.gauge("explain.bound.addsub_issue").set(lb.addsub_issue);
   tel.metrics.gauge("explain.bound.rf_port").set(lb.rf_port());
   tel.metrics.gauge("explain.bound.tightest").set(lb.tightest());
 
   // 3. Schedule, simulate and attribute stalls per backend.
-  std::vector<asic::BackendExplain> results;
+  std::vector<BackendExplain> results;
   std::vector<std::string> gantts;
   int best_makespan = -1;
   bool conserved = for_each_backend(
@@ -132,12 +146,8 @@ int run_explain(int argc, char** argv) {
                        name.c_str(), attr.stalls.total(), res.stats.stall_cycles);
           return false;
         }
-        asic::BackendExplain be;
-        be.name = name;
-        be.gap = sched::gap_to_bounds(lb, r.schedule.makespan);
-        be.stats = res.stats;
-        be.attribution = attr;
-        record_explain_metrics(name, be.gap, attr);
+        BackendExplain be{name, sched::gap_to_bounds(lb, r.schedule.makespan), res.stats, attr};
+        record_explain_metrics(be);
         if (show_gantt)
           gantts.push_back("-- occupancy timeline: " + name + " (" +
                            std::to_string(r.schedule.makespan) + " cycles) --\n" +
@@ -154,7 +164,7 @@ int run_explain(int argc, char** argv) {
                 "sum=stalls");
   report += buf;
   report += std::string(92, '-') + "\n";
-  for (const asic::BackendExplain& be : results) {
+  for (const BackendExplain& be : results) {
     const asic::StallBreakdown& s = be.attribution.stalls;
     std::snprintf(buf, sizeof buf, "%-8s %7d %5d %5.1f%% %5.1f%% | %5d %6d %6d %6d %8d %d=%d %s\n",
                   be.name.c_str(), be.gap.makespan, be.gap.gap, 100.0 * be.gap.efficiency,
@@ -164,14 +174,14 @@ int run_explain(int argc, char** argv) {
                   be.stats.stall_cycles, be.attribution.conservation_ok ? "ok" : "FAIL");
     report += buf;
   }
-  report += "\nstall classes: ";
+  report += "\nstall classes:\n";
   for (int c = 0; c < asic::kNumStallClasses; ++c) {
     auto cls = static_cast<asic::StallClass>(c);
-    std::snprintf(buf, sizeof buf, "%s%c=%s", c ? "; " : "", asic::stall_class_letter(cls),
-                  asic::stall_class_name(cls));
+    std::snprintf(buf, sizeof buf, "  %c=%s: %s\n", asic::stall_class_letter(cls),
+                  asic::stall_class_name(cls), asic::stall_class_meaning(cls));
     report += buf;
   }
-  report += "\n\n";
+  report += "\n";
 
   // 5. Loop mode: how much further software pipelining could go (modulo
   //    scheduling analysis, steady-state cycles/iteration).
@@ -215,16 +225,13 @@ int run_explain(int argc, char** argv) {
   std::printf("%s", report.c_str());
   for (const std::string& g : gantts) std::printf("%s", g.c_str());
 
-  std::string json = asic::explain_json(lb, results);
-  std::printf("== json ==\n%s\n", json.c_str());
   if (!obs::compiled_in())
     std::printf("(note: built with FOURQ_OBS=OFF — registry metrics not recorded)\n");
 
   if (!out_dir.empty()) {
     std::string full = report;
     for (const std::string& g : gantts) full += g;
-    bool ok = write_file(out_path / "report.txt", full) &&
-              write_file(out_path / "explain.json", json + "\n") && write_metrics(out_path, flow);
+    bool ok = write_file(out_path / "report.txt", full) && write_metrics(out_path, flow);
     if (!ok) return 1;
     std::printf("\nfourqc explain: report written to %s\n", out_path.string().c_str());
   }

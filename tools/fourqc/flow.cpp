@@ -1,15 +1,12 @@
 // fourqc (no subcommand) — the design flow: trace the SM program, schedule
 // it, emit the control ROM (or build the looped controller), optionally
-// simulate/verify, disassemble, write artifacts, and report silicon
+// simulate/verify, disassemble, save the ROM image, and report silicon
 // projections, e.g. `fourqc --variant functional --verify 1f2e3d4c --report`.
 #include <cstdio>
-#include <functional>
 #include <optional>
 #include <sstream>
 
 #include "asic/romfile.hpp"
-#include "asic/verilog.hpp"
-#include "asic/waveform.hpp"
 #include "curve/scalarmul.hpp"
 #include "fourqc/cli.hpp"
 #include "power/area.hpp"
@@ -22,7 +19,7 @@ int run_flow(int argc, char** argv) {
   bool looped = false, report = false;
   U256 verify_k;
   int disasm[2] = {-1, 0};
-  std::string save_path, vcd_path, dot_path, verilog_path;
+  std::string save_path;
 
   std::vector<Flag> flags = {
       switch_flag("--looped", "blocked/looped controller instead of flat ROM", &looped),
@@ -34,9 +31,6 @@ int run_flow(int argc, char** argv) {
          return true;
        }},
       text_flag("--save-rom", "FILE", "write the ROM image", &save_path),
-      text_flag("--vcd", "FILE", "write a VCD activity waveform", &vcd_path),
-      text_flag("--dot", "FILE", "write the scheduled DAG as Graphviz", &dot_path),
-      text_flag("--verilog", "FILE", "write the RTL skeleton + packed ROM", &verilog_path),
       switch_flag("--report", "print cycle/area/power report", &report)};
   add_flow_flags(flags, flow);
   Args args = parse_flags(
@@ -108,22 +102,12 @@ int run_flow(int argc, char** argv) {
     std::printf("%s%s", lsm ? "-- body segment --\n" : "",
                 asic::disassemble(lsm ? lsm->body : r.sm, disasm[0], disasm[1]).c_str());
 
-  auto emit = [&](const std::string& path, const char* what,
-                  const std::function<void(std::ostream&)>& write) {
-    if (path.empty()) return true;
+  if (!save_path.empty()) {
     std::ostringstream out;
-    write(out);
-    if (!write_file(path, out.str())) return false;
-    std::printf("fourqc: %s written to %s\n", what, path.c_str());
-    return true;
-  };
-  if (!emit(save_path, "ROM image", [&](std::ostream& o) { asic::save_rom(r.sm, o); }) ||
-      !emit(vcd_path, "VCD waveform", [&](std::ostream& o) { asic::write_vcd(r.sm, o); }) ||
-      !emit(dot_path, "DOT graph",
-            [&](std::ostream& o) { asic::write_dot(r.problem, r.schedule, o); }) ||
-      !emit(verilog_path, "Verilog skeleton",
-            [&](std::ostream& o) { o << asic::emit_verilog(r.sm, "fourq_sm_unit"); }))
-    return 1;
+    asic::save_rom(r.sm, out);
+    if (!write_file(save_path, out.str())) return 1;
+    std::printf("fourqc: ROM image written to %s\n", save_path.c_str());
+  }
 
   if (report) {
     if (!lsm) {

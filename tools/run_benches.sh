@@ -86,95 +86,34 @@ else
   echo "skip  lint ($build_dir/tools/fourqc not built)"
 fi
 
-# Engine throughput regression gate: the batch engine must stay >=3x over
-# the recompile-per-job status quo (tools/baselines/bench_engine_baseline.jsonl).
+# perf_regress gates, one row per gate with its reason: the bench record
+# BENCH_<gate>.json against tools/baselines/bench_<gate>_baseline.jsonl
+# (docs/ENGINE.md, docs/OBSERVABILITY.md). The loop's stdin is the row
+# list, so perf_regress reads /dev/null.
 script_dir=$(dirname "$0")
-if [ -x "$build_dir/tools/perf_regress" ] && [ -f "$out_dir/BENCH_engine.json" ] \
-    && [ -f "$script_dir/baselines/bench_engine_baseline.jsonl" ]; then
-  ran=$((ran + 1))
-  if "$build_dir/tools/perf_regress" "$script_dir/baselines/bench_engine_baseline.jsonl" \
-      "$out_dir/BENCH_engine.json" > "$out_dir/perf_regress_engine.log" 2>&1; then
-    echo "ok    perf_regress (engine baseline)"
+while read -r gate _; do
+  label="$(echo "$gate" | tr _ ' ') baseline"
+  record=$out_dir/BENCH_$gate.json
+  baseline=$script_dir/baselines/bench_${gate}_baseline.jsonl
+  log=$out_dir/perf_regress_$gate.log
+  if [ -x "$build_dir/tools/perf_regress" ] && [ -f "$record" ] && [ -f "$baseline" ]; then
+    ran=$((ran + 1))
+    if "$build_dir/tools/perf_regress" "$baseline" "$record" > "$log" 2>&1 < /dev/null; then
+      echo "ok    perf_regress ($label)"
+    else
+      echo "FAIL  perf_regress ($label) (see $log)" >&2
+      failures=$((failures + 1))
+    fi
   else
-    echo "FAIL  perf_regress (engine baseline) (see $out_dir/perf_regress_engine.log)" >&2
-    failures=$((failures + 1))
+    echo "skip  perf_regress ($label)"
   fi
-else
-  echo "skip  perf_regress (engine baseline)"
-fi
-
-# Lane-executor regression gate: the 8-lane wave must hold its ledger
-# efficiency (decoded issue counts x measured lane-kernel costs, over the
-# measured wave time, both in-process so shared-host load cancels), 8
-# workers must not regress below 1 worker, and every lane must match the
-# software golden model bitwise
-# (tools/baselines/bench_lanes_baseline.jsonl, docs/ENGINE.md).
-if [ -x "$build_dir/tools/perf_regress" ] && [ -f "$out_dir/BENCH_lanes.json" ] \
-    && [ -f "$script_dir/baselines/bench_lanes_baseline.jsonl" ]; then
-  ran=$((ran + 1))
-  if "$build_dir/tools/perf_regress" "$script_dir/baselines/bench_lanes_baseline.jsonl" \
-      "$out_dir/BENCH_lanes.json" > "$out_dir/perf_regress_lanes.log" 2>&1; then
-    echo "ok    perf_regress (lanes baseline)"
-  else
-    echo "FAIL  perf_regress (lanes baseline) (see $out_dir/perf_regress_lanes.log)" >&2
-    failures=$((failures + 1))
-  fi
-else
-  echo "skip  perf_regress (lanes baseline)"
-fi
-
-# Observability overhead gate: full telemetry (spans, labeled metrics,
-# flight recorder, perf_event sampling) must add <2% to the engine hot path
-# (tools/baselines/bench_obs_overhead_baseline.jsonl, docs/OBSERVABILITY.md).
-if [ -x "$build_dir/tools/perf_regress" ] && [ -f "$out_dir/BENCH_obs_overhead.json" ] \
-    && [ -f "$script_dir/baselines/bench_obs_overhead_baseline.jsonl" ]; then
-  ran=$((ran + 1))
-  if "$build_dir/tools/perf_regress" "$script_dir/baselines/bench_obs_overhead_baseline.jsonl" \
-      "$out_dir/BENCH_obs_overhead.json" > "$out_dir/perf_regress_obs_overhead.log" 2>&1; then
-    echo "ok    perf_regress (obs overhead baseline)"
-  else
-    echo "FAIL  perf_regress (obs overhead baseline) (see $out_dir/perf_regress_obs_overhead.log)" >&2
-    failures=$((failures + 1))
-  fi
-else
-  echo "skip  perf_regress (obs overhead baseline)"
-fi
-
-# MSM regression gate: batch verification of 1024 signatures must stay >=5x
-# over per-signature verify, and every MSM backend must agree bitwise
-# (tools/baselines/bench_msm_baseline.jsonl).
-if [ -x "$build_dir/tools/perf_regress" ] && [ -f "$out_dir/BENCH_msm.json" ] \
-    && [ -f "$script_dir/baselines/bench_msm_baseline.jsonl" ]; then
-  ran=$((ran + 1))
-  if "$build_dir/tools/perf_regress" "$script_dir/baselines/bench_msm_baseline.jsonl" \
-      "$out_dir/BENCH_msm.json" > "$out_dir/perf_regress_msm.log" 2>&1; then
-    echo "ok    perf_regress (msm baseline)"
-  else
-    echo "FAIL  perf_regress (msm baseline) (see $out_dir/perf_regress_msm.log)" >&2
-    failures=$((failures + 1))
-  fi
-else
-  echo "skip  perf_regress (msm baseline)"
-fi
-
-# zk-scale MSM gate: at n = 2^20 the single-thread stream's bucket insertion
-# must hold its ledger efficiency (7 x (lane fp2 mul + add) per add, over the
-# measured ns per add), the pool must not fall below the single-thread run,
-# with zero cross-check mismatches and a peak working set that does not grow
-# with the term count (tools/baselines/bench_msm_large_baseline.jsonl).
-if [ -x "$build_dir/tools/perf_regress" ] && [ -f "$out_dir/BENCH_msm_large.json" ] \
-    && [ -f "$script_dir/baselines/bench_msm_large_baseline.jsonl" ]; then
-  ran=$((ran + 1))
-  if "$build_dir/tools/perf_regress" "$script_dir/baselines/bench_msm_large_baseline.jsonl" \
-      "$out_dir/BENCH_msm_large.json" > "$out_dir/perf_regress_msm_large.log" 2>&1; then
-    echo "ok    perf_regress (msm large baseline)"
-  else
-    echo "FAIL  perf_regress (msm large baseline) (see $out_dir/perf_regress_msm_large.log)" >&2
-    failures=$((failures + 1))
-  fi
-else
-  echo "skip  perf_regress (msm large baseline)"
-fi
+done <<'EOF'
+engine        # the batch engine stays >=3x over recompiling the ROM per job
+lanes         # the 8-lane wave holds its ledger efficiency; 8 workers >= 1; lanes match the golden model bitwise
+obs_overhead  # full telemetry adds < 2% to the engine hot path
+msm           # batch-verifying 1024 signatures stays >=5x over per-signature verify; MSM backends agree bitwise
+msm_large     # at n = 2^20 insertion holds its ledger efficiency, the pool >= one thread, no cross-check mismatch, flat peak memory
+EOF
 
 # Range-analysis wall-time gate: the overflow-freedom proof must stay
 # within its per-program budget (tools/baselines/lint_ranges_baseline.jsonl)
