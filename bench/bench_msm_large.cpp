@@ -1,11 +1,13 @@
 // bench_msm_large — the zk-scale MSM gate: one n = 2^20 multi-scalar
 // multiplication, measured three ways at equal n and cross-checked.
 //
-//   serial   — the reference scalar datapath: lane-kernel waves off, no
+//   serial   — the reference scalar datapath: lane kernels off, no
 //              worker pool. One mixed addition at a time, the way the
 //              pre-streaming backend ran.
-//   single   — the streaming pipeline on one thread: 8-wide SoA lane waves
-//              for bucket insertion, sequential (window, segment) grid.
+//   single   — the streaming pipeline on one thread: bucket-major
+//              insertion, each cell's bucket chains run 8 side by side by
+//              the add_chains lane kernel, sequential (window, segment)
+//              grid. The "groups" column counts those lane groups.
 //   pool     — the same pipeline with the bucket grid fanned out across an
 //              8-worker engine::BatchEngine pool (pool-parallel).
 //
@@ -149,7 +151,7 @@ int main(int argc, char** argv) {
   curve::Affine outs[3];
   curve::MsmStats stats[3];
   std::printf("%-32s %12s %12s %10s %10s\n", "configuration", "best ms", "Mterms/s",
-              "waves", "peak MB");
+              "groups", "peak MB");
   bench::print_rule(80);
   for (int c = 0; c < 3; ++c) {
     curve::MsmOptions opts;

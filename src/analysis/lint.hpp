@@ -117,6 +117,11 @@ struct PressurePoint {
 struct LintReport {
   std::vector<Finding> findings;
 
+  // False for a report that lints no ROM (the DAG-side range proof): only
+  // its range summary and findings mean anything, and the renderers below
+  // emit only those.
+  bool rom = true;
+
   // Lifting / equivalence summary.
   int cycles = 0;
   int lifted_ops = 0;    // issues recovered from the ROM

@@ -198,21 +198,9 @@ namespace {
 
 std::string num(int v) { return std::to_string(v); }
 
-std::string report_json(const LintReport& r) {
-  std::string out = "{";
-  out += "\"cycles\":" + num(r.cycles) + ",";
-  out += "\"lifted_ops\":" + num(r.lifted_ops) + ",";
-  out += "\"matched_ops\":" + num(r.matched_ops) + ",";
-  out += std::string("\"equivalent\":") + (r.equivalent ? "true" : "false") + ",";
-  out += "\"indexed_reads\":" + num(r.indexed_reads) + ",";
-  out += "\"tainted_values\":" + num(r.tainted_values) + ",";
-  out += std::string("\"constant_time\":") + (r.constant_time ? "true" : "false") + ",";
-  out += "\"peak_live\":" + num(r.peak_live) + ",";
-  out += "\"peak_live_cycle\":" + num(r.peak_live_cycle) + ",";
-  out += "\"dead_writes\":" + num(r.dead_writes) + ",";
-  out += "\"never_read_regs\":" + num(r.never_read_regs) + ",";
-  out += "\"max_reads_in_cycle\":" + num(r.max_reads_in_cycle) + ",";
-  out += "\"max_writes_in_cycle\":" + num(r.max_writes_in_cycle) + ",";
+// The range summary, then the finding counts and list with the closing brace.
+std::string ranges_json(const LintReport& r) {
+  std::string out;
   out += std::string("\"ranges_checked\":") + (r.ranges_checked ? "true" : "false") + ",";
   out += std::string("\"ranges_proven\":") + (r.ranges_proven ? "true" : "false") + ",";
   out += "\"range_nodes\":" + num(r.range_nodes) + ",";
@@ -234,6 +222,25 @@ std::string report_json(const LintReport& r) {
   }
   out += "]}";
   return out;
+}
+
+std::string report_json(const LintReport& r) {
+  if (!r.rom) return "{\"rom\":false," + ranges_json(r);
+  std::string out = "{";
+  out += "\"cycles\":" + num(r.cycles) + ",";
+  out += "\"lifted_ops\":" + num(r.lifted_ops) + ",";
+  out += "\"matched_ops\":" + num(r.matched_ops) + ",";
+  out += std::string("\"equivalent\":") + (r.equivalent ? "true" : "false") + ",";
+  out += "\"indexed_reads\":" + num(r.indexed_reads) + ",";
+  out += "\"tainted_values\":" + num(r.tainted_values) + ",";
+  out += std::string("\"constant_time\":") + (r.constant_time ? "true" : "false") + ",";
+  out += "\"peak_live\":" + num(r.peak_live) + ",";
+  out += "\"peak_live_cycle\":" + num(r.peak_live_cycle) + ",";
+  out += "\"dead_writes\":" + num(r.dead_writes) + ",";
+  out += "\"never_read_regs\":" + num(r.never_read_regs) + ",";
+  out += "\"max_reads_in_cycle\":" + num(r.max_reads_in_cycle) + ",";
+  out += "\"max_writes_in_cycle\":" + num(r.max_writes_in_cycle) + ",";
+  return out + ranges_json(r);
 }
 
 }  // namespace
@@ -267,16 +274,18 @@ std::string lint_text(const std::vector<LintedProgram>& programs) {
   for (const LintedProgram& p : programs) {
     const LintReport& r = p.report;
     out += "== " + p.label + " ==\n";
-    out += "  cycles " + num(r.cycles) + ", lifted " + num(r.lifted_ops) + " ops (" +
-           num(r.matched_ops) + " matched), equivalent " +
-           (r.equivalent ? "yes" : "NO") + "\n";
-    out += "  indexed reads " + num(r.indexed_reads) + ", tainted values " +
-           num(r.tainted_values) + ", constant-time certificate " +
-           (r.constant_time ? "yes" : "no") + "\n";
-    out += "  peak live " + num(r.peak_live) + " regs @c" + num(r.peak_live_cycle) +
-           ", port peaks " + num(r.max_reads_in_cycle) + "R/" +
-           num(r.max_writes_in_cycle) + "W, dead writes " + num(r.dead_writes) +
-           ", never-read regs " + num(r.never_read_regs) + "\n";
+    if (r.rom) {
+      out += "  cycles " + num(r.cycles) + ", lifted " + num(r.lifted_ops) + " ops (" +
+             num(r.matched_ops) + " matched), equivalent " +
+             (r.equivalent ? "yes" : "NO") + "\n";
+      out += "  indexed reads " + num(r.indexed_reads) + ", tainted values " +
+             num(r.tainted_values) + ", constant-time certificate " +
+             (r.constant_time ? "yes" : "no") + "\n";
+      out += "  peak live " + num(r.peak_live) + " regs @c" + num(r.peak_live_cycle) +
+             ", port peaks " + num(r.max_reads_in_cycle) + "R/" +
+             num(r.max_writes_in_cycle) + "W, dead writes " + num(r.dead_writes) +
+             ", never-read regs " + num(r.never_read_regs) + "\n";
+    }
     if (r.ranges_checked)
       out += "  ranges: " + num(r.range_nodes) + " wide nodes, " +
              num(r.range_reduce_sites) + " reduce sites, max bound " +
@@ -301,11 +310,13 @@ void record_lint_metrics(const std::string& label, const LintReport& r) {
   m.counter(p + "findings").inc(static_cast<uint64_t>(r.findings.size()));
   m.counter(p + "errors").inc(static_cast<uint64_t>(r.errors()));
   m.counter(p + "warnings").inc(static_cast<uint64_t>(r.warnings()));
-  m.counter(p + "indexed_reads").inc(static_cast<uint64_t>(r.indexed_reads));
-  m.gauge(p + "equivalent").set(r.equivalent ? 1 : 0);
-  m.gauge(p + "constant_time").set(r.constant_time ? 1 : 0);
-  m.gauge(p + "peak_live").set(r.peak_live);
-  m.gauge(p + "dead_writes").set(r.dead_writes);
+  if (r.rom) {
+    m.counter(p + "indexed_reads").inc(static_cast<uint64_t>(r.indexed_reads));
+    m.gauge(p + "equivalent").set(r.equivalent ? 1 : 0);
+    m.gauge(p + "constant_time").set(r.constant_time ? 1 : 0);
+    m.gauge(p + "peak_live").set(r.peak_live);
+    m.gauge(p + "dead_writes").set(r.dead_writes);
+  }
   if (r.ranges_checked) {
     m.gauge(p + "ranges_proven").set(r.ranges_proven ? 1 : 0);
     m.gauge(p + "range_nodes").set(r.range_nodes);

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 
 #include "common/check.hpp"
 #include "curve/scalarmul.hpp"
@@ -163,12 +164,12 @@ struct PipConfig {
   size_t seg_len = 0;   // buckets per segment (fold chain), half / nseg
   size_t cell_len = 0;  // buckets per insertion cell, max(seg_len, 64)
   size_t chunk = 0;     // input terms staged per chunk
-  bool lanes = true;    // lane-kernel insertion waves and fold
+  bool lanes = true;    // add_chains insertion and, on a vector table, the lane fold
 };
 
 // Smallest insertion cell, in buckets. Windows narrower than this (c <= 6)
 // share one cell between 64 / 2^(c-1) consecutive windows, so a cell's
-// pending list spans enough distinct buckets to fill 16-lane waves.
+// additions form enough bucket chains to fill add_chains' lane groups.
 constexpr size_t kMinCellBuckets = 64;
 
 // Segment count: wide enough to feed a worker pool (the fold runs nwin *
@@ -212,17 +213,6 @@ int choose_window(size_t n_terms, size_t total_bits, int max_bits) {
   return best_c;
 }
 
-// Micro-laned bucket insertion: up to 16 add_mixed operations into
-// *distinct* buckets execute as one wave through the fused lane kernel
-// (field/fp_lanes.hpp pt_addmix), the 7M + 7A mixed-addition formula
-// applied coordinate-wise across SoA arrays. Two vector groups per wave
-// give the out-of-order core independent dependency chains to interleave
-// and halve the per-wave scheduling cost. Per-bucket insertion order is
-// preserved (an insertion whose bucket is already claimed by the current
-// wave waits for the next one), so the bucket contents — and therefore the
-// window sum — are bitwise identical to the sequential loop.
-constexpr size_t kBucketLanes = 16;
-
 struct BucketIns {
   uint32_t term;    // staged term index
   uint16_t bucket;  // cell-local bucket index (cell_len <= 2^10 at c <= 15)
@@ -249,11 +239,11 @@ struct StreamCtx {
   // SoA scratch for the lane-batched base-table build (see build_base):
   // sx/sy carry the split x/y coordinates, c2 the broadcast 2d constant.
   std::vector<u128> sx_re, sx_im, sy_re, sy_im, c2_re, c2_im;
-  size_t pend_bytes = 0;  // cell_pending capacity currently metered
+  size_t pend_bytes = 0;  // pending lists + one cell's insert_chains lists, metered
 
   MsmStats st;
   size_t mem_cur = 0, mem_peak = 0;
-  std::atomic<uint64_t> waves{0};
+  std::atomic<uint64_t> groups{0};  // add_chains lane groups run
 
   void mem_add(size_t b) {
     mem_cur += b;
@@ -262,131 +252,52 @@ struct StreamCtx {
   void mem_sub(size_t b) { mem_cur -= b; }
 };
 
-void apply_bucket_wave(PointR1* buckets, const PointR2Aff* base,
-                       const BucketIns* ins, size_t n) {
-  namespace lk = field::lanes;
-  constexpr size_t W = kBucketLanes;
-  // SoA marshalling: p = bucket (R1, updated in place), q = table entry
-  // (normalised R2). One split per coordinate; the fused kernel keeps the
-  // whole formula in the limb domain between them.
-  u128 P[10][W], Q[6][W];
-  for (size_t l = 0; l < n; ++l) {
-    const PointR1& p = buckets[ins[l].bucket];
-    lk::split(p.X, P[0][l], P[1][l]);
-    lk::split(p.Y, P[2][l], P[3][l]);
-    lk::split(p.Z, P[4][l], P[5][l]);
-    lk::split(p.Ta, P[6][l], P[7][l]);
-    lk::split(p.Tb, P[8][l], P[9][l]);
-    // Negation in place of the 96-byte neg_r2aff temp: -Q swaps the x+y /
-    // y-x coordinates and negates 2dT.
-    const PointR2Aff& q = base[ins[l].term];
-    if (ins[l].negate) {
-      lk::split(q.ymx, Q[0][l], Q[1][l]);
-      lk::split(q.xpy, Q[2][l], Q[3][l]);
-      lk::split(Fp2() - q.dt2, Q[4][l], Q[5][l]);
-    } else {
-      lk::split(q.xpy, Q[0][l], Q[1][l]);
-      lk::split(q.ymx, Q[2][l], Q[3][l]);
-      lk::split(q.dt2, Q[4][l], Q[5][l]);
-    }
-  }
-  // Pad a tail wave to the kernel's vector group size with copies of lane
-  // 0 (any valid lane data works) so no lane falls back to the per-lane
-  // generic loop; the padded outputs are simply never joined back.
-  size_t padded = n;
-  if (const size_t g = static_cast<size_t>(lk::active().group); g > 1) {
-    padded = (n + g - 1) / g * g;
-    for (size_t l = n; l < padded; ++l) {
-      for (int k = 0; k < 10; ++k) P[k][l] = P[k][0];
-      for (int k = 0; k < 6; ++k) Q[k][l] = Q[k][0];
-    }
-  }
-  u128* pp[10];
-  const u128* qq[6];
-  for (int k = 0; k < 10; ++k) pp[k] = P[k];
-  for (int k = 0; k < 6; ++k) qq[k] = Q[k];
-  lk::active().pt_addmix(pp, qq, padded);
-  for (size_t l = 0; l < n; ++l) {
-    PointR1& p = buckets[ins[l].bucket];
-    p.X = lk::join_unchecked(P[0][l], P[1][l]);
-    p.Y = lk::join_unchecked(P[2][l], P[3][l]);
-    p.Z = lk::join_unchecked(P[4][l], P[5][l]);
-    p.Ta = lk::join_unchecked(P[6][l], P[7][l]);
-    p.Tb = lk::join_unchecked(P[8][l], P[9][l]);
-  }
-}
+// add_chains reads the bucket grid and the base table in place.
+static_assert(std::is_standard_layout_v<PointR1> &&
+                  sizeof(PointR1) == field::lanes::kBucketWords * sizeof(u128) &&
+                  offsetof(PointR1, Tb) == 8 * sizeof(u128),
+              "bucket record: X, Y, Z, Ta, Tb as (re, im) u128 pairs");
+static_assert(std::is_standard_layout_v<PointR2Aff> &&
+                  sizeof(PointR2Aff) == field::lanes::kBaseWords * sizeof(u128) &&
+                  offsetof(PointR2Aff, dt2) == 4 * sizeof(u128),
+              "base record: xpy, ymx, dt2 as (re, im) u128 pairs");
 
-// Drain one cell's pending insertions into R1 buckets: waves of distinct
-// buckets through the fused lane kernel, or plain mixed adds when disabled
-// or too few to fill lanes.
-//
-// Wave formation is pass-compaction: sweep the list in order, packing
-// entries into 8-wide waves; an entry whose bucket is claimed by the
-// in-flight wave — or by an earlier entry already deferred this pass —
-// moves to the next pass's list. The sticky per-pass defer bit is what
-// keeps per-bucket FIFO order (a later same-bucket entry can never jump
-// an earlier deferred one), and each entry is visited O(passes) times
-// instead of the quadratic rescan a claim-from-the-front scheduler pays.
-void drain_r1(StreamCtx& S, PointR1* buckets, std::vector<BucketIns>& pending) {
-  const PointR2Aff* base = S.base.data();
-  if (!S.cfg.lanes || pending.size() < kBucketLanes) {
-    for (const BucketIns& ins : pending)
-      buckets[ins.bucket] = add_mixed(
-          buckets[ins.bucket],
-          ins.negate ? neg_r2aff(base[ins.term]) : base[ins.term]);
-    return;
+// Bucket-major insertion of one cell's additions. A stable counting sort
+// groups the list by bucket, so each bucket's chain keeps the list's
+// global term order, and a second one orders the chains longest first
+// (ties by bucket); one add_chains call then runs them: on a vector table
+// a lane group of chains side by side, each bucket held in the kernel's
+// limb domain from its first addition to its last. The scratch belongs to
+// the call, so cells may run concurrently.
+void insert_chains(StreamCtx& S, PointR1* buckets, const std::vector<BucketIns>& adds) {
+  namespace lk = field::lanes;
+  const size_t nb = S.cfg.cell_len;
+  std::vector<uint32_t> at(nb + 1, 0);  // at[b + 1]: bucket b's chain length
+  for (const BucketIns& ins : adds) ++at[ins.bucket + 1u];
+  uint32_t longest = 0;
+  for (size_t b = 1; b <= nb; ++b) longest = std::max(longest, at[b]);
+  std::vector<uint32_t> slot(longest + 1, 0);  // slot[len]: next chain of that length
+  for (size_t b = 1; b <= nb; ++b) ++slot[at[b]];
+  uint32_t n_chains = 0;
+  for (uint32_t len = longest; len > 0; --len) {
+    const uint32_t count = slot[len];
+    slot[len] = n_chains;
+    n_chains += count;
   }
-  std::vector<uint8_t> wave_claim(S.cfg.cell_len, 0), pass_defer(S.cfg.cell_len, 0);
-  std::vector<BucketIns> defer_a, defer_b;
-  uint64_t waves = 0;
-  BucketIns wave[kBucketLanes];
-  size_t lanes = 0;
-  auto flush = [&] {
-    apply_bucket_wave(buckets, base, wave, lanes);
-    for (size_t l = 0; l < lanes; ++l) wave_claim[wave[l].bucket] = 0;
-    lanes = 0;
-    ++waves;
-  };
-  // The pending list streams sequentially (hardware prefetch covers it)
-  // but each entry dereferences a random bucket (160 B) and base entry
-  // (96 B) across a multi-MB grid — those misses dominate the wave path
-  // at zk scale, so issue software prefetches about two waves ahead of
-  // the sweep cursor (a lookahead inside the wave being formed lands too
-  // late — the flush consumes it within a few hundred cycles).
-  constexpr size_t kPrefetchAhead = 2 * kBucketLanes;
-  const std::vector<BucketIns>* cur = &pending;
-  std::vector<BucketIns>* next = &defer_a;
-  while (!cur->empty()) {
-    next->clear();
-    const BucketIns* arr = cur->data();
-    const size_t cn = cur->size();
-    for (size_t i = 0; i < cn; ++i) {
-      if (i + kPrefetchAhead < cn) {
-        const BucketIns& pf = arr[i + kPrefetchAhead];
-        const char* bp = reinterpret_cast<const char*>(&buckets[pf.bucket]);
-        __builtin_prefetch(bp, 1);
-        __builtin_prefetch(bp + 64, 1);
-        __builtin_prefetch(bp + 128, 1);
-        const char* qp = reinterpret_cast<const char*>(&base[pf.term]);
-        __builtin_prefetch(qp, 0);
-        __builtin_prefetch(qp + 64, 0);
-      }
-      const BucketIns& ins = arr[i];
-      if (pass_defer[ins.bucket] || wave_claim[ins.bucket]) {
-        pass_defer[ins.bucket] = 1;
-        next->push_back(ins);
-        continue;
-      }
-      wave_claim[ins.bucket] = 1;
-      wave[lanes++] = ins;
-      if (lanes == kBucketLanes) flush();
-    }
-    if (lanes) flush();
-    for (const BucketIns& ins : *next) pass_defer[ins.bucket] = 0;
-    cur = next;
-    next = (next == &defer_a) ? &defer_b : &defer_a;
+  std::vector<lk::AddChain> chains(n_chains);
+  for (size_t b = 0; b < nb; ++b) {  // at[b] becomes bucket b's first entry
+    if (const uint32_t len = at[b + 1])
+      chains[slot[len]++] = {static_cast<uint32_t>(b), at[b], len};
+    at[b + 1] += at[b];
   }
-  S.waves.fetch_add(waves, std::memory_order_relaxed);
+  std::vector<uint32_t> entries(adds.size());
+  for (const BucketIns& ins : adds)
+    entries[at[ins.bucket]++] = ins.term << 1 | static_cast<uint32_t>(ins.negate);
+  const lk::Kernels& k = lk::active();
+  k.add_chains(reinterpret_cast<u128*>(buckets), reinterpret_cast<const u128*>(S.base.data()),
+               chains.data(), chains.size(), entries.data());
+  const size_t g = static_cast<size_t>(k.group);
+  S.groups.fetch_add((chains.size() + g - 1) / g, std::memory_order_relaxed);
 }
 
 // One insertion cell: the cell_len consecutive buckets of the grid from
@@ -412,7 +323,13 @@ void insert_cell(StreamCtx& S, size_t cell) {
     }
   }
   list.resize(w);
-  if (w) drain_r1(S, wr1, list);
+  if (!S.cfg.lanes) {
+    for (const BucketIns& ins : list)
+      wr1[ins.bucket] = add_mixed(
+          wr1[ins.bucket], ins.negate ? neg_r2aff(S.base[ins.term]) : S.base[ins.term]);
+  } else if (w) {
+    insert_chains(S, wr1, list);
+  }
   list.clear();  // keeps capacity for the next chunk
 }
 
@@ -423,7 +340,7 @@ void insert_cell(StreamCtx& S, size_t cell) {
 // to_r2aff by the kernels' canonical-output contract.
 void build_base(StreamCtx& S, size_t m) {
   namespace lk = field::lanes;
-  if (!S.cfg.lanes || m < kBucketLanes) {
+  if (!S.cfg.lanes) {
     for (size_t i = 0; i < m; ++i) S.base[i] = to_r2aff(S.pts[i]);
     return;
   }
@@ -695,12 +612,16 @@ PointR1 run_stream(StreamCtx& S, const MsmTermSource& src) {
   }
   const size_t ncell = (nbkt + cfg.cell_len - 1) / cfg.cell_len;
   S.cell_pending.resize(ncell);
-  // Staged arrays plus one in-flight cell's scheduling scratch (defer
-  // buffers + claim bitmaps); the pending lists themselves are metered as
-  // their capacity grows below.
+  // Staged arrays plus one in-flight cell's sort scratch (bucket offsets
+  // and chains); the pending lists and that cell's entry list and length
+  // histogram are metered as their capacity grows below.
+  const size_t sort_bytes =
+      cfg.lanes ? (cfg.cell_len + 1) * sizeof(uint32_t) +
+                      cfg.cell_len * sizeof(field::lanes::AddChain)
+                : 0;
   S.mem_add(cfg.chunk * (sizeof(ScalarPoint) + sizeof(Affine) +
                          sizeof(PointR2Aff) + sizeof(BucketIns)) +
-            stage_soa + 2 * cfg.cell_len);
+            stage_soa + sort_bytes);
 
   using clk = std::chrono::steady_clock;
   const auto ms_since = [](clk::time_point t0) {
@@ -716,8 +637,14 @@ PointR1 run_stream(StreamCtx& S, const MsmTermSource& src) {
     S.st.stage_ms += ms_since(t0);
     S.st.sub_terms += staged;
     // Capacities only grow (clear() keeps them), so the delta is >= 0.
-    size_t pend = 0;
-    for (const auto& v : S.cell_pending) pend += v.capacity() * sizeof(BucketIns);
+    size_t pend = 0, widest = 0;
+    for (const auto& v : S.cell_pending) {
+      pend += v.capacity() * sizeof(BucketIns);
+      widest = std::max(widest, v.capacity());
+    }
+    // One in-flight cell's entry list and chain-length histogram, each at
+    // most its list's length.
+    if (cfg.lanes) pend += (2 * widest + 1) * sizeof(uint32_t);
     S.mem_add(pend - S.pend_bytes);
     S.pend_bytes = pend;
     if (staged == 0) continue;
@@ -784,7 +711,7 @@ PointR1 run_stream(StreamCtx& S, const MsmTermSource& src) {
   S.st.window = cfg.c;
   S.st.windows = cfg.nwin;
   S.st.segments = cfg.nseg;
-  S.st.bucket_waves = S.waves.load(std::memory_order_relaxed);
+  S.st.bucket_waves = S.groups.load(std::memory_order_relaxed);
   S.st.peak_bytes = S.mem_peak;
   return any ? q : identity();
 }
@@ -809,6 +736,7 @@ PipConfig resolve_pip(const MsmOptions& opts, size_t live, size_t total_bits,
   cfg.cell_log = 0;
   while ((size_t{1} << cfg.cell_log) < cfg.cell_len) ++cfg.cell_log;
   cfg.chunk = opts.chunk ? opts.chunk : kMsmDefaultChunk;
+  FOURQ_CHECK_MSG(cfg.chunk < (size_t{1} << 31), "chunk must index its terms in 31 bits");
   return cfg;
 }
 

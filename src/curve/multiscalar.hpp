@@ -15,13 +15,17 @@
 //                  buckets persist across chunks, so peak memory is
 //                  O(buckets + chunk), not O(n). Insertion runs over cells
 //                  of at least 64 buckets (a bucket segment of one window,
-//                  or several narrow windows) as 16-lane kernel waves; the
-//                  fold runs one S/T chain per (window, segment), all
-//                  chains of a group advancing together through the lane
-//                  kernels on a vector table. Cells and chain groups are
-//                  the parallel axis (MsmOptions::parallel), and a
-//                  deterministic MSB-first combine keeps the result bitwise
-//                  independent of chunking and thread count.
+//                  or several narrow windows), bucket-major: a cell's
+//                  additions are sorted into one chain per bucket, and the
+//                  add_chains lane kernel runs 8 chains side by side on a
+//                  vector table, each bucket held in registers from its
+//                  first addition to its last. The fold runs one S/T chain
+//                  per (window, segment), all chains of a group advancing
+//                  together through the lane kernels on a vector table.
+//                  Cells and fold groups are the parallel axis
+//                  (MsmOptions::parallel), and a deterministic MSB-first
+//                  combine keeps the result bitwise independent of
+//                  chunking and thread count.
 //
 // kAuto picks by a crossover calibrated with bench/bench_msm.cpp: Pippenger
 // from 12 terms where the lane fold runs (a vector kernel table, lanes on),
@@ -72,7 +76,7 @@ struct MsmStats {
   size_t terms = 0;         // live (non-zero-scalar) input terms
   size_t sub_terms = 0;     // Pippenger bucket-insertion terms (== terms)
   size_t chunks = 0;        // streamed chunks consumed
-  size_t bucket_waves = 0;  // 16-lane lane-kernel mixed-add waves
+  size_t bucket_waves = 0;  // add_chains lane groups (chains per call / group, rounded up)
   size_t peak_bytes = 0;    // peak bytes of MSM-owned working memory
   // Wall-time phase split of the streaming pipeline (milliseconds): chunk
   // staging (normalise + digit routing), bucket insertion, final fold.
@@ -97,7 +101,7 @@ struct MsmOptions {
   // memory is O(buckets + chunk) while the result stays bitwise invariant
   // to the chunk size. 0 = default (16384).
   size_t chunk = 0;
-  // Lane-kernel bucket insertion (16-lane SoA mixed-add waves) and, on a
+  // Bucket-chain insertion through the add_chains lane kernel and, on a
   // vector kernel table, the lane-parallel fold. false forces the scalar
   // one-add-at-a-time insertion and fold: the bitwise reference the lane
   // paths are tested against and bench_msm_large's truly-serial

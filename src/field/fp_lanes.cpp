@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 namespace fourq::field::lanes {
 
@@ -44,26 +45,43 @@ void g_fp2_sub(const u128* are, const u128* aim, const u128* bre, const u128* bi
     put(&rre[i], &rim[i], join_unchecked(are[i], aim[i]) - join_unchecked(bre[i], bim[i]));
 }
 
-// Fused mixed addition, one lane at a time — the curve's 7M + 7A formula
-// (curve/point.hpp add_mixed) on Fp2 values. Every intermediate is a full
-// canonical field op, so this is the reference the vector implementations
-// must match bit for bit.
-void g_pt_addmix(u128* const* p, const u128* const* q, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    const Fp2 X = join_unchecked(p[0][i], p[1][i]);
-    const Fp2 Y = join_unchecked(p[2][i], p[3][i]);
-    const Fp2 Z = join_unchecked(p[4][i], p[5][i]);
-    const Fp2 t = join_unchecked(p[6][i], p[7][i]) * join_unchecked(p[8][i], p[9][i]);
-    const Fp2 a = (Y - X) * join_unchecked(q[2][i], q[3][i]);  // (y-x) * ymx
-    const Fp2 b = (Y + X) * join_unchecked(q[0][i], q[1][i]);  // (y+x) * xpy
-    const Fp2 c = t * join_unchecked(q[4][i], q[5][i]);        // t * dt2
-    const Fp2 d = Z + Z;
-    const Fp2 e = b - a, f = d - c, g = d + c, h = b + a;
-    put(&p[0][i], &p[1][i], e * f);  // X = e*f
-    put(&p[2][i], &p[3][i], g * h);  // Y = g*h
-    put(&p[4][i], &p[5][i], f * g);  // Z = f*g
-    put(&p[6][i], &p[7][i], e);      // Ta = e
-    put(&p[8][i], &p[9][i], h);      // Tb = h
+// Bucket chains, one bucket at a time: the curve's 7M + 7A mixed addition
+// (curve/point.hpp add_mixed) on Fp2 values, once per entry. Every
+// intermediate is a canonical field op, so this is the reference the
+// vector implementations must match bit for bit.
+void g_add_chains(u128* buckets, const u128* base, const AddChain* chains, size_t n_chains,
+                  const uint32_t* entries) {
+  for (size_t i = 0; i < n_chains; ++i) {
+    u128* const p = buckets + kBucketWords * chains[i].bucket;
+    Fp2 X = join_unchecked(p[0], p[1]), Y = join_unchecked(p[2], p[3]);
+    Fp2 Z = join_unchecked(p[4], p[5]), Ta = join_unchecked(p[6], p[7]);
+    Fp2 Tb = join_unchecked(p[8], p[9]);
+    const uint32_t* const ent = entries + chains[i].first;
+    for (uint32_t s = 0; s < chains[i].len; ++s) {
+      const u128* const q = base + kBaseWords * (ent[s] >> 1);
+      Fp2 xpy = join_unchecked(q[0], q[1]), ymx = join_unchecked(q[2], q[3]);
+      Fp2 dt2 = join_unchecked(q[4], q[5]);
+      if (ent[s] & 1) {  // -Q
+        std::swap(xpy, ymx);
+        dt2 = Fp2() - dt2;
+      }
+      const Fp2 t = Ta * Tb;
+      const Fp2 a = (Y - X) * ymx;
+      const Fp2 b = (Y + X) * xpy;
+      const Fp2 c = t * dt2;
+      const Fp2 d = Z + Z;
+      const Fp2 e = b - a, f = d - c, g = d + c, h = b + a;
+      X = e * f;
+      Y = g * h;
+      Z = f * g;
+      Ta = e;
+      Tb = h;
+    }
+    put(&p[0], &p[1], X);
+    put(&p[2], &p[3], Y);
+    put(&p[4], &p[5], Z);
+    put(&p[6], &p[7], Ta);
+    put(&p[8], &p[9], Tb);
   }
 }
 
@@ -125,7 +143,7 @@ void g_run_slots(const SlotProgram& prog, const SlotWave& wave) {
 }
 
 constexpr Kernels kGeneric = {
-    "generic", g_fp2_mul, g_fp2_add, g_fp2_sub, g_pt_addmix, g_run_slots, 1,
+    "generic", g_fp2_mul, g_fp2_add, g_fp2_sub, g_add_chains, g_run_slots, 1,
 };
 
 // ---------------------------------------------------------------------------

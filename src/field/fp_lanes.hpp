@@ -103,6 +103,23 @@ struct SlotWave {
   void* state = nullptr;  // 64-byte aligned scratch, kSlotStateBytes per slot
 };
 
+// MSM bucket records as Kernels::add_chains reads them, in u128 words: a
+// bucket is an extended point (X, Y, Z, Ta, Tb) and a base a
+// normalised-affine precomputation (x+y, y-x, 2dxy), each F_{p^2}
+// coordinate as (re, im) — the layouts of curve::PointR1 and
+// curve::PointR2Aff.
+inline constexpr size_t kBucketWords = 10;
+inline constexpr size_t kBaseWords = 6;
+
+// One bucket's chain of additions: entries [first, first + len) of the
+// entry list, each a base record index shifted left by one with the negate
+// flag in bit 0.
+struct AddChain {
+  uint32_t bucket;  // bucket record index
+  uint32_t first;
+  uint32_t len;  // >= 1
+};
+
 // Lane kernels. Raw u128 values are canonical F_p elements (in [0, p)).
 // In-place calls (r aliasing a or b elementwise) are allowed; partially
 // overlapping arrays are not.
@@ -118,20 +135,19 @@ struct Kernels {
   void (*fp2_sub)(const u128* are, const u128* aim, const u128* bre,
                   const u128* bim, u128* rre, u128* rim, size_t n);
 
-  // Fused twisted-Edwards mixed addition P += Q, lane-parallel — the MSM
-  // bucket-insertion kernel. P is an extended-coordinate point (X, Y, Z,
-  // Ta, Tb), Q a normalised-affine precomputation (x+y, y-x, 2dxy); each
-  // F_{p^2} coordinate is a split re/im SoA pair, so
-  //   p[0..9] = {X.re, X.im, Y.re, Y.im, Z.re, Z.im,
-  //              Ta.re, Ta.im, Tb.re, Tb.im}       (updated in place)
-  //   q[0..5] = {xpy.re, xpy.im, ymx.re, ymx.im, dt2.re, dt2.im}.
-  // Outputs are canonical and bitwise-equal to the 7M + 7A curve formula
-  // applied with scalar field ops. The vector implementations fuse the
-  // whole formula in the limb domain — operands are split once per point
-  // instead of once per field op, and the 7 adds/subs between the muls run
-  // lazily (reduction bounds in fp_lanes_avx512.cpp); uniqueness of the
-  // canonical form is what lets the lazy schedule keep bit-equality.
-  void (*pt_addmix)(u128* const* p, const u128* const* q, size_t n);
+  // MSM bucket insertion, bucket-major: each chain's bucket record absorbs
+  // the twisted-Edwards mixed additions P += Q_e for the chain's entries e,
+  // in entry order. Q_e is base record e >> 1, negated when e & 1 (-Q
+  // swaps x+y and y-x and negates 2dxy). Records are canonical on entry
+  // and on return, and each bucket ends bitwise where the 7M + 7A formula
+  // (curve/point.hpp add_mixed) applied with the scalar field operators
+  // once per entry leaves it. Chains name distinct buckets. A vector table
+  // runs `group` chains side by side and keeps each lane's bucket in its
+  // own limb domain from the chain's first addition to its last (bounds in
+  // fp_lanes_avx512.cpp); a group lasts as long as its longest chain, so
+  // callers order chains longest first.
+  void (*add_chains)(u128* buckets, const u128* base, const AddChain* chains,
+                     size_t n_chains, const uint32_t* entries);
 
   // Runs one wave of a slot program: preloads the input rows, executes
   // every op over the table's own state representation, writes the output
@@ -141,12 +157,10 @@ struct Kernels {
   // u128 and calls its fp2 kernels per op (kSqr through mul).
   void (*run_slots)(const SlotProgram& prog, const SlotWave& wave);
 
-  // Padding group: per-op kernel calls whose n is a multiple of this stay
-  // entirely on the vector path (a remainder falls back to the per-lane
-  // generic loop). The MSM bucket waves (pt_addmix) pad a partial wave to a
-  // multiple with copies of lane 0 and discard the padded outputs. 8 for
-  // avx512; 1 for generic, where padding buys nothing. run_slots needs no
-  // padding: it takes the live lane count.
+  // Lane group: add_chains runs this many chains side by side, and per-op
+  // kernel calls whose n is a multiple of it stay entirely on the vector
+  // path (a remainder falls back to the per-lane generic loop). 8 for
+  // avx512; 1 for generic. run_slots takes the live lane count instead.
   // group > 1 also selects the MSM's lane-parallel bucket fold (composed
   // fp2 kernel calls, padded to a multiple of group) and its lower
   // Straus/Pippenger crossover: on the group-1 table the composed fold
@@ -182,11 +196,11 @@ inline Fp2 join(u128 re, u128 im) {
   return Fp2(Fp::from_canonical(re), Fp::from_canonical(im));
 }
 
-// Unchecked join for per-wave hot paths (the MSM bucket pipeline re-joins
-// 80 coordinates per 8-add wave; the checked variant is an out-of-line
-// call each). Kernel outputs are canonical by construction and the
-// differential tests compare them bitwise against the scalar path, so the
-// range check adds no safety here.
+// Unchecked join for hot paths (the generic kernels and the MSM fold join
+// every operand; the checked variant is an out-of-line call each). Kernel
+// outputs are canonical by construction and the differential tests compare
+// them bitwise against the scalar path, so the range check adds no safety
+// here.
 inline Fp2 join_unchecked(u128 re, u128 im) {
   return Fp2(Fp::from_canonical_unchecked(re), Fp::from_canonical_unchecked(im));
 }

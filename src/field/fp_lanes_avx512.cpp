@@ -17,8 +17,8 @@
 // AVX-512 mask registers instead of blends. All outputs are canonical and
 // bitwise-equal to the scalar operators. The per-op kernels take canonical
 // u128 arrays and split into limbs at load/store (a few shifts per element,
-// amortized over the 3x3 product); pt_addmix and run_slots split once per
-// point or per wave and stay in limbs in between.
+// amortized over the 3x3 product); run_slots and add_chains split once per
+// wave or per bucket chain and stay in limbs in between.
 //
 // This translation unit is compiled with -mavx512f -mavx512ifma (see
 // field/CMakeLists.txt); nothing here runs unless the dispatcher checked
@@ -31,7 +31,7 @@
 
 // GCC's unmasked shift intrinsics expand through _mm512_undefined_epi32,
 // which -Wuninitialized flags (false positive) once they inline deep
-// enough — the deeply-fused pt_addmix path trips it on GCC 12.
+// enough — the flattened run_slots and add_chains trip it on GCC 12.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #endif
@@ -63,11 +63,8 @@ struct V5 {
   __m512i l[5];
 };
 
-inline V3 load_fp(const u128* p) {
-  const __m512i a = _mm512_loadu_si512(p);      // lanes 0..3 (lo,hi pairs)
-  const __m512i b = _mm512_loadu_si512(p + 4);  // lanes 4..7
-  const __m512i lo = _mm512_unpacklo_epi64(a, b);
-  const __m512i hi = _mm512_unpackhi_epi64(a, b);
+// 8 u128 values, given as their low and high 64-bit halves, as limbs.
+inline V3 to_limbs(__m512i lo, __m512i hi) {
   V3 r;
   r.l[0] = _mm512_and_si512(lo, m52());
   r.l[1] = _mm512_and_si512(
@@ -76,11 +73,21 @@ inline V3 load_fp(const u128* p) {
   return r;
 }
 
+// The inverse, for normalised limbs of values below 2^128.
+inline void from_limbs(const V3& v, __m512i& lo, __m512i& hi) {
+  lo = _mm512_or_si512(v.l[0], _mm512_slli_epi64(v.l[1], 52));
+  hi = _mm512_or_si512(_mm512_srli_epi64(v.l[1], 12), _mm512_slli_epi64(v.l[2], 40));
+}
+
+inline V3 load_fp(const u128* p) {
+  const __m512i a = _mm512_loadu_si512(p);      // lanes 0..3 (lo,hi pairs)
+  const __m512i b = _mm512_loadu_si512(p + 4);  // lanes 4..7
+  return to_limbs(_mm512_unpacklo_epi64(a, b), _mm512_unpackhi_epi64(a, b));
+}
+
 inline void store_fp(u128* p, const V3& v) {
-  const __m512i lo =
-      _mm512_or_si512(v.l[0], _mm512_slli_epi64(v.l[1], 52));
-  const __m512i hi =
-      _mm512_or_si512(_mm512_srli_epi64(v.l[1], 12), _mm512_slli_epi64(v.l[2], 40));
+  __m512i lo, hi;
+  from_limbs(v, lo, hi);
   _mm512_storeu_si512(p, _mm512_unpacklo_epi64(lo, hi));
   _mm512_storeu_si512(p + 4, _mm512_unpackhi_epi64(lo, hi));
 }
@@ -155,69 +162,7 @@ inline V3 fold_canonical(__m512i l0, __m512i l1, __m512i l2) {
   return r;
 }
 
-// Mersenne fold of a carried 5-limb value (Fp::reduce_wide): split at bits
-// 127 and 254, add the three parts, canonicalise.
-inline V3 reduce_core(const V5& v) {
-  // A = bits [126:0].
-  const __m512i a0 = v.l[0];
-  const __m512i a1 = v.l[1];
-  const __m512i a2 = _mm512_and_si512(v.l[2], m23());
-  // B = bits [253:127]: bits 23.. of limb 2, then limbs 3, 4.
-  const __m512i b0 = _mm512_and_si512(
-      _mm512_or_si512(_mm512_srli_epi64(v.l[2], 23), _mm512_slli_epi64(v.l[3], 29)),
-      m52());
-  const __m512i b1 = _mm512_and_si512(
-      _mm512_or_si512(_mm512_srli_epi64(v.l[3], 23), _mm512_slli_epi64(v.l[4], 29)),
-      m52());
-  const __m512i b2 = _mm512_and_si512(_mm512_srli_epi64(v.l[4], 23), m23());
-  // C = bits [255:254], < 4.
-  const __m512i cc = _mm512_srli_epi64(v.l[4], 46);
-  __m512i s0 = _mm512_add_epi64(a0, b0);
-  __m512i c = _mm512_srli_epi64(s0, 52);
-  s0 = _mm512_and_si512(s0, m52());
-  __m512i s1 = _mm512_add_epi64(_mm512_add_epi64(a1, b1), c);
-  c = _mm512_srli_epi64(s1, 52);
-  s1 = _mm512_and_si512(s1, m52());
-  const __m512i s2 = _mm512_add_epi64(_mm512_add_epi64(a2, b2), c);
-  const V3 ab = fold_canonical(s0, s1, s2);
-  return fold_canonical(_mm512_add_epi64(ab.l[0], cc), ab.l[1], ab.l[2]);
-}
-
-// r = a + b mod p on canonical inputs (Fp operator+).
-inline V3 add_core(const V3& a, const V3& b) {
-  __m512i s0 = _mm512_add_epi64(a.l[0], b.l[0]);
-  __m512i c = _mm512_srli_epi64(s0, 52);
-  s0 = _mm512_and_si512(s0, m52());
-  __m512i s1 = _mm512_add_epi64(_mm512_add_epi64(a.l[1], b.l[1]), c);
-  c = _mm512_srli_epi64(s1, 52);
-  s1 = _mm512_and_si512(s1, m52());
-  const __m512i s2 = _mm512_add_epi64(_mm512_add_epi64(a.l[2], b.l[2]), c);
-  return fold_canonical(s0, s1, s2);
-}
-
-// r = a - b mod p on canonical inputs, branchlessly as a + p - b (in
-// [1, 2p-1]) followed by the canonical fold — lands on the same value as
-// the scalar operator-. Complement-within-52-bits implements the borrow.
-inline V3 sub_core(const V3& a, const V3& b) {
-  const __m512i nb0 = _mm512_xor_si512(b.l[0], m52());
-  const __m512i nb1 = _mm512_xor_si512(b.l[1], m52());
-  const __m512i nb2 = _mm512_xor_si512(b.l[2], m52());
-  const __m512i p2 = m23();  // p = [m52, m52, 2^23 - 1]
-  __m512i s0 = _mm512_add_epi64(_mm512_add_epi64(a.l[0], m52()),
-                                _mm512_add_epi64(nb0, _mm512_set1_epi64(1)));
-  __m512i c = _mm512_srli_epi64(s0, 52);
-  s0 = _mm512_and_si512(s0, m52());
-  __m512i s1 = _mm512_add_epi64(_mm512_add_epi64(a.l[1], m52()),
-                                _mm512_add_epi64(nb1, c));
-  c = _mm512_srli_epi64(s1, 52);
-  s1 = _mm512_and_si512(s1, m52());
-  __m512i s2 = _mm512_add_epi64(_mm512_add_epi64(a.l[2], p2),
-                                _mm512_add_epi64(nb2, c));
-  // a + p - b < 2^128: keep bits 104..127 of the limb-2 column, dropping
-  // the 2^156-scale complement carry.
-  s2 = _mm512_and_si512(s2, _mm512_set1_epi64(0xffffffll));
-  return fold_canonical(s0, s1, s2);
-}
+inline V3 canonical(const V3& v) { return fold_canonical(v.l[0], v.l[1], v.l[2]); }
 
 // Lazy 128-bit sum (Karatsuba t2/t3): no reduction, normalized limbs with
 // l2 <= 2^24 — still valid mul_core input.
@@ -262,57 +207,20 @@ inline V5 sub_wide(const V5& a, const V5& b, __mmask8& borrow) {
   return r;
 }
 
-// Fp2 Karatsuba with lazy reduction (paper Alg. 2), stage for stage the
-// same flow as Fp2::mul_karatsuba.
-inline void fp2_mul_core(const V3& x0, const V3& x1, const V3& y0, const V3& y1,
-                         V3& z0, V3& z1) {
-  const V5 t0 = mul_core(x0, y0);
-  const V5 t1 = mul_core(x1, y1);
-  const V3 t2 = add_lazy(x0, x1);
-  const V3 t3 = add_lazy(y0, y1);
-  const V5 t6 = mul_core(t2, t3);
-  __mmask8 borrow;
-  const V5 t4 = sub_wide(t0, t1, borrow);
-  const V5 t5 = add_wide(t0, t1);
-  // t7 = t4 + (p << 127) in borrowed lanes; the carry-out cancels the
-  // borrow exactly (t1 <= p^2 < p * 2^127). p<<127 = 2^254 - 2^127 in
-  // radix-52: [0, 0, 2^52 - 2^23, 2^52 - 1, 2^46 - 1].
-  const __m512i ps2 = _mm512_set1_epi64(0xfffffff800000ll);
-  const __m512i ps3 = m52();
-  const __m512i ps4 = _mm512_set1_epi64(0x3fffffffffffll);
-  V5 t7;
-  t7.l[0] = t4.l[0];
-  t7.l[1] = t4.l[1];
-  __m512i s = _mm512_mask_add_epi64(t4.l[2], borrow, t4.l[2], ps2);
-  __m512i c = _mm512_srli_epi64(s, 52);
-  t7.l[2] = _mm512_and_si512(s, m52());
-  s = _mm512_add_epi64(_mm512_mask_add_epi64(t4.l[3], borrow, t4.l[3], ps3), c);
-  c = _mm512_srli_epi64(s, 52);
-  t7.l[3] = _mm512_and_si512(s, m52());
-  s = _mm512_add_epi64(_mm512_mask_add_epi64(t4.l[4], borrow, t4.l[4], ps4), c);
-  t7.l[4] = _mm512_and_si512(s, m52());  // drop the borrow-cancelling carry
-  __mmask8 borrow2;  // always clear: t6 >= t0 + t1
-  const V5 t8 = sub_wide(t6, t5, borrow2);
-  z0 = reduce_core(t7);
-  z1 = reduce_core(t8);
-}
-
-// --- fused mixed addition --------------------------------------------------
+// --- semi-reduced arithmetic ------------------------------------------------
 //
-// The point kernel keeps all 7 muls and 7 adds of the mixed-addition
-// formula in the limb domain, converting each coordinate exactly once at
-// load/store. The adds between the muls are only *semi*-reduced: one fold
-// of bits >= 127 without the conditional subtract, giving values
-// < 2^127 + 4 with normalized limbs — valid mul_core operands. Two
-// consequences feed the bounds below:
+// run_slots and add_chains keep F_p values *semi*-reduced between ops: one
+// fold of bits >= 127 without the conditional subtract, giving values
+// < 2^127 + 4 with normalised limbs — valid mul_core operands. Two
+// consequences feed the bounds at run_slots:
 //  * semi x semi products reach 2^254 + 2^131, so a borrowed Karatsuba
 //    real part is compensated with (2p) << 127 = 2^255 - 2^128 (=== 0
 //    mod p) instead of p << 127; the borrow cancels whenever
 //    t1 < 2^255 - 2^128, which semi operands always satisfy.
 //  * the cross product (x0+x1)(y0+y1) of semi sums reaches 2^256 + 2^133;
-//    limb 4 stays < 2^49 and reduce_core's bits-254+ split covers it.
-// Every stored output passes through reduce_core, so the results are the
-// canonical representatives — the same bits the scalar formula stores,
+//    limb 4 stays < 2^49 and the bits-254+ split of reduce_semi covers it.
+// Every value leaves through fold_canonical, so the results are the
+// canonical representatives — the same bits the scalar operators store,
 // because the canonical form is unique.
 
 // One fold of bits >= 127 (2^127 === 1 mod p), no conditional subtract:
@@ -343,8 +251,7 @@ inline V3 add_semi(const V3& a, const V3& b) {
 // a + 2p - b (non-negative for any canonical b, even when a is a lazy
 // 128-bit sum) and folded once. b must have canonical-range limbs;
 // 2p = 2^128 - 2 = [2^52 - 2, 2^52 - 1, 2^24 - 1] in radix 52, and the
-// per-limb complement's 2^156-scale excess is dropped from the top limb
-// exactly like sub_core does.
+// per-limb complement's 2^156-scale excess is dropped from the top limb.
 inline V3 sub_semi(const V3& a, const V3& b) {
   const __m512i nb0 = _mm512_xor_si512(b.l[0], m52());
   const __m512i nb1 = _mm512_xor_si512(b.l[1], m52());
@@ -364,10 +271,11 @@ inline V3 sub_semi(const V3& a, const V3& b) {
   return fold_semi(s0, s1, s2);
 }
 
-// fp2_mul_core for semi-reduced operands, up to the two unreduced
-// Karatsuba results t7 (real part) and t8 (imaginary part), each < 2^256:
-// identical flow, but the borrow compensation is (2p) << 127 = 2^255 -
-// 2^128, radix-52 limbs [0, 0, 2^52 - 2^24, 2^52 - 1, 2^47 - 1].
+// F_{p^2} Karatsuba with lazy reduction (paper Alg. 2), stage for stage the
+// flow of Fp2::mul_karatsuba, on semi-reduced operands, up to the two
+// unreduced results t7 (real part) and t8 (imaginary part), each < 2^256.
+// The borrow compensation is (2p) << 127 = 2^255 - 2^128, radix-52 limbs
+// [0, 0, 2^52 - 2^24, 2^52 - 1, 2^47 - 1].
 inline void fp2_mul_semi_wide(const V3& x0, const V3& x1, const V3& y0, const V3& y1,
                               V5& t7, V5& t8) {
   const V5 t0 = mul_core(x0, y0);
@@ -395,58 +303,47 @@ inline void fp2_mul_semi_wide(const V3& x0, const V3& x1, const V3& y0, const V3
   t8 = sub_wide(t6, t5, borrow2);
 }
 
-// The same with canonical outputs. Out of line: pt_addmix calls it seven
-// times per point, and GCC would otherwise inline all seven calls,
-// doubling that kernel's code size.
-[[gnu::noinline]] void fp2_mul_semi(const V3& x0, const V3& x1, const V3& y0, const V3& y1,
-                                    V3& z0, V3& z1) {
-  V5 t7, t8;
-  fp2_mul_semi_wide(x0, x1, y0, y1, t7, t8);
-  z0 = reduce_core(t7);
-  z1 = reduce_core(t8);
+// Semi-reduced fold of a carried 5-limb value below 2^256: A + B + C, the
+// value's bits [126:0], [253:127] and [255:254] (< 2^128 + 4), folded
+// once (Fp::reduce_wide without the conditional subtract).
+inline V3 reduce_semi(const V5& v) {
+  const __m512i b0 = _mm512_and_si512(
+      _mm512_or_si512(_mm512_srli_epi64(v.l[2], 23), _mm512_slli_epi64(v.l[3], 29)),
+      m52());
+  const __m512i b1 = _mm512_and_si512(
+      _mm512_or_si512(_mm512_srli_epi64(v.l[3], 23), _mm512_slli_epi64(v.l[4], 29)),
+      m52());
+  const __m512i b2 = _mm512_and_si512(_mm512_srli_epi64(v.l[4], 23), m23());
+  const __m512i cc = _mm512_srli_epi64(v.l[4], 46);
+  __m512i s0 = _mm512_add_epi64(_mm512_add_epi64(v.l[0], b0), cc);
+  __m512i c = _mm512_srli_epi64(s0, 52);
+  s0 = _mm512_and_si512(s0, m52());
+  __m512i s1 = _mm512_add_epi64(_mm512_add_epi64(v.l[1], b1), c);
+  c = _mm512_srli_epi64(s1, 52);
+  s1 = _mm512_and_si512(s1, m52());
+  const __m512i s2 =
+      _mm512_add_epi64(_mm512_add_epi64(_mm512_and_si512(v.l[2], m23()), b2), c);
+  return fold_semi(s0, s1, s2);
 }
 
-void v_pt_addmix(u128* const* p, const u128* const* q, size_t n) {
-  size_t i = 0;
-  for (; i + kVL <= n; i += kVL) {
-    const V3 X0 = load_fp(p[0] + i), X1 = load_fp(p[1] + i);
-    const V3 Y0 = load_fp(p[2] + i), Y1 = load_fp(p[3] + i);
-    const V3 Z0 = load_fp(p[4] + i), Z1 = load_fp(p[5] + i);
-    V3 t0, t1, a0, a1, b0, b1, c0, c1;
-    fp2_mul_semi(load_fp(p[6] + i), load_fp(p[7] + i), load_fp(p[8] + i),
-                 load_fp(p[9] + i), t0, t1);                    // t = Ta*Tb
-    fp2_mul_semi(sub_semi(Y0, X0), sub_semi(Y1, X1), load_fp(q[2] + i),
-                 load_fp(q[3] + i), a0, a1);                    // a = (Y-X)*ymx
-    fp2_mul_semi(add_semi(Y0, X0), add_semi(Y1, X1), load_fp(q[0] + i),
-                 load_fp(q[1] + i), b0, b1);                    // b = (Y+X)*xpy
-    fp2_mul_semi(t0, t1, load_fp(q[4] + i), load_fp(q[5] + i), c0, c1);
-    const V3 d0 = add_lazy(Z0, Z0), d1 = add_lazy(Z1, Z1);      // d = 2Z
-    const V3 e0 = sub_core(b0, a0), e1 = sub_core(b1, a1);      // e = b-a
-    const V3 f0 = sub_semi(d0, c0), f1 = sub_semi(d1, c1);      // f = d-c
-    const V3 g0 = add_semi(d0, c0), g1 = add_semi(d1, c1);      // g = d+c
-    const V3 h0 = add_core(b0, a0), h1 = add_core(b1, a1);      // h = b+a
-    V3 r0, r1;
-    fp2_mul_semi(e0, e1, f0, f1, r0, r1);                       // X = e*f
-    store_fp(p[0] + i, r0);
-    store_fp(p[1] + i, r1);
-    fp2_mul_semi(g0, g1, h0, h1, r0, r1);                       // Y = g*h
-    store_fp(p[2] + i, r0);
-    store_fp(p[3] + i, r1);
-    fp2_mul_semi(f0, f1, g0, g1, r0, r1);                       // Z = f*g
-    store_fp(p[4] + i, r0);
-    store_fp(p[5] + i, r1);
-    store_fp(p[6] + i, e0);                                     // Ta = e
-    store_fp(p[7] + i, e1);
-    store_fp(p[8] + i, h0);                                     // Tb = h
-    store_fp(p[9] + i, h1);
-  }
-  if (i < n) {
-    u128* pt[10];
-    const u128* qt[6];
-    for (int k = 0; k < 10; ++k) pt[k] = p[k] + i;
-    for (int k = 0; k < 6; ++k) qt[k] = q[k] + i;
-    generic_kernels().pt_addmix(pt, qt, n - i);
-  }
+// An F_{p^2} value and the semi-reduced ops on it (the slot ops of
+// run_slots, the formula steps of add_chains).
+struct F2 {
+  V3 re, im;
+};
+
+inline F2 mul_semi(const F2& a, const F2& b) {
+  V5 t7, t8;
+  fp2_mul_semi_wide(a.re, a.im, b.re, b.im, t7, t8);
+  return {reduce_semi(t7), reduce_semi(t8)};
+}
+
+inline F2 add_semi(const F2& a, const F2& b) {
+  return {add_semi(a.re, b.re), add_semi(a.im, b.im)};
+}
+
+inline F2 sub_semi(const F2& a, const F2& b) {
+  return {sub_semi(a.re, b.re), sub_semi(a.im, b.im)};
 }
 
 // --- kernel entry points ---------------------------------------------------
@@ -455,11 +352,10 @@ void v_fp2_mul(const u128* are, const u128* aim, const u128* bre,
                const u128* bim, u128* rre, u128* rim, size_t n) {
   size_t i = 0;
   for (; i + kVL <= n; i += kVL) {
-    V3 z0, z1;
-    fp2_mul_core(load_fp(are + i), load_fp(aim + i), load_fp(bre + i),
-                 load_fp(bim + i), z0, z1);
-    store_fp(rre + i, z0);
-    store_fp(rim + i, z1);
+    const F2 r =
+        mul_semi({load_fp(are + i), load_fp(aim + i)}, {load_fp(bre + i), load_fp(bim + i)});
+    store_fp(rre + i, canonical(r.re));
+    store_fp(rim + i, canonical(r.im));
   }
   if (i < n)
     generic_kernels().fp2_mul(are + i, aim + i, bre + i, bim + i, rre + i,
@@ -470,10 +366,8 @@ void v_fp2_add(const u128* are, const u128* aim, const u128* bre,
                const u128* bim, u128* rre, u128* rim, size_t n) {
   size_t i = 0;
   for (; i + kVL <= n; i += kVL) {
-    const V3 re = add_core(load_fp(are + i), load_fp(bre + i));
-    const V3 im = add_core(load_fp(aim + i), load_fp(bim + i));
-    store_fp(rre + i, re);
-    store_fp(rim + i, im);
+    store_fp(rre + i, canonical(add_lazy(load_fp(are + i), load_fp(bre + i))));
+    store_fp(rim + i, canonical(add_lazy(load_fp(aim + i), load_fp(bim + i))));
   }
   if (i < n)
     generic_kernels().fp2_add(are + i, aim + i, bre + i, bim + i, rre + i,
@@ -484,10 +378,8 @@ void v_fp2_sub(const u128* are, const u128* aim, const u128* bre,
                const u128* bim, u128* rre, u128* rim, size_t n) {
   size_t i = 0;
   for (; i + kVL <= n; i += kVL) {
-    const V3 re = sub_core(load_fp(are + i), load_fp(bre + i));
-    const V3 im = sub_core(load_fp(aim + i), load_fp(bim + i));
-    store_fp(rre + i, re);
-    store_fp(rim + i, im);
+    store_fp(rre + i, canonical(sub_semi(load_fp(are + i), load_fp(bre + i))));
+    store_fp(rim + i, canonical(sub_semi(load_fp(aim + i), load_fp(bim + i))));
   }
   if (i < n)
     generic_kernels().fp2_sub(are + i, aim + i, bre + i, bim + i, rre + i,
@@ -502,12 +394,11 @@ void v_fp2_sub(const u128* are, const u128* aim, const u128* bre,
 // joined once; in between every op reads and writes limbs, with all of its
 // arithmetic inlined (v_run_slots is flattened).
 //
-// The state is semi-reduced, like pt_addmix's intermediates: every slot
-// value v is congruent to its canonical F_p value and satisfies
-// v < 2^127 + 4, with normalised limbs (l0, l1 < 2^52, l2 <= 2^23 + 1).
-// Canonical inputs satisfy it, and each op keeps it, since one fold of
-// bits >= 127 (2^127 === 1 mod p) maps any value below 3 * 2^127 + 2 below
-// 2^127 + 2:
+// The state is semi-reduced: every slot value v is congruent to its
+// canonical F_p value and satisfies v < 2^127 + 4, with normalised limbs
+// (l0, l1 < 2^52, l2 <= 2^23 + 1). Canonical inputs satisfy it, and each
+// op keeps it, since one fold of bits >= 127 (2^127 === 1 mod p) maps any
+// value below 3 * 2^127 + 2 below 2^127 + 2:
 //  * add (add_semi): a + b < 2^128 + 8, folded once.
 //  * sub and conj (sub_semi, conj as 0 - im): a + 2p - b, non-negative
 //    because b < 2^127 + 4 < 2p, below 3 * 2^127 + 2, folded once.
@@ -529,33 +420,6 @@ void v_fp2_sub(const u128* are, const u128* aim, const u128* bre,
 // unique, so each lane's outputs are the bits the scalar operators give.
 // Dead lanes (at or past wave.lanes) compute on lane 0's inputs and
 // gather slots.
-
-// Semi-reduced fold of a carried 5-limb value below 2^256: A + B + C, the
-// value's bits [126:0], [253:127] and [255:254] (< 2^128 + 4), folded
-// once. reduce_core does the same additions with two canonical folds.
-inline V3 reduce_semi(const V5& v) {
-  const __m512i b0 = _mm512_and_si512(
-      _mm512_or_si512(_mm512_srli_epi64(v.l[2], 23), _mm512_slli_epi64(v.l[3], 29)),
-      m52());
-  const __m512i b1 = _mm512_and_si512(
-      _mm512_or_si512(_mm512_srli_epi64(v.l[3], 23), _mm512_slli_epi64(v.l[4], 29)),
-      m52());
-  const __m512i b2 = _mm512_and_si512(_mm512_srli_epi64(v.l[4], 23), m23());
-  const __m512i cc = _mm512_srli_epi64(v.l[4], 46);
-  __m512i s0 = _mm512_add_epi64(_mm512_add_epi64(v.l[0], b0), cc);
-  __m512i c = _mm512_srli_epi64(s0, 52);
-  s0 = _mm512_and_si512(s0, m52());
-  __m512i s1 = _mm512_add_epi64(_mm512_add_epi64(v.l[1], b1), c);
-  c = _mm512_srli_epi64(s1, 52);
-  s1 = _mm512_and_si512(s1, m52());
-  const __m512i s2 =
-      _mm512_add_epi64(_mm512_add_epi64(_mm512_and_si512(v.l[2], m23()), b2), c);
-  return fold_semi(s0, s1, s2);
-}
-
-struct F2 {
-  V3 re, im;
-};
 
 inline F2 load_slot(const __m512i* st, size_t s) {
   const __m512i* p = st + 6 * s;
@@ -597,18 +461,12 @@ inline V3 split_row(const u128* p, __mmask8 live) {
   const __m512i lane0 = _mm512_setzero_si512();
   lo = _mm512_mask_blend_epi64(live, _mm512_permutexvar_epi64(lane0, lo), lo);
   hi = _mm512_mask_blend_epi64(live, _mm512_permutexvar_epi64(lane0, hi), hi);
-  V3 r;
-  r.l[0] = _mm512_and_si512(lo, m52());
-  r.l[1] = _mm512_and_si512(
-      _mm512_or_si512(_mm512_srli_epi64(lo, 52), _mm512_slli_epi64(hi, 12)), m52());
-  r.l[2] = _mm512_srli_epi64(hi, 40);
-  return r;
+  return to_limbs(lo, hi);
 }
 
 inline void join_row(u128* p, const V3& v) {
-  const __m512i lo = _mm512_or_si512(v.l[0], _mm512_slli_epi64(v.l[1], 52));
-  const __m512i hi =
-      _mm512_or_si512(_mm512_srli_epi64(v.l[1], 12), _mm512_slli_epi64(v.l[2], 40));
+  __m512i lo, hi;
+  from_limbs(v, lo, hi);
   _mm512_storeu_si512(
       p, _mm512_permutex2var_epi64(lo, _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11), hi));
   _mm512_storeu_si512(
@@ -635,23 +493,21 @@ inline void join_row(u128* p, const V3& v) {
     const SlotOp op = ops[i];
     switch (op.kind) {
       case SlotOp::kMul: {
-        const F2 a = operand(op.a, op.gather & SlotOp::kGatherA);
-        const F2 b = operand(op.b, op.gather & SlotOp::kGatherB);
-        V5 t7, t8;
-        fp2_mul_semi_wide(a.re, a.im, b.re, b.im, t7, t8);
-        store_slot(st, op.dst, reduce_semi(t7), reduce_semi(t8));
+        const F2 r = mul_semi(operand(op.a, op.gather & SlotOp::kGatherA),
+                              operand(op.b, op.gather & SlotOp::kGatherB));
+        store_slot(st, op.dst, r.re, r.im);
         break;
       }
       case SlotOp::kAdd: {
-        const F2 a = operand(op.a, op.gather & SlotOp::kGatherA);
-        const F2 b = operand(op.b, op.gather & SlotOp::kGatherB);
-        store_slot(st, op.dst, add_semi(a.re, b.re), add_semi(a.im, b.im));
+        const F2 r = add_semi(operand(op.a, op.gather & SlotOp::kGatherA),
+                              operand(op.b, op.gather & SlotOp::kGatherB));
+        store_slot(st, op.dst, r.re, r.im);
         break;
       }
       case SlotOp::kSub: {
-        const F2 a = operand(op.a, op.gather & SlotOp::kGatherA);
-        const F2 b = operand(op.b, op.gather & SlotOp::kGatherB);
-        store_slot(st, op.dst, sub_semi(a.re, b.re), sub_semi(a.im, b.im));
+        const F2 r = sub_semi(operand(op.a, op.gather & SlotOp::kGatherA),
+                              operand(op.b, op.gather & SlotOp::kGatherB));
+        store_slot(st, op.dst, r.re, r.im);
         break;
       }
       case SlotOp::kSqr: {
@@ -670,13 +526,142 @@ inline void join_row(u128* p, const V3& v) {
   }
   for (size_t i = 0; i < prog.n_outputs; ++i) {
     const F2 v = load_slot(st, prog.outputs[i]);
-    join_row(wave.out_re + kWaveLanes * i, fold_canonical(v.re.l[0], v.re.l[1], v.re.l[2]));
-    join_row(wave.out_im + kWaveLanes * i, fold_canonical(v.im.l[0], v.im.l[1], v.im.l[2]));
+    join_row(wave.out_re + kWaveLanes * i, canonical(v.re));
+    join_row(wave.out_im + kWaveLanes * i, canonical(v.im));
+  }
+}
+
+// --- bucket chains -----------------------------------------------------------
+//
+// add_chains runs 8 chains side by side: lane j holds chain j's bucket as
+// ten limb vectors from the chain's first addition to its last. A group's
+// buckets are gathered and split once, each step gathers one base record
+// per lane whose chain is still running, and the group's buckets are
+// canonicalised and scattered once at the end. A lane whose chain has
+// ended computes on zeros and keeps its bucket by blend; the dead lanes
+// of a last, partial group neither load nor store.
+//
+// The bucket stays semi-reduced between additions, under run_slots'
+// invariant (every coordinate v < 2^127 + 4, l0, l1 < 2^52,
+// l2 <= 2^23 + 1), and each formula step is one of run_slots' ops on
+// semi operands, so each step keeps it:
+//  * the canonical bucket and base coordinates are semi; -dt2 is
+//    sub_semi(0, dt2) = 2p - dt2 folded once, below 2^127 + 4;
+//  * Y - X, e = b - a and f = d - c are subs, Y + X, d = Z + Z,
+//    g = d + c and h = b + a adds, each folded once;
+//  * t = Ta Tb, a = (Y - X) ymx, b = (Y + X) xpy, c = t dt2 and the new
+//    X = e f, Y = g h, Z = f g are muls, reduced by reduce_semi;
+//  * the new Ta = e and Tb = h are the sub and add above.
+// So any number of additions leaves the bucket semi, and the final
+// fold_canonical yields the unique canonical value: the bits the scalar
+// formula stores after the same additions in the same order.
+
+// Lanes in m take b, the others a.
+inline V3 blend(__mmask8 m, const V3& a, const V3& b) {
+  V3 r;
+  for (int k = 0; k < 3; ++k) r.l[k] = _mm512_mask_blend_epi64(m, a.l[k], b.l[k]);
+  return r;
+}
+
+inline F2 blend(__mmask8 m, const F2& a, const F2& b) {
+  return {blend(m, a.re, b.re), blend(m, a.im, b.im)};
+}
+
+// F_{p^2} coordinate k (re in 64-bit words 4k, 4k + 1, im in 4k + 2,
+// 4k + 3) of the records at word offsets idx, for the lanes in m; zero
+// elsewhere.
+inline F2 gather_coord(const long long* words, __m512i idx, __mmask8 m, int k) {
+  const __m512i z = _mm512_setzero_si512();
+  const long long* w = words + 4 * k;
+  return {to_limbs(_mm512_mask_i64gather_epi64(z, m, idx, w, 8),
+                   _mm512_mask_i64gather_epi64(z, m, idx, w + 1, 8)),
+          to_limbs(_mm512_mask_i64gather_epi64(z, m, idx, w + 2, 8),
+                   _mm512_mask_i64gather_epi64(z, m, idx, w + 3, 8))};
+}
+
+[[gnu::flatten]] void v_add_chains(u128* buckets, const u128* base, const AddChain* chains,
+                                   size_t n_chains, const uint32_t* entries) {
+  long long* const bw = reinterpret_cast<long long*>(buckets);
+  const long long* const qw = reinterpret_cast<const long long*>(base);
+  const __m512i one = _mm512_set1_epi64(1);
+  const __m512i z = _mm512_setzero_si512();
+  const F2 zero{{{z, z, z}}, {{z, z, z}}};
+  for (size_t i = 0; i < n_chains; i += kVL) {
+    // Per lane: the bucket record's word offset, the chain's first entry
+    // and its length (0 in dead lanes).
+    alignas(64) long long at[kVL] = {}, first[kVL] = {}, len[kVL] = {};
+    const size_t n = n_chains - i < kVL ? n_chains - i : kVL;
+    uint32_t steps = 0;
+    for (size_t l = 0; l < n; ++l) {
+      const AddChain& ch = chains[i + l];
+      at[l] = static_cast<long long>(2 * kBucketWords) * ch.bucket;
+      first[l] = ch.first;
+      len[l] = ch.len;
+      if (ch.len > steps) steps = ch.len;
+    }
+    // The next group's buckets, while this one runs.
+    for (size_t l = i + kVL; l < n_chains && l < i + 2 * kVL; ++l) {
+      const char* b = reinterpret_cast<const char*>(buckets + kBucketWords * chains[l].bucket);
+      _mm_prefetch(b, _MM_HINT_T0);
+      _mm_prefetch(b + 64, _MM_HINT_T0);
+      _mm_prefetch(b + 128, _MM_HINT_T0);
+      _mm_prefetch(b + 159, _MM_HINT_T0);
+    }
+    const __mmask8 live = static_cast<__mmask8>((1u << n) - 1);
+    const __m512i bidx = _mm512_load_si512(at);
+    const __m512i first_v = _mm512_load_si512(first);
+    const __m512i len_v = _mm512_load_si512(len);
+    F2 X = gather_coord(bw, bidx, live, 0), Y = gather_coord(bw, bidx, live, 1);
+    F2 Z = gather_coord(bw, bidx, live, 2), Ta = gather_coord(bw, bidx, live, 3);
+    F2 Tb = gather_coord(bw, bidx, live, 4);
+    for (uint32_t s = 0; s < steps; ++s) {
+      // The base records of the next step: a step takes far longer than a
+      // miss, so one step ahead hides it.
+      for (size_t l = 0; l < n; ++l) {
+        if (s + 1 >= static_cast<uint64_t>(len[l])) continue;
+        const char* q = reinterpret_cast<const char*>(
+            base + kBaseWords * (entries[first[l] + s + 1] >> 1));
+        _mm_prefetch(q, _MM_HINT_T0);
+        _mm_prefetch(q + 64, _MM_HINT_T0);
+        _mm_prefetch(q + 95, _MM_HINT_T0);
+      }
+      const __m512i sv = _mm512_set1_epi64(s);
+      const __mmask8 on = _mm512_cmpgt_epu64_mask(len_v, sv);
+      const __m512i ent = _mm512_cvtepu32_epi64(_mm512_mask_i64gather_epi32(
+          _mm256_setzero_si256(), on, _mm512_add_epi64(first_v, sv), entries, 4));
+      const __mmask8 neg = _mm512_mask_test_epi64_mask(on, ent, one);
+      // Base record e >> 1 starts at word 12 (e >> 1) = 6 (e & ~1).
+      const __m512i two_i = _mm512_andnot_si512(one, ent);
+      const __m512i qidx =
+          _mm512_add_epi64(_mm512_slli_epi64(two_i, 2), _mm512_slli_epi64(two_i, 1));
+      const F2 q0 = gather_coord(qw, qidx, on, 0), q1 = gather_coord(qw, qidx, on, 1);
+      const F2 dt2 = gather_coord(qw, qidx, on, 2);
+      // -Q swaps x+y and y-x and negates 2dxy.
+      const F2 xpy = blend(neg, q0, q1), ymx = blend(neg, q1, q0);
+      const F2 c = mul_semi(mul_semi(Ta, Tb), blend(neg, dt2, sub_semi(zero, dt2)));
+      const F2 a = mul_semi(sub_semi(Y, X), ymx);
+      const F2 b = mul_semi(add_semi(Y, X), xpy);
+      const F2 d = add_semi(Z, Z);
+      const F2 e = sub_semi(b, a), f = sub_semi(d, c), g = add_semi(d, c), h = add_semi(b, a);
+      X = blend(on, X, mul_semi(e, f));
+      Y = blend(on, Y, mul_semi(g, h));
+      Z = blend(on, Z, mul_semi(f, g));
+      Ta = blend(on, Ta, e);
+      Tb = blend(on, Tb, h);
+    }
+    const V3* const out[kBucketWords] = {&X.re, &X.im, &Y.re,  &Y.im,  &Z.re,
+                                         &Z.im, &Ta.re, &Ta.im, &Tb.re, &Tb.im};
+    for (size_t w = 0; w < kBucketWords; ++w) {
+      __m512i lo, hi;
+      from_limbs(canonical(*out[w]), lo, hi);
+      _mm512_mask_i64scatter_epi64(bw + 2 * w, live, bidx, lo, 8);
+      _mm512_mask_i64scatter_epi64(bw + 2 * w + 1, live, bidx, hi, 8);
+    }
   }
 }
 
 constexpr Kernels kAvx512 = {
-    "avx512", v_fp2_mul, v_fp2_add, v_fp2_sub, v_pt_addmix, v_run_slots, 8,
+    "avx512", v_fp2_mul, v_fp2_add, v_fp2_sub, v_add_chains, v_run_slots, 8,
 };
 
 }  // namespace

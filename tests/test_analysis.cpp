@@ -414,6 +414,50 @@ TEST(AnalysisReport, MetricsFeedTheRegistry) {
   EXPECT_EQ(m.gauge("lint.loop/list.constant_time").value(), 1.0);
 }
 
+TEST(AnalysisReport, DagProofEntryCarriesNoRom) {
+  // `fourqc lint --ranges` reports the DAG-side range proof beside the
+  // ROMs. It lints no ROM, so it renders only its range summary and
+  // findings, and feeds no equivalence, taint or liveness metrics.
+  LintReport dag;
+  dag.rom = false;
+  dag.ranges_checked = true;
+  dag.ranges_proven = true;
+  dag.range_nodes = 204;
+  dag.range_max_bits = 256;
+  const std::string json = lint_json({{"sm/ranges", dag}});
+  EXPECT_NE(json.find("\"lint\":{\"rom\":false,\"ranges_checked\":true,\"ranges_proven\":true,"
+                      "\"range_nodes\":204,"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"errors\":0,\"warnings\":0,\"findings\":[]}"), std::string::npos);
+  for (const char* rom_field :
+       {"cycles", "equivalent", "constant_time", "peak_live", "dead_writes"})
+    EXPECT_EQ(json.find(rom_field), std::string::npos) << rom_field;
+
+  const std::string text = lint_text({{"sm/ranges", dag}});
+  EXPECT_EQ(text,
+            "== sm/ranges ==\n"
+            "  ranges: 204 wide nodes, 0 reduce sites, max bound 256 bits, widened 0, "
+            "overflow-freedom PROVEN\n"
+            "  findings: 0 error(s), 0 warning(s)\n");
+
+  obs::global().metrics.reset();
+  record_lint_metrics("test/ranges", dag);
+  std::vector<std::string> names;
+  for (const obs::MetricSnapshot& m : obs::global().metrics.snapshot())
+    if (m.export_name.rfind("lint.test/ranges.", 0) == 0) names.push_back(m.export_name);
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "lint.test/ranges.errors", "lint.test/ranges.findings",
+                       "lint.test/ranges.warnings", "lint.test/ranges.range_max_bits",
+                       "lint.test/ranges.range_nodes", "lint.test/ranges.ranges_proven"}));
+
+  // A ROM report keeps every field and carries no "rom" key.
+  BodyRom r;
+  const std::string rom_json = lint_json({{"loop/list", lint_rom(r.res.sm, r.body.program)}});
+  EXPECT_EQ(rom_json.find("\"rom\""), std::string::npos);
+  EXPECT_NE(rom_json.find("\"lint\":{\"cycles\":"), std::string::npos);
+}
+
 TEST(AnalysisReport, RuleTablesAreTotal) {
   for (int i = 0; i < kNumRules; ++i) {
     Rule rule = static_cast<Rule>(i);

@@ -175,6 +175,62 @@ TEST(LaneKernelsTest, DispatchHonorsEnvOverride) {
                      << " not in the compiled-in set";
 }
 
+// --- MSM bucket chains ---------------------------------------------------------
+
+TEST(LaneKernelsTest, AddChainsMatchScalarMixedAdditions) {
+  // Bucket and base coordinates mix boundary values and random canonical
+  // ones; chains of 1..63 additions with negated entries and a base record
+  // repeated inside each chain, 1..17 chains per call (partial, full and
+  // ragged lane groups), in no particular length order. Each bucket must
+  // end bitwise where the scalar 7M + 7A formula leaves it, and buckets no
+  // chain names must stay untouched.
+  const u128 bnd[] = {0, 1, p_minus(2), p_minus(1), u128(1) << 126, (u128(1) << 127) - 2};
+  constexpr size_t kB = sizeof(bnd) / sizeof(bnd[0]);
+  constexpr size_t kBuckets = 40, kBases = 24;
+  const uint32_t lens[] = {1, 2, 7, 8, 9, 63};
+  Rng rng(0xc4a1);
+  std::vector<u128> bucket0(kBuckets * lk::kBucketWords), base(kBases * lk::kBaseWords);
+  for (size_t i = 0; i < bucket0.size(); ++i)
+    bucket0[i] = i % 3 == 0 ? Fp::from_u256(rng.next_u256()).raw() : bnd[(7 * i) % kB];
+  for (size_t i = 0; i < base.size(); ++i)
+    base[i] = i % 3 == 1 ? Fp::from_u256(rng.next_u256()).raw() : bnd[(5 * i) % kB];
+  auto coord = [](const u128* w, size_t k) { return lk::join(w[2 * k], w[2 * k + 1]); };
+  for (size_t count : {1, 7, 8, 9, 17}) {
+    SCOPED_TRACE("chains=" + std::to_string(count));
+    std::vector<lk::AddChain> chains;
+    std::vector<uint32_t> entries;
+    for (size_t i = 0; i < count; ++i) {
+      const uint32_t len = lens[(i + count) % 6];
+      chains.push_back({static_cast<uint32_t>((7 * i + count) % kBuckets),
+                        static_cast<uint32_t>(entries.size()), len});
+      for (uint32_t s = 0; s < len; ++s)
+        entries.push_back(static_cast<uint32_t>(rng.next_below(kBases) << 1 | rng.next_below(2)));
+      if (len > 1) entries[chains.back().first + 1] = entries[chains.back().first] ^ (i & 1);
+    }
+    std::vector<u128> want = bucket0;
+    for (const lk::AddChain& ch : chains) {
+      u128* w = &want[ch.bucket * lk::kBucketWords];
+      curve::PointR1 p{coord(w, 0), coord(w, 1), coord(w, 2), coord(w, 3), coord(w, 4)};
+      for (uint32_t s = 0; s < ch.len; ++s) {
+        const uint32_t e = entries[ch.first + s];
+        const u128* q = &base[(e >> 1) * lk::kBaseWords];
+        const curve::PointR2Aff qa{coord(q, 0), coord(q, 1), coord(q, 2)};
+        p = curve::add_mixed(p, e & 1 ? curve::neg_r2aff(qa) : qa);
+      }
+      const Fp2 out[] = {p.X, p.Y, p.Z, p.Ta, p.Tb};
+      for (size_t k = 0; k < 5; ++k) lk::split(out[k], w[2 * k], w[2 * k + 1]);
+    }
+    for (const lk::Kernels* k : compiled_tables()) {
+      SCOPED_TRACE(k->name);
+      std::vector<u128> got = bucket0;
+      k->add_chains(got.data(), base.data(), chains.data(), chains.size(), entries.data());
+      for (size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], want[i]) << "bucket " << i / lk::kBucketWords << " word "
+                                   << i % lk::kBucketWords;
+    }
+  }
+}
+
 // --- slot programs through each table's runner ------------------------------
 
 // A slot program with its wave inputs, checked against the same ops on

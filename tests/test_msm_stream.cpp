@@ -278,17 +278,21 @@ TEST(MsmStream, LaneWavesOffMatchesBitwise) {
   MsmStats st_on;
   on.stats = &st_on;
   PointR1 want = multi_scalar_mul(terms, on);
-  EXPECT_GT(st_on.bucket_waves, 0u);
+  // bucket_waves counts add_chains lane groups: at least one per window
+  // (a 500-term window holds more additions than first hits), at most one
+  // per addition.
+  EXPECT_GE(st_on.bucket_waves, static_cast<size_t>(st_on.windows) - 1);
+  EXPECT_LE(st_on.bucket_waves, st_on.sub_terms * static_cast<size_t>(st_on.windows));
 
   MsmOptions off = on;
   MsmStats st_off;
   off.stats = &st_off;
   off.lanes = false;
   PointR1 got = multi_scalar_mul(terms, off);
-  EXPECT_EQ(st_off.bucket_waves, 0u);
-  expect_bitwise(got, want, "scalar adds vs lane waves");
+  EXPECT_EQ(st_off.bucket_waves, 0u) << "scalar insertion runs no lane group";
+  expect_bitwise(got, want, "scalar adds vs bucket chains");
 
-  // Lanes on (wave insertion, plus the lane fold on a vector kernel table)
+  // Lanes on (chain insertion, plus the lane fold on a vector kernel table)
   // against the scalar reference at every window the cost model can pick:
   // 128-bit, 256-bit and half-zero scalar sets, from one term (all but a
   // few chains empty) to 500 (dense windows; below c = 7 each insertion
@@ -310,6 +314,24 @@ TEST(MsmStream, LaneWavesOffMatchesBitwise) {
                        "lanes on vs lanes off");
       }
     }
+  }
+}
+
+TEST(MsmStream, OneLongBucketChainMatchesScalarInsertion) {
+  // Every scalar's low 13 bits are 1, so at c = 4 and c = 13 the lowest
+  // window sends all 300 terms to bucket 0: one chain of 299 additions
+  // beside chains of a few, in one lane group.
+  std::vector<ScalarPoint> terms = chain_terms(300, 0x10c4a1);
+  for (ScalarPoint& t : terms) t.k.w[0] = (t.k.w[0] & ~uint64_t{0x1fff}) | 1;
+  for (int window : {4, 13}) {
+    SCOPED_TRACE("window=" + std::to_string(window));
+    MsmOptions on;
+    on.backend = MsmBackend::kPippenger;
+    on.window = window;
+    MsmOptions off = on;
+    off.lanes = false;
+    expect_bitwise(multi_scalar_mul(terms, on), multi_scalar_mul(terms, off),
+                   "bucket chains vs scalar adds");
   }
 }
 

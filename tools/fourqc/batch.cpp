@@ -66,11 +66,12 @@ void verify_signatures(engine::BatchEngine& eng, int n, const std::vector<int>& 
               items.size(), ind_ms, ver_ms > 0 ? ind_ms / ver_ms : 0.0);
   if (obs::compiled_in()) {
     // One-line curve.msm.* summary of every MSM the verification ran. terms
-    // counts both backends, whichever the crossover picked.
+    // counts both backends, whichever the crossover picked; groups counts
+    // the bucket-insertion kernel's lane groups (curve.msm.bucket_waves).
     unsigned long long terms = 0;
     for (const char* b : {"straus", "pippenger"})
       terms += count(reg, "curve.msm.terms", {{"backend", b}});
-    std::printf("  msm: calls=%llu terms=%llu chunks=%llu waves=%llu peak=%.0f KB\n",
+    std::printf("  msm: calls=%llu terms=%llu chunks=%llu groups=%llu peak=%.0f KB\n",
                 count(reg, "curve.msm.calls"), terms, count(reg, "curve.msm.chunks"),
                 count(reg, "curve.msm.bucket_waves"), reg.gauge("curve.msm.peak_kb").value());
   }

@@ -215,6 +215,7 @@ int run_lint(int argc, char** argv) {
   std::vector<analysis::LintedProgram> linted;
   std::vector<range::CertEntry> cert;
   if (ranges) {
+    dag_rep.rom = false;  // the DAG-side proof: no ROM to lift, taint or walk
     linted.push_back({program + "/ranges", std::move(dag_rep)});
     cert.push_back({program + "/ranges", &dag_ranges});
   }
