@@ -4,6 +4,7 @@
 // breakdown from the area accounting model.
 #include <cstdio>
 
+#include "asic/romfile.hpp"
 #include "bench_util.hpp"
 #include "power/area.hpp"
 
@@ -12,13 +13,16 @@ int main(int argc, char** argv) {
   bench::parse_bench_args(argc, argv);
   bench::print_header("E4 / Fig. 3 — SM unit complexity breakdown (kGE, 2-input NAND eq.)");
 
-  // ROM depth from the compiled program.
+  // ROM depth and word width from the compiled program, as `fourqc
+  // --report` prices it.
   trace::SmTraceOptions topt;
   topt.endo = trace::EndoVariant::kPaperCost;
   sched::CompileResult r = sched::compile_program(trace::build_sm_trace(topt).program, {});
+  const asic::RomStats rs = asic::rom_stats(r.sm);
 
   power::AreaOptions opt;
-  opt.rom_words = r.sm.cycles();
+  opt.rom_words = rs.words;
+  opt.ctrl_word_bits = rs.word_bits;
   power::AreaBreakdown a = power::estimate_area(opt);
 
   std::printf("%-44s %10s\n", "Block", "kGE");

@@ -1,9 +1,7 @@
-// Lane executor experiment. One pre-decoded program: the scalar
-// engine::run walk (the pre-lanes executor, called directly as a
-// reference), the engine's 8-lane waves with 1 and 8 workers, and ragged
-// batches of 1..7 jobs, each a single partial wave. The 8-worker leg
-// guards the queue-chunking fix (8 workers must not fall below 1 worker
-// again).
+// Lane executor experiment. One pre-decoded program: the engine's 8-lane
+// waves with 1 and 8 workers, and ragged batches of 1..7 jobs, each a
+// single partial wave. The 8-worker leg guards the queue-chunking fix (8
+// workers must not fall below 1 worker again).
 //
 // The headline metric is the 8-lane wave's ledger efficiency: the lowered
 // slot program's op counts by kind priced at the measured cost of one
@@ -16,14 +14,11 @@
 // run in this process, so ambient host load largely cancels (a busy
 // sibling hyperthread slows the wave more than the L1-resident pricing
 // loop), and the gate depends only on the laned path itself. The
-// laned-vs-scalar throughput ratio and
-// the ragged-batch rate are still printed and recorded, but not gated: the
-// ratio falls whenever the scalar interpreter gets faster, which is not a
-// lane regression.
+// ragged-batch rate is printed and recorded, but not gated.
 //
 // Gated by tools/baselines/bench_lanes_baseline.jsonl via perf_regress:
 // wave efficiency at or above its floor, 8w/1w >= 1, and every output
-// (scalar reference, full waves, partial waves) must match the software
+// (full waves, partial waves, the timed wave) must match the software
 // golden model bitwise.
 #include <algorithm>
 #include <chrono>
@@ -107,7 +102,7 @@ int main(int argc, char** argv) {
   using namespace fourq;
   bench::parse_bench_args(argc, argv);
 
-  bench::print_header("Lane executor — scalar reference, full and partial waves");
+  bench::print_header("Lane executor — full and partial waves");
 
   engine::CompileKey key;
   key.trace.endo = trace::EndoVariant::kFunctional;
@@ -124,12 +119,12 @@ int main(int argc, char** argv) {
 
   std::printf("field kernels: %s  (program: functional single-SM, %d jobs)\n\n",
               field::lanes::active().name, kJobs);
-  std::printf("%-34s %12s %14s\n", "Configuration", "jobs/s", "vs scalar");
-  bench::print_rule(62);
+  std::printf("%-34s %12s\n", "Configuration", "jobs/s");
+  bench::print_rule(47);
 
   // Per-job bitwise check against the software golden model, shared by
-  // every configuration (the outputs must not depend on the executor,
-  // workers or padding).
+  // every configuration (the outputs must not depend on the workers or
+  // padding).
   std::vector<curve::Affine> golden(jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i)
     golden[i] = curve::to_affine(curve::scalar_mul(jobs[i].k, jobs[i].base));
@@ -151,27 +146,6 @@ int main(int argc, char** argv) {
     ctx.k_was_even = dec.k_was_even;
   };
 
-  // Scalar reference: the one-job-at-a-time decoded walk on this thread.
-  double scalar_jps = 0.0;
-  {
-    engine::SimWorkspace ws;
-    curve::Decomposition dec;
-    curve::RecodedScalar rec;
-    trace::InputBindings binds;
-    trace::EvalContext ctx;
-    for (int rep = 0; rep < 4; ++rep) {  // rep 0 is the warm-up
-      auto t0 = std::chrono::steady_clock::now();
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        stage(jobs[i], dec, rec, binds, ctx);
-        engine::run(rom, binds, ctx, ws);
-        if (rep == 0)
-          check(i, {engine::output_value(rom, ws, "x"), engine::output_value(rom, ws, "y")});
-      }
-      if (rep > 0) scalar_jps = std::max(scalar_jps, kJobs / secs_since(t0));
-    }
-  }
-  std::printf("%-34s %12.1f %13.2fx\n", "scalar engine::run (reference)", scalar_jps, 1.0);
-
   // Engine rows: 8-lane waves through BatchEngine::run, best of 3 after a
   // warm-up that sizes the arenas.
   auto run_engine = [&](int workers) {
@@ -192,11 +166,9 @@ int main(int argc, char** argv) {
     return best;
   };
   const double full_jps = run_engine(1);
-  std::printf("%-34s %12.1f %13.2fx\n", "engine, 1 worker, 8 lanes", full_jps,
-              full_jps / scalar_jps);
+  std::printf("%-34s %12.1f\n", "engine, 1 worker, 8 lanes", full_jps);
   const double jps_8w = run_engine(8);
-  std::printf("%-34s %12.1f %13.2fx\n", "engine, 8 workers, 8 lanes", jps_8w,
-              jps_8w / scalar_jps);
+  std::printf("%-34s %12.1f\n", "engine, 8 workers, 8 lanes", jps_8w);
 
   // Ragged batches: 1..7 jobs per run(), each one partial wave. Ungated;
   // on the generic-only build this is the partial-wave smoke.
@@ -219,14 +191,11 @@ int main(int argc, char** argv) {
       if (rep > 0) ragged_jps = std::max(ragged_jps, kRaggedJobs / secs_since(t0));
     }
   }
-  std::printf("%-34s %12.1f %13.2fx\n", "engine, ragged batches of 1..7", ragged_jps,
-              ragged_jps / scalar_jps);
+  std::printf("%-34s %12.1f\n", "engine, ragged batches of 1..7", ragged_jps);
 
-  const double speedup = full_jps / scalar_jps;
   const double ratio_8w = jps_8w / full_jps;
-  std::printf("\nfull-wave speedup vs scalar reference: %.2fx (ungated)   8w/1w: %.2f   "
-              "cross-check: %s\n",
-              speedup, ratio_8w, mismatches == 0 ? "all match" : "MISMATCH");
+  std::printf("\n8w/1w: %.2f   cross-check: %s\n", ratio_8w,
+              mismatches == 0 ? "all match" : "MISMATCH");
 
   // Ledger efficiency of one 8-lane wave, timed on this thread straight
   // through run_lanes (no pool hand-off, no per-job staging): every op of
@@ -271,11 +240,9 @@ int main(int argc, char** argv) {
               efficiency);
 
   bench::JsonRecorder rec("lanes");
-  rec.record("scalar.jobs_per_s", scalar_jps, "jobs/s");
   rec.record("engine.1w.jobs_per_s", full_jps, "jobs/s");
   rec.record("engine.8w.jobs_per_s", jps_8w, "jobs/s");
   rec.record("ragged.jobs_per_s", ragged_jps, "jobs/s");
-  rec.record("speedup_laned_vs_scalar", speedup, "x");
   rec.record("ratio_8w_vs_1w", ratio_8w, "x");
   rec.record("slots.mul_ns_per_lane_op", cost.mul_ns, "ns");
   rec.record("slots.sqr_ns_per_lane_op", cost.sqr_ns, "ns");
@@ -286,10 +253,9 @@ int main(int argc, char** argv) {
   rec.record("check.mismatches", mismatches);
 
   std::printf(
-      "\nThe scalar reference executes jobs one at a time through the decoded\n"
-      "interpreter; the engine runs 8 jobs as one pass of the pre-lowered\n"
-      "slot program through the kernel table's runner, and a partial wave\n"
-      "as one pass with fewer live lanes. The gated efficiency is measured\n"
-      "in-process so shared-host load cancels out.\n");
+      "\nThe engine runs 8 jobs as one pass of the pre-lowered slot program\n"
+      "through the kernel table's runner, and a partial wave as one pass\n"
+      "with fewer live lanes. The gated efficiency is measured in-process so\n"
+      "shared-host load cancels out.\n");
   return mismatches == 0 ? 0 : 1;
 }

@@ -4,16 +4,17 @@
 // lifecycle histograms, flight recorder, and — where available — perf_event
 // counter sampling per task). This bench measures it directly:
 //
-//   bare          the engine's per-job work (decompose/recode/bind/
-//                 pre-decoded ROM execution) in a plain loop touching no
+//   bare          the engine's per-wave work (the body of exec_sm: each
+//                 job's decompose/recode/bind, one 8-lane run_lanes call,
+//                 each lane's readout) in a plain loop touching no
 //                 telemetry — what every job costs under FOURQ_OBS=OFF
 //   instrumented  the same loop plus a faithful replica of everything the
 //                 obs layer adds per task and per batch in BatchEngine:
 //                 two clock reads + two lifecycle-histogram observes, the
-//                 per-worker counters and utilisation gauge, a flight-
-//                 recorder entry, a perf_event counter-group sample pair
-//                 with the six per-kind counter adds, and the per-batch
-//                 span/counter/gauge updates
+//                 per-worker counters and utilisation gauge, the wave
+//                 and job counters, a flight-recorder entry, a perf_event
+//                 counter-group sample pair with the six per-kind counter
+//                 adds, and the per-batch span/counter/gauge updates
 //
 // Comparing against the engine itself would confound telemetry with the
 // worker pool's queue mutexes and condvars, which exist identically in the
@@ -34,7 +35,7 @@
 #include "common/rng.hpp"
 #include "curve/scalarmul.hpp"
 #include "engine/batch.hpp"
-#include "engine/decoded.hpp"
+#include "engine/lanes.hpp"
 #include "obs/obs.hpp"
 #include "obs/perfctr.hpp"
 
@@ -66,51 +67,72 @@ int main(int argc, char** argv) {
 
   constexpr int kJobs = 64;
   constexpr int kReps = 21;
+  // Jobs per task: what BatchEngine's default chunking gives 64 jobs on one
+  // worker (two tasks per worker, rounded up to whole waves). The engine
+  // below is pinned to it, so the replica's per-task work matches the
+  // engine's task for task.
+  constexpr size_t kChunk = 32;
 
   Rng rng(20260808);
   curve::Affine base = curve::deterministic_point(1);
   std::vector<engine::SmJob> jobs(kJobs);
   for (auto& j : jobs) j = engine::SmJob{rng.next_u256(), base};
 
-  // Shared compiled program: both paths execute the identical pre-decoded
-  // ROM, so the only difference between them is the telemetry layer.
+  // Shared compiled program: both paths run the identical slot program in
+  // the identical waves, so the only difference between them is the
+  // telemetry layer.
   engine::CompileCache cache;
   std::shared_ptr<const engine::CompiledProgram> prog = cache.get_or_compile(key);
   engine::DecodedRom rom = engine::decode(prog->sm);
 
   engine::EngineOptions eopt;
   eopt.workers = 1;
+  eopt.chunk = kChunk;
   eopt.key = key;
   eopt.cache = &cache;
   engine::BatchEngine eng(eopt);
   eng.program();  // compile/decode outside every timed region
 
-  // Bare loop: the body of the engine's exec_sm without any instrumentation
-  // around it — same decompose/recode/bind/run sequence per job.
-  engine::SimWorkspace ws;
-  trace::InputBindings bindings;
-  curve::Affine bare_last{};
-  auto bare_run = [&]() {
+  // One wave of the jobs in [first, end), at most kW of them, as the
+  // engine's exec_sm runs it: stage each job, run them all as one run_lanes
+  // call, read each lane out.
+  constexpr size_t kW = engine::kMaxLanes;
+  std::vector<curve::Decomposition> decs(kW);
+  std::vector<curve::RecodedScalar> recs(kW);
+  std::vector<trace::InputBindings> bindings(kW);
+  std::vector<trace::EvalContext> ctxs(kW);
+  engine::LaneWorkspace ws;
+  auto wave = [&](size_t first, size_t end, std::vector<curve::Affine>& out) {
     const engine::CompiledProgram& p = *prog;
-    for (const engine::SmJob& job : jobs) {
-      curve::Decomposition dec = curve::decompose(job.k);
-      curve::RecodedScalar rec = curve::recode(dec.a);
-      trace::bind_sm_inputs(p, job.base, bindings);
-      trace::EvalContext ctx;
-      ctx.recoded = &rec;
-      ctx.k_was_even = dec.k_was_even;
-      engine::run(rom, bindings, ctx, ws);
-      bare_last = curve::Affine{engine::output_value(rom, ws, "x"),
-                                engine::output_value(rom, ws, "y")};
+    const size_t live = std::min(kW, end - first);
+    for (size_t l = 0; l < live; ++l) {
+      decs[l] = curve::decompose(jobs[first + l].k);
+      recs[l] = curve::recode(decs[l].a);
+      trace::bind_sm_inputs(p, jobs[first + l].base, bindings[l]);
+      ctxs[l] = trace::EvalContext{};
+      ctxs[l].recoded = &recs[l];
+      ctxs[l].k_was_even = decs[l].k_was_even;
     }
+    engine::run_lanes(rom, bindings.data(), ctxs.data(), static_cast<int>(live), ws);
+    for (size_t l = 0; l < live; ++l) {
+      const int lane = static_cast<int>(l);
+      out[first + l] = curve::Affine{engine::lane_output(rom, ws, "x", lane),
+                                     engine::lane_output(rom, ws, "y", lane)};
+    }
+  };
+
+  // Bare loop: the body of the engine's exec_sm without any instrumentation
+  // around it.
+  std::vector<curve::Affine> bare_out(jobs.size());
+  auto bare_run = [&]() {
+    for (size_t b = 0; b < jobs.size(); b += kW) wave(b, jobs.size(), bare_out);
   };
 
   // Instrumented loop: bare + the obs layer's exact per-task and per-batch
   // work, including perf_event sampling (enabled as under `--hw`, degrading
   // hardware -> software -> unavailable exactly like the engine workers).
   obs::perf_set_enabled(true);
-  const size_t kChunk = 8;  // BatchEngine default for 64 jobs on 1 worker
-  curve::Affine inst_last{};
+  std::vector<curve::Affine> inst_out(jobs.size());
 #if FOURQ_OBS_ENABLED
   obs::Registry& reg = obs::global().metrics;
   const obs::Labels wl{{"worker", "0"}};
@@ -135,21 +157,11 @@ int main(int argc, char** argv) {
       obs::PerfSample perf_begin;
       if (obs::perf_enabled()) perf_begin = obs::perf_read_thread();
 #endif
-      size_t hi = std::min(jobs.size(), b + kChunk);
-      const engine::CompiledProgram& p = *prog;
-      for (size_t i = b; i < hi; ++i) {
-        const engine::SmJob& job = jobs[i];
-        curve::Decomposition dec = curve::decompose(job.k);
-        curve::RecodedScalar rec = curve::recode(dec.a);
-        trace::bind_sm_inputs(p, job.base, bindings);
-        trace::EvalContext ctx;
-        ctx.recoded = &rec;
-        ctx.k_was_even = dec.k_was_even;
-        engine::run(rom, bindings, ctx, ws);
-        inst_last = curve::Affine{engine::output_value(rom, ws, "x"),
-                                  engine::output_value(rom, ws, "y")};
-      }
+      const size_t hi = std::min(jobs.size(), b + kChunk);
+      for (size_t i = b; i < hi; i += kW) wave(i, hi, inst_out);
 #if FOURQ_OBS_ENABLED
+      FOURQ_COUNTER_ADD("engine.lanes.waves", (hi - b + kW - 1) / kW);
+      FOURQ_COUNTER_ADD("engine.lanes.ragged_jobs", (hi - b) % kW);
       FOURQ_COUNTER_ADD("engine.jobs.sm", hi - b);
       if (perf_begin.source != obs::PerfSource::kUnavailable) {
         obs::PerfDelta d = obs::perf_delta(perf_begin, obs::perf_read_thread());
@@ -221,11 +233,12 @@ int main(int argc, char** argv) {
     engine_us.push_back(secs_since(t2) * 1e6 / kJobs);
   }
 
-  // All three paths must produce the same curve point — they really are the
-  // same computation.
-  bool match = inst_last.x == bare_last.x && inst_last.y == bare_last.y &&
-               engine_results.back().out.x == bare_last.x &&
-               engine_results.back().out.y == bare_last.y;
+  // All three paths must produce the same curve points — they really are
+  // the same computation.
+  bool match = true;
+  for (size_t i = 0; i < jobs.size(); ++i)
+    match = match && inst_out[i].x == bare_out[i].x && inst_out[i].y == bare_out[i].y &&
+            engine_results[i].out.x == bare_out[i].x && engine_results[i].out.y == bare_out[i].y;
 
   double inst_med = median(inst_us);
   double bare_med = median(bare_us);
@@ -294,6 +307,6 @@ int main(int argc, char** argv) {
 
   std::printf("\nThe gate (tools/perf_regress vs bench_obs_overhead_baseline.jsonl)\n"
               "enforces engine.overhead_pct <= 2: full telemetry must stay within\n"
-              "2%% of the bare pre-decoded-ROM loop on the batch hot path.\n");
+              "2%% of the bare 8-lane wave loop on the batch hot path.\n");
   return match ? 0 : 1;
 }

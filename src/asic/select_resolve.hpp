@@ -1,8 +1,10 @@
 // Indexed-operand resolution shared by the cycle-accurate simulators
-// (machine_state.cpp) and the batch engine's pre-decoded executor
-// (engine/decoded.cpp): maps an indexed control field plus the runtime
-// EvalContext (recoded digits, even-k flags, loop counter) to the concrete
-// register the hardware mux would select this iteration.
+// (machine_state.cpp) and the batch engine's lane executor
+// (engine/lanes.cpp, once per gather row and wave): maps an indexed
+// control field plus the runtime EvalContext (recoded digits, even-k
+// flags, loop counter) to the concrete register the hardware mux would
+// select this iteration. For the engine the "register" is a state slot:
+// it resolves through the lowering's slot-translated select maps.
 #pragma once
 
 #include "common/check.hpp"

@@ -181,6 +181,8 @@ TEST(CompileCacheTest, ConcurrentGetOrCompileCompilesOnce) {
   EXPECT_EQ(s.hits, static_cast<uint64_t>(kThreads - 1));
 }
 
+// The DecodedTest cases run one job through engine::run, the one-lane wave
+// that perfbench's engine.decoded.job_us probe times.
 TEST(DecodedTest, MatchesReferenceSimulator) {
   auto prog = engine::CompileCache().get_or_compile(functional_key());
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "asic/simulator.hpp"
+#include "common/fnv.hpp"
 #include "common/modint.hpp"
 #include "common/rng.hpp"
 #include "curve/point.hpp"
@@ -701,8 +702,9 @@ TEST(LaneExecutorTest, GatherTimesACandidateIsAProductNotASquare) {
 }
 
 TEST(LaneExecutorTest, ReadsOfUnwrittenRegistersFailToLower) {
-  // A register, bus or select candidate that nothing wrote is an error at
-  // decode time, never a read of whatever a slot holds.
+  // A register, bus or select candidate that nothing wrote, or a unit or
+  // register outside the machine, is an error at decode time, never a read
+  // of whatever a slot holds.
   auto base = [] {
     sched::CompiledSm sm;
     sm.rf_slots = 3;
@@ -728,6 +730,18 @@ TEST(LaneExecutorTest, ReadsOfUnwrittenRegistersFailToLower) {
   sched::CompiledSm empty_writeback = base();
   empty_writeback.rom[1].writebacks.push_back({1, true, 0});
   EXPECT_THROW(engine::decode(empty_writeback), std::logic_error);
+  sched::CompiledSm mul_unit = base();  // the machine has one unit of each kind
+  mul_unit.rom[0].mul.push_back(unit(trace::OpKind::kMul, reg(0), reg(0)));
+  mul_unit.rom[0].mul.back().unit = 1;
+  EXPECT_THROW(engine::decode(mul_unit), std::logic_error);
+  sched::CompiledSm add_unit = base();
+  add_unit.rom[0].addsub.push_back(unit(trace::OpKind::kAdd, reg(0), reg(0)));
+  add_unit.rom[0].addsub.back().unit = -1;
+  EXPECT_THROW(engine::decode(add_unit), std::logic_error);
+  sched::CompiledSm writeback_reg = base();
+  writeback_reg.rom[0].addsub.push_back(unit(trace::OpKind::kAdd, reg(0), reg(0)));
+  writeback_reg.rom[1].writebacks.push_back({3, false, 0});
+  EXPECT_THROW(engine::decode(writeback_reg), std::logic_error);
 }
 
 // --- the lowering on the compiled programs -----------------------------------
@@ -778,6 +792,79 @@ TEST(LaneLoweringTest, InvariantsOnTheFunctionalAndPaperCostRoms) {
       EXPECT_EQ(lp.ops.size(), 4563u);
       EXPECT_EQ(squares, 1150u);
     }
+  }
+}
+
+// FNV-1a over everything decode() derives: the slot program (ops, inputs,
+// outputs, gather rows, translated select maps, slot count) and the static
+// SimStats.
+uint64_t lowering_fingerprint(const engine::DecodedRom& rom) {
+  const engine::LaneProgram& lp = rom.lanes;
+  Fnv1a f;
+  f.mix(lp.ops.size());
+  for (const lk::SlotOp& o : lp.ops) {
+    f.byte(o.kind);
+    f.byte(o.gather);
+    f.mix(o.dst);
+    f.mix(o.a);
+    f.mix(o.b);
+  }
+  for (const std::vector<uint16_t>* slots : {&lp.inputs, &lp.outputs}) {
+    f.mix(slots->size());
+    for (uint16_t s : *slots) f.mix(s);
+  }
+  f.mix(lp.gathers.size());
+  for (const auto& [map, iter] : lp.gathers) {
+    f.mix(static_cast<uint64_t>(map));
+    f.mix(static_cast<uint64_t>(iter));
+  }
+  f.mix(lp.select_maps.size());
+  for (const sched::SelectMap& m : lp.select_maps) {
+    f.byte(static_cast<uint8_t>(m.kind));
+    f.mix(m.reg.size());
+    for (const std::vector<int>& variant : m.reg) {
+      f.mix(variant.size());
+      for (int s : variant) f.mix(static_cast<uint64_t>(s));
+    }
+  }
+  f.mix(static_cast<uint64_t>(lp.slots));
+  const asic::SimStats& st = rom.stats;
+  for (int v : {st.cycles, st.mul_issues, st.addsub_issues, st.rf_reads, st.forwarded_operands,
+                st.rf_writes, st.stall_cycles, st.max_reads_in_cycle, st.max_writes_in_cycle})
+    f.mix(static_cast<uint64_t>(v));
+  return f.h;
+}
+
+TEST(LaneLoweringTest, ProgramsArePinned) {
+  // The lowered program and static statistics of both endomorphism
+  // variants at multiplier latencies 2..4, with and without forwarding. A
+  // change to decode() that moves any op, slot, gather row or statistic
+  // shows here; the executor tests above only see the outputs.
+  struct Pin {
+    trace::EndoVariant endo;
+    int mul_latency;
+    bool forwarding;
+    uint64_t fingerprint;
+  };
+  const auto fn = trace::EndoVariant::kFunctional, pc = trace::EndoVariant::kPaperCost;
+  const Pin pins[] = {
+      {fn, 2, true, 0x6a86e14174ad3f50ull}, {fn, 2, false, 0x5455d979e8c6875dull},
+      {fn, 3, true, 0x6346a7c363faec66ull}, {fn, 3, false, 0x69cccc39cf6c069eull},
+      {fn, 4, true, 0x5eb9928180a0c95dull}, {fn, 4, false, 0x814e3808a9265fcaull},
+      {pc, 2, true, 0x63104ce2362e4b2aull}, {pc, 2, false, 0x32f42a5c00642cfcull},
+      {pc, 3, true, 0xdb2dbd844280b4b6ull}, {pc, 3, false, 0x3038e4e929526adbull},
+      {pc, 4, true, 0xb20f3e5e4237a5dcull}, {pc, 4, false, 0x7bb3a4b8a213234bull},
+  };
+  for (const Pin& pin : pins) {
+    engine::CompileKey key = functional_key();
+    key.trace.endo = pin.endo;
+    key.compile.cfg.mul_latency = pin.mul_latency;
+    key.compile.cfg.forwarding = pin.forwarding;
+    const uint64_t got = lowering_fingerprint(
+        engine::decode(engine::CompileCache::process_cache().get_or_compile(key)->sm));
+    EXPECT_EQ(got, pin.fingerprint)
+        << std::hex << "endo=" << static_cast<int>(pin.endo) << " mul_latency=" << pin.mul_latency
+        << " forwarding=" << pin.forwarding << ": 0x" << got;
   }
 }
 
